@@ -36,7 +36,7 @@ from .graded import (
     insertion_patterns,
     koszul_sign,
 )
-from .multimap import MultiMap, _tensor_core
+from .multimap import MultiMap, compose_into
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,8 @@ def brace_eval(
 ) -> MultiMap:
     """Insert the maps gs into f, summing all patterns with beta signs.
 
+    Each pattern's term is one sparse composition of tables (compose_into),
+    differential-tested against the point-by-point tensor_block_eval.
     The result has arity sum(a_i) + N - n and degree p + sum(q_i).
     With no gs the brace is f itself.
     """
@@ -104,45 +106,23 @@ def brace_eval(
         return f
     arities = tuple(g.arity for g in gs)
     degrees = tuple(g.degree for g in gs)
-    out_arity = sum(arities) + N - n
-    out_degree = f.degree + sum(degrees)
-
-    signed_patterns = []
+    entries: dict = {}
     for pattern in insertion_patterns(N - n, n + 1):
         ctx = BraceContext(N, arities, degrees, pattern)
         sign = -1 if beta_parity(ctx, include_leading_slot_term) else 1
-        signed_patterns.append((sign, pattern.slots))
-
-    space = f.space
-    basis = [space.basis_vector(i) for i in range(space.dim)]
-    entries = {}
-    for t in space.tuples(out_arity):
-        args = [basis[i] for i in t]
-        acc: dict = {}
-        for sign, slots in signed_patterns:
-            v = _tensor_core(f, gs, slots, args)
-            for j, c in v.coeffs.items():
-                acc[j] = acc.get(j, 0) + sign * c
-        if acc:
-            entries[t] = acc
-    return MultiMap(space, out_arity, out_degree, entries)
+        compose_into(entries, sign, f, gs, pattern.slots)
+    return MultiMap(f.space, sum(arities) + N - n, f.degree + sum(degrees), entries)
 
 
-def _brace_or_zero(
-    f: MultiMap, gs: Sequence[MultiMap], include_leading_slot_term: bool = True
-) -> MultiMap:
-    """Brace with overflow collapsing to the zero map of the right shape.
-
-    Handing a map more arguments than its arity leaves no valid insertion
-    pattern, so the term is zero; its signature is still determined by the
-    shapes, which keeps sums over nestings well typed.
-    """
-    gs = tuple(gs)
-    n = len(gs)
-    if n <= f.arity:
-        return brace_eval(f, gs, include_leading_slot_term)
-    out_arity = sum(g.arity for g in gs) + f.arity - n
-    out_degree = f.degree + sum(g.degree for g in gs)
+def _bracket_or_zero(bracket, f: MultiMap, args: Sequence[MultiMap], *options):
+    """Apply a bracket; arity overflow leaves no insertion pattern, so the
+    term is the zero map of the signature the shapes dictate, which keeps
+    sums over nestings well typed."""
+    args = tuple(args)
+    if len(args) <= f.arity:
+        return bracket(f, args, *options)
+    out_arity = sum(m.arity for m in args) + f.arity - len(args)
+    out_degree = f.degree + sum(m.degree for m in args)
     return MultiMap.zero(f.space, out_arity, out_degree)
 
 
@@ -192,12 +172,12 @@ def brace_axiom_sides(
         for t, (i, j) in enumerate(pairs):
             outer_args.extend(ys[prev:i])
             outer_args.append(
-                _brace_or_zero(xs[t], ys[i:j], include_leading_slot_term)
+                _bracket_or_zero(brace_eval, xs[t], ys[i:j], include_leading_slot_term)
             )
             sign ^= bx[t] & by_prefix[i]
             prev = j
         outer_args.extend(ys[prev:])
-        term = _brace_or_zero(x, outer_args, include_leading_slot_term)
+        term = _bracket_or_zero(brace_eval, x, outer_args, include_leading_slot_term)
         rhs = rhs + (term.scale(-1) if sign else term)
     return lhs, rhs
 

@@ -11,7 +11,8 @@ every tabulated output lives in degree p + sum of the input degrees.
 The sign convention for evaluating a tensor product of maps on a tensor
 product of arguments is fixed here once, in tensor_block_eval: a map of
 degree q picks up (-1)^{q * d} when it moves past arguments of total
-degree d to reach its own inputs.
+degree d to reach its own inputs.  compose_into, the sparse composition
+the braces are built from, uses it too and is differential-tested against it.
 """
 
 from __future__ import annotations
@@ -382,43 +383,73 @@ def tensor_block_eval(
     return _tensor_core(f, gs, slots, args)
 
 
+def compose_into(
+    acc: dict, sign: int, f: MultiMap, gs: Sequence[MultiMap], slots: Sequence[int]
+) -> None:
+    """Add sign * f o (1^{k_0} (x) g_1 (x) ... (x) g_n (x) 1^{k_n}) to the
+    entry table acc, joining each g's entries, indexed by output, to f's
+    entries on the slot g fills.  The Koszul sign is tensor_block_eval's; a
+    block's degree parity is its g's output parity plus |g|, so the sign
+    depends on f's entry alone.
+    """
+    par = f.space.parities
+    by_out = []
+    for g in gs:
+        index: dict = {}
+        for block, out in g.entries.items():
+            for j, c in out.items():
+                index.setdefault(j, []).append((block, c))
+        by_out.append((index, g.degree & 1))
+    pos = [sum(slots[: i + 1]) + i for i in range(len(gs))]
+    starts = [0] + [p + 1 for p in pos]
+    for key, fout in f.entries.items():
+        hits = [index.get(key[p]) for (index, _), p in zip(by_out, pos)]
+        if None in hits:
+            continue
+        sign_exp = prefix = 0
+        for start, p, (_, q) in zip(starts, pos, by_out):
+            for x in key[start:p]:
+                prefix ^= par[x]
+            sign_exp ^= q & prefix
+            prefix ^= par[key[p]] ^ q
+        segments = [key[start:p] for start, p in zip(starts, pos)]
+        for combo in itertools.product(*hits):
+            composed, c = (), -sign if sign_exp else sign
+            for segment, (block, cg) in zip(segments, combo):
+                composed += segment + block
+                c *= cg
+            row = acc.setdefault(composed + key[starts[-1] :], {})
+            for j, cf in fout.items():
+                row[j] = row.get(j, 0) + c * cf
+
+
 def antisymmetrize(
     f: MultiMap, cap: int | None = DEFAULT_ENUMERATION_CAP
 ) -> MultiMap:
     """Signed symmetrization: as(f)(v) = sum over s in S_k of chi(s) f(sv).
 
     No averaging factor: an already antisymmetric f comes back as k! * f.
-    Walks the permutations by adjacent swaps so each step updates the sign
-    and the permuted tuple in constant time.
+    Scatters each nonzero f(w) to every rearrangement of w with the chi sign
+    of the way there, which is that of the way back: nnz(f) * k! adjacent-swap
+    steps, each updating the sign and the word in constant time.
     """
     k = f.arity
     if cap is not None and k > cap:
         raise ResourceLimitError(f"antisymmetrize over arity {k} exceeds cap {cap}")
-    space = f.space
-    par = space.parities
-    swaps = adjacent_swap_order(k)
-    table = f.entries
-    result = {}
-    for t in space.tuples(k):
-        acc: dict = {}
-        word = list(t)
-        sign = 1
-        val = table.get(t)
-        if val:
-            for j, c in val.items():
-                acc[j] = acc.get(j, 0) + c
+    par = f.space.parities
+    swaps = (None, *adjacent_swap_order(k))
+    result: dict = {}
+    for key, out in f.entries.items():
+        word, sign = list(key), 1
         for s in swaps:
-            a, b = word[s], word[s + 1]
-            word[s], word[s + 1] = b, a
-            if not (par[a] & par[b]):
-                sign = -sign
-            val = table.get(tuple(word))
-            if val:
-                for j, c in val.items():
-                    acc[j] = acc.get(j, 0) + sign * c
-        if acc:
-            result[t] = acc
-    return MultiMap(space, k, f.degree, result)
+            if s is not None:
+                a, b = word[s], word[s + 1]
+                word[s], word[s + 1] = b, a
+                sign = sign if par[a] & par[b] else -sign
+            row = result.setdefault(tuple(word), {})
+            for j, c in out.items():
+                row[j] = row.get(j, 0) + sign * c
+    return MultiMap(f.space, k, f.degree, result)
 
 
 def is_antisymmetric(f: MultiMap) -> bool:

@@ -34,7 +34,7 @@ from .graded import (
     koszul_sign,
 )
 from .multimap import MultiMap, _tensor_core, antisymmetrize, is_antisymmetric
-from .brace import brace_eval
+from .brace import _bracket_or_zero, brace_eval
 
 FLAVOR_UNSHUFFLE = "example33"
 FLAVOR_SYMMETRIZED = "symmetrized"
@@ -164,17 +164,6 @@ def graded_symmetry_check(
         if symbrace_eval(f, swapped, cap) != base.scale(sign):
             return False
     return True
-
-
-def _bracket_or_zero(bracket, f: MultiMap, args: Sequence[MultiMap], cap):
-    """Apply a bracket, collapsing arity overflow to the zero map of the
-    signature the shapes dictate."""
-    args = tuple(args)
-    if len(args) <= f.arity:
-        return bracket(f, args, cap)
-    out_arity = sum(m.arity for m in args) + f.arity - len(args)
-    out_degree = f.degree + sum(m.degree for m in args)
-    return MultiMap.zero(f.space, out_arity, out_degree)
 
 
 def symbrace_axiom_sides(

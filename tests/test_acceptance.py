@@ -34,6 +34,7 @@ from bracekit.multimap import (
     antisymmetrize,
     antisymmetrize_decomposition_check,
 )
+from helpers import cli_env
 
 SEED = 20260815
 CAPS = FuzzCaps()  # dim <= 3, arities <= 3, n <= 2, degrees in [-2, 2]
@@ -324,6 +325,7 @@ def _run_cli(*args, cwd):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=cli_env(),
         timeout=300,
     )
 

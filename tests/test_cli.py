@@ -8,6 +8,7 @@ import pytest
 
 from bracekit.multimap import is_antisymmetric
 from bracekit.workspace import Workspace
+from helpers import cli_env
 
 WS = {
     "space": {"basis": [{"name": "a", "degree": 0}, {"name": "b", "degree": 0}]},
@@ -40,6 +41,7 @@ def run_cli(*args, cwd):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=cli_env(),
         timeout=300,
     )
 
