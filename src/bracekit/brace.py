@@ -25,13 +25,11 @@ symmetrization helpers below are taken over those parities.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
 from .graded import (
     DEFAULT_ENUMERATION_CAP,
-    InsertionPattern,
     enumerate_permutations,
     insertion_patterns,
     koszul_sign,
@@ -39,36 +37,16 @@ from .graded import (
 from .multimap import MultiMap, compose_into
 
 
-@dataclass(frozen=True)
-class BraceContext:
-    """Shape data of one insertion term: f's arity, the inserted maps'
-    arities and degrees, and the free-slot pattern."""
-
-    f_arity: int
-    g_arities: tuple
-    g_degrees: tuple
-    slots: InsertionPattern
-
-    def __post_init__(self):
-        n = len(self.g_arities)
-        if len(self.g_degrees) != n:
-            raise InputError("need one degree per inserted map")
-        if len(self.slots.slots) != n + 1:
-            raise InputError(f"expected {n + 1} slot counts")
-        if self.slots.total + n != self.f_arity:
-            raise InputError(
-                f"slots {self.slots.slots} plus {n} insertions "
-                f"do not fill arity {self.f_arity}"
-            )
-
-
-def beta_parity(ctx: BraceContext, include_leading_slot_term: bool = True) -> int:
-    """Parity of the brace sign on one insertion pattern."""
-    a = ctx.g_arities
-    q = ctx.g_degrees
-    k = ctx.slots.slots
+def beta_parity(
+    N: int,
+    a: Sequence[int],
+    q: Sequence[int],
+    k: Sequence[int],
+    include_leading_slot_term: bool = True,
+) -> int:
+    """Parity of the brace sign on one insertion pattern: f's arity N, the
+    inserted maps' arities a and degrees q, and the free slot counts k."""
     n = len(a)
-    N = ctx.f_arity
     total = 0
     for i in range(1, n + 1):
         lo = 0 if include_leading_slot_term else 1
@@ -108,9 +86,9 @@ def brace_eval(
     degrees = tuple(g.degree for g in gs)
     entries: dict = {}
     for pattern in insertion_patterns(N - n, n + 1):
-        ctx = BraceContext(N, arities, degrees, pattern)
-        sign = -1 if beta_parity(ctx, include_leading_slot_term) else 1
-        compose_into(entries, sign, f, gs, pattern.slots)
+        slots = pattern.slots
+        parity = beta_parity(N, arities, degrees, slots, include_leading_slot_term)
+        compose_into(entries, -1 if parity else 1, f, gs, slots)
     return MultiMap(f.space, sum(arities) + N - n, f.degree + sum(degrees), entries)
 
 

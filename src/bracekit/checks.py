@@ -1,16 +1,36 @@
 """Named verification checks, shared by the CLI and the fuzzer.
 
-Each check bundles four pieces:
+A check is a :class:`Check` of four callables:
 
 * ``gen(rng, caps)`` draws a random instance within the caps,
 * ``from_cli(workspace, namespace)`` builds an instance from CLI flags,
 * ``run(instance)`` executes the verification and returns an outcome,
 * ``add_cli_args(parser)`` declares the check's flags.
 
-Generators guard the joint instance size (output arity, enumeration
-counts, antisymmetrization cost) and redraw shapes that would blow the
-work budget; the caps are honest upper bounds, not a promise that the
-most expensive corner of the cap box is sampled.
+No check writes these by hand.  Each declares its input roles, and one
+builder per kind of input derives from them the flags, the instance read
+from a workspace or drawn at random, the report ``params`` and the
+counterexample ``args``:
+
+* map checks (``_map_check``) take one outer map and lists of inserted
+  maps.  A role is ``(keyword, report key of its size, help)``, for example
+  ``("x", "N", "outer map name")`` or ``("xs", "n", ...)``: the verifier's
+  keyword, the ``--x``/``--xs`` flag, the key in ``args``, and the
+  parameter reporting the outer arity or the list's length;
+* integer-list checks (``_int_check``, lemmas 4.2-4.4) take one list of
+  integers per role;
+* family checks (``_family_check``) take the components of a homotopy
+  structure family.
+
+Random map shapes come from a staged sampler: after an outer arity, stage
+s inserts at most ``max_n + s`` maps into the previous result.  A cost
+predicate per check redraws shapes that would blow its work budget; the
+caps are honest upper bounds, not a promise that the most expensive corner
+of the cap box is sampled.
+
+Verifiers and random builders are called through lambdas, so they are
+looked up as module globals when a check runs; rebinding a global (as a
+tracer does) reaches every check that uses it.
 """
 
 from __future__ import annotations
@@ -45,7 +65,7 @@ from .homotopy import (
     antisymmetrize_structure,
     l_infinity_defects,
 )
-from .multimap import MultiMap, _decomposition_first_defect
+from .multimap import _decomposition_first_defect
 from .symbrace import (
     FLAVOR_SYMMETRIZED,
     FLAVOR_UNSHUFFLE,
@@ -60,8 +80,11 @@ _POINT_BUDGET = 800
 _ANTISYM_BUDGET = 250_000
 # dim**out_arity * unshuffle-count cap for symmetric brackets
 _UNSHUFFLE_BUDGET = 100_000
+# inserted! * dim**out_arity cap for lemma51's permuted braces
+_PERMUTED_BUDGET = 25_000
 
 _SHAPE_TRIES = 200
+_DEFAULT_MAX_ARITY = 4
 
 
 @dataclass
@@ -115,30 +138,17 @@ def _int_csv(text: str, flag: str) -> list:
         raise InputError(f"{flag}: expected comma-separated integers, got {text!r}")
 
 
-def _perm_arg(text: str, flag: str) -> Permutation:
-    return Permutation(_int_csv(text, flag))
-
-
 def _fmt_seq(xs: Sequence) -> str:
     return ",".join(str(x) for x in xs)
 
 
-def _maps_context(space, named_maps, args: dict) -> dict:
-    return {"workspace": Workspace(space, named_maps).to_obj(), "args": args}
-
-
-def _sides_outcome(name, inst, lhs, rhs) -> CheckOutcome:
-    passed = lhs == rhs
-    counterexample = None
-    if not passed:
-        counterexample = dict(inst.context)
-        counterexample["lhs"] = map_to_obj(lhs)
-        counterexample["rhs"] = map_to_obj(rhs)
-    return CheckOutcome(name, passed, inst.params, counterexample)
-
-
-def _bool_outcome(name, inst, passed) -> CheckOutcome:
-    return CheckOutcome(name, passed, inst.params, None if passed else dict(inst.context))
+def _maps_context(space, pairs, args: dict) -> dict:
+    """The counterexample context: a workspace holding each named map once,
+    and the arguments naming them."""
+    named: dict = {}
+    for name, m in pairs:
+        named.setdefault(name, m)
+    return {"workspace": Workspace(space, named).to_obj(), "args": args}
 
 
 def _multinomial(total: int, parts: Sequence[int]) -> int:
@@ -153,548 +163,36 @@ def _random_arities(rng, caps, count: int) -> list:
     return [rng.randint(1, caps.max_arity) for _ in range(count)]
 
 
-# --------------------------------------------------------------- brace-axiom
+# ----------------------------------------------------------------- verdicts
+#
+# A verdict maker takes (check name, instance) and returns the outcome.
 
 
-def _brace_axiom_instance(x, xs, ys, include_leading_slot_term=True, names=None):
-    if names is None:
-        names = (
-            [("x", x)]
-            + [(f"x{i + 1}", g) for i, g in enumerate(xs)]
-            + [(f"y{i + 1}", g) for i, g in enumerate(ys)]
-        )
-    name_list = [nm for nm, _ in names]
-    args = {
-        "x": name_list[0],
-        "xs": name_list[1 : 1 + len(xs)],
-        "ys": name_list[1 + len(xs) :],
-    }
-    if not include_leading_slot_term:
-        args["include_leading_slot_term"] = False
-    params = (
-        ("dim", x.space.dim),
-        ("N", x.arity),
-        ("n", len(xs)),
-        ("r", len(ys)),
-    )
-    kwargs = {
-        "x": x,
-        "xs": xs,
-        "ys": ys,
-        "include_leading_slot_term": include_leading_slot_term,
-    }
-    return CheckInstance(params, kwargs, _maps_context(x.space, names, args))
+def _sides(sides):
+    """Verdict of an identity whose verifier returns both sides."""
+
+    def verdict(name, inst) -> CheckOutcome:
+        lhs, rhs = sides(**inst.kwargs)
+        if lhs == rhs:
+            return CheckOutcome(name, True, inst.params)
+        counterexample = dict(inst.context)
+        counterexample["lhs"] = map_to_obj(lhs)
+        counterexample["rhs"] = map_to_obj(rhs)
+        return CheckOutcome(name, False, inst.params, counterexample)
+
+    return verdict
 
 
-def _gen_brace_axiom(rng: SplitMix64, caps: FuzzCaps) -> CheckInstance:
-    space = random_space(rng, caps)
-    dim = space.dim
-    for _ in range(_SHAPE_TRIES):
-        big_n = rng.randint(1, caps.max_arity)
-        n = rng.randint(0, min(caps.max_n, big_n))
-        xs_ar = _random_arities(rng, caps, n)
-        inner_arity = big_n - n + sum(xs_ar)
-        r = rng.randint(0, min(caps.max_n + 1, inner_arity))
-        ys_ar = _random_arities(rng, caps, r)
-        out_arity = inner_arity - r + sum(ys_ar)
-        if out_arity <= caps.max_out_arity and dim**out_arity <= _POINT_BUDGET:
-            break
-    else:
-        big_n, xs_ar, ys_ar = 1, [], [1]
-    x = random_map(rng, space, big_n)
-    xs = [random_map(rng, space, a) for a in xs_ar]
-    ys = [random_map(rng, space, a) for a in ys_ar]
-    return _brace_axiom_instance(x, xs, ys)
+def _holds(test):
+    """Verdict of a predicate; a failure reports the instance data."""
 
-
-def _run_brace_axiom(inst: CheckInstance) -> CheckOutcome:
-    lhs, rhs = brace_axiom_sides(**inst.kwargs)
-    return _sides_outcome("brace-axiom", inst, lhs, rhs)
-
-
-def _cli_args_brace_axiom(parser) -> None:
-    parser.add_argument("--x", required=True, help="outer map name")
-    parser.add_argument("--xs", default="", help="first-stage map names, comma-separated")
-    parser.add_argument("--ys", default="", help="second-stage map names, comma-separated")
-    parser.add_argument(
-        "--no-leading-slot-term",
-        action="store_true",
-        help="flip the sign convention for the slots before the first insertion",
-    )
-
-
-def _from_cli_brace_axiom(ws: Workspace, ns) -> CheckInstance:
-    xs_names = _csv(ns.xs)
-    ys_names = _csv(ns.ys)
-    names = [(ns.x, ws.get_map(ns.x))]
-    names += [(nm, ws.get_map(nm)) for nm in xs_names]
-    names += [(nm, ws.get_map(nm)) for nm in ys_names]
-    seen = set()
-    unique = []
-    for nm, m in names:
-        if nm not in seen:
-            seen.add(nm)
-            unique.append((nm, m))
-    inst = _brace_axiom_instance(
-        ws.get_map(ns.x),
-        [ws.get_map(nm) for nm in xs_names],
-        [ws.get_map(nm) for nm in ys_names],
-        include_leading_slot_term=not ns.no_leading_slot_term,
-        names=unique,
-    )
-    return inst
-
-
-# ------------------------------------------------- symmetric brace axioms
-
-
-def _symbrace_instance(check, flavor, f, gs, xs, names=None):
-    if names is None:
-        names = (
-            [("f", f)]
-            + [(f"g{i + 1}", g) for i, g in enumerate(gs)]
-            + [(f"x{i + 1}", g) for i, g in enumerate(xs)]
-        )
-    name_list = [nm for nm, _ in names]
-    args = {
-        "f": name_list[0],
-        "gs": name_list[1 : 1 + len(gs)],
-        "xs": name_list[1 + len(gs) :],
-        "flavor": flavor,
-    }
-    params = (
-        ("dim", f.space.dim),
-        ("N", f.arity),
-        ("n", len(gs)),
-        ("r", len(xs)),
-    )
-    kwargs = {"f": f, "gs": gs, "xs": xs, "flavor": flavor}
-    return CheckInstance(params, kwargs, _maps_context(f.space, names, args))
-
-
-def _gen_symbrace_shape(rng: SplitMix64, caps: FuzzCaps, dim: int):
-    for _ in range(_SHAPE_TRIES):
-        big_n = rng.randint(1, caps.max_arity)
-        n = rng.randint(0, min(caps.max_n, big_n))
-        gs_ar = _random_arities(rng, caps, n)
-        inner_arity = big_n - n + sum(gs_ar)
-        r = rng.randint(0, min(caps.max_n + 1, inner_arity))
-        xs_ar = _random_arities(rng, caps, r)
-        out_arity = inner_arity - r + sum(xs_ar)
-        if out_arity > caps.max_out_arity:
-            continue
-        # unshuffles run over each bracket's output arguments
-        inner_unshuffles = _multinomial(inner_arity, gs_ar)
-        outer_unshuffles = _multinomial(out_arity, xs_ar)
-        work = dim**out_arity * (inner_unshuffles + outer_unshuffles)
-        if work <= _UNSHUFFLE_BUDGET:
-            return big_n, gs_ar, xs_ar
-    return 1, [], [1]
-
-
-def _gen_symbrace_ex33(rng: SplitMix64, caps: FuzzCaps) -> CheckInstance:
-    space = random_space(rng, caps)
-    big_n, gs_ar, xs_ar = _gen_symbrace_shape(rng, caps, space.dim)
-    f = random_antisym_map(rng, space, big_n)
-    gs = [random_antisym_map(rng, space, a) for a in gs_ar]
-    xs = [random_antisym_map(rng, space, a) for a in xs_ar]
-    return _symbrace_instance(
-        "symbrace-axiom-ex33", FLAVOR_UNSHUFFLE, f, gs, xs
-    )
-
-
-def _gen_thm1(rng: SplitMix64, caps: FuzzCaps) -> CheckInstance:
-    space = random_space(rng, caps)
-    big_n, gs_ar, xs_ar = _gen_symbrace_shape(rng, caps, space.dim)
-    f = random_map(rng, space, big_n)
-    gs = [random_map(rng, space, a) for a in gs_ar]
-    xs = [random_map(rng, space, a) for a in xs_ar]
-    return _symbrace_instance("thm1", FLAVOR_SYMMETRIZED, f, gs, xs)
-
-
-def _make_symbrace_runner(check):
-    def run(inst: CheckInstance) -> CheckOutcome:
-        lhs, rhs = symbrace_axiom_sides(**inst.kwargs)
-        return _sides_outcome(check, inst, lhs, rhs)
-
-    return run
-
-
-def _cli_args_symbrace(parser) -> None:
-    parser.add_argument("--f", required=True, help="outer map name")
-    parser.add_argument("--gs", default="", help="first-stage map names, comma-separated")
-    parser.add_argument("--xs", default="", help="second-stage map names, comma-separated")
-
-
-def _make_symbrace_from_cli(check, flavor):
-    def from_cli(ws: Workspace, ns) -> CheckInstance:
-        gs_names = _csv(ns.gs)
-        xs_names = _csv(ns.xs)
-        names = []
-        for nm in [ns.f] + gs_names + xs_names:
-            if nm not in dict(names):
-                names.append((nm, ws.get_map(nm)))
-        return _symbrace_instance(
-            check,
-            flavor,
-            ws.get_map(ns.f),
-            [ws.get_map(nm) for nm in gs_names],
-            [ws.get_map(nm) for nm in xs_names],
-            names=names,
+    def verdict(name, inst) -> CheckOutcome:
+        passed = test(**inst.kwargs)
+        return CheckOutcome(
+            name, passed, inst.params, None if passed else dict(inst.context)
         )
 
-    return from_cli
-
-
-# ----------------------------------------------------------------- thm2
-
-
-def _thm2_instance(f, gs, names=None):
-    if names is None:
-        names = [("f", f)] + [(f"g{i + 1}", g) for i, g in enumerate(gs)]
-    name_list = [nm for nm, _ in names]
-    args = {"f": name_list[0], "gs": name_list[1:]}
-    params = (("dim", f.space.dim), ("N", f.arity), ("n", len(gs)))
-    return CheckInstance(
-        params, {"f": f, "gs": gs}, _maps_context(f.space, names, args)
-    )
-
-
-def _gen_thm2(rng: SplitMix64, caps: FuzzCaps) -> CheckInstance:
-    space = random_space(rng, caps)
-    dim = space.dim
-    for _ in range(_SHAPE_TRIES):
-        big_n = rng.randint(1, caps.max_arity)
-        n = rng.randint(0, min(caps.max_n, big_n))
-        gs_ar = _random_arities(rng, caps, n)
-        out_arity = big_n - n + sum(gs_ar)
-        if (
-            out_arity <= caps.max_out_arity
-            and math.factorial(out_arity) * dim**out_arity <= _ANTISYM_BUDGET
-        ):
-            break
-    else:
-        big_n, gs_ar = 1, []
-    f = random_map(rng, space, big_n)
-    gs = [random_map(rng, space, a) for a in gs_ar]
-    return _thm2_instance(f, gs)
-
-
-def _run_thm2(inst: CheckInstance) -> CheckOutcome:
-    lhs, rhs = antisymmetrized_brace_sides(**inst.kwargs)
-    return _sides_outcome("thm2", inst, lhs, rhs)
-
-
-def _cli_args_thm2(parser) -> None:
-    parser.add_argument("--f", required=True, help="map to antisymmetrize")
-    parser.add_argument("--gs", default="", help="inserted map names, comma-separated")
-
-
-def _from_cli_thm2(ws: Workspace, ns) -> CheckInstance:
-    gs_names = _csv(ns.gs)
-    names = []
-    for nm in [ns.f] + gs_names:
-        if nm not in dict(names):
-            names.append((nm, ws.get_map(nm)))
-    return _thm2_instance(
-        ws.get_map(ns.f), [ws.get_map(nm) for nm in gs_names], names=names
-    )
-
-
-# --------------------------------------------------------------- lemma41
-
-
-def _lemma41_instance(f, name="f"):
-    params = (("dim", f.space.dim), ("k", f.arity))
-    return CheckInstance(
-        params, {"f": f}, _maps_context(f.space, [(name, f)], {"f": name})
-    )
-
-
-def _gen_lemma41(rng: SplitMix64, caps: FuzzCaps) -> CheckInstance:
-    space = random_space(rng, caps)
-    k = rng.randint(1, min(4, caps.max_arity + 1))
-    return _lemma41_instance(random_map(rng, space, k))
-
-
-def _run_lemma41(inst: CheckInstance) -> CheckOutcome:
-    defect = _decomposition_first_defect(inst.kwargs["f"])
-    if defect is None:
-        return CheckOutcome("lemma41", True, inst.params)
-    counterexample = dict(inst.context)
-    names = inst.kwargs["f"].space.names
-    counterexample["split"] = list(defect["split"])
-    counterexample["inputs"] = [names[i] for i in defect["inputs"]]
-    return CheckOutcome("lemma41", False, inst.params, counterexample)
-
-
-def _cli_args_lemma41(parser) -> None:
-    parser.add_argument("--f", required=True, help="map whose splits to verify")
-
-
-def _from_cli_lemma41(ws: Workspace, ns) -> CheckInstance:
-    return _lemma41_instance(ws.get_map(ns.f), name=ns.f)
-
-
-# --------------------------------------------------------------- lemma42
-
-
-def _lemma42_instance(blocks, degrees):
-    params = (("blocks", _fmt_seq(blocks)), ("degrees", _fmt_seq(degrees)))
-    context = {"blocks": list(blocks), "degrees": list(degrees)}
-    return CheckInstance(
-        params, {"blocks": tuple(blocks), "degrees": list(degrees)}, context
-    )
-
-
-def _gen_lemma42(rng: SplitMix64, caps: FuzzCaps) -> CheckInstance:
-    for _ in range(_SHAPE_TRIES):
-        blocks = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
-        if 1 <= sum(blocks) <= 5:
-            break
-    else:
-        blocks = (1,)
-    degrees = [
-        rng.randint(caps.degree_lo, caps.degree_hi) for _ in range(sum(blocks))
-    ]
-    return _lemma42_instance(blocks, degrees)
-
-
-def _run_lemma42(inst: CheckInstance) -> CheckOutcome:
-    return _bool_outcome(
-        "lemma42", inst, unshuffle_decomposition_check(**inst.kwargs)
-    )
-
-
-def _cli_args_lemma42(parser) -> None:
-    parser.add_argument("--blocks", required=True, help="block sizes, comma-separated")
-    parser.add_argument("--degrees", required=True, help="degrees, comma-separated")
-
-
-def _from_cli_lemma42(ws, ns) -> CheckInstance:
-    return _lemma42_instance(
-        _int_csv(ns.blocks, "--blocks"), _int_csv(ns.degrees, "--degrees")
-    )
-
-
-# --------------------------------------------------------------- lemma43
-
-
-def _lemma43_instance(pi, sigma, blocks, slots, degrees):
-    params = (
-        ("sigma", _fmt_seq(sigma.images)),
-        ("blocks", _fmt_seq(blocks)),
-        ("slots", _fmt_seq(slots)),
-        ("pi", _fmt_seq(pi.images)),
-        ("degrees", _fmt_seq(degrees)),
-    )
-    context = {
-        "sigma": list(sigma.images),
-        "blocks": list(blocks),
-        "slots": list(slots),
-        "pi": list(pi.images),
-        "degrees": list(degrees),
-    }
-    kwargs = {
-        "pi": pi,
-        "sigma": sigma,
-        "blocks": tuple(blocks),
-        "slots": tuple(slots),
-        "degrees": list(degrees),
-    }
-    return CheckInstance(params, kwargs, context)
-
-
-def _gen_lemma43(rng: SplitMix64, caps: FuzzCaps) -> CheckInstance:
-    for _ in range(_SHAPE_TRIES):
-        n = rng.randint(1, 3)
-        blocks = tuple(rng.randint(1, 2) for _ in range(n))
-        slots = tuple(rng.randint(0, 1) for _ in range(n + 1))
-        r = sum(blocks) + sum(slots)
-        if r <= 5:
-            break
-    else:
-        n, blocks, slots, r = 1, (1,), (0, 0), 1
-    sigma = Permutation(random_permutation_images(rng, n))
-    pi = Permutation(random_permutation_images(rng, r))
-    degrees = [rng.randint(caps.degree_lo, caps.degree_hi) for _ in range(r)]
-    return _lemma43_instance(pi, sigma, blocks, slots, degrees)
-
-
-def _run_lemma43(inst: CheckInstance) -> CheckOutcome:
-    return _bool_outcome(
-        "lemma43", inst, block_permutation_sign_check(**inst.kwargs)
-    )
-
-
-def _cli_args_lemma43(parser) -> None:
-    parser.add_argument("--sigma", required=True, help="block permutation images")
-    parser.add_argument("--pi", required=True, help="full permutation images")
-    parser.add_argument("--blocks", required=True, help="block sizes, comma-separated")
-    parser.add_argument("--slots", required=True, help="free slot sizes, comma-separated")
-    parser.add_argument("--degrees", required=True, help="degrees, comma-separated")
-
-
-def _from_cli_lemma43(ws, ns) -> CheckInstance:
-    return _lemma43_instance(
-        _perm_arg(ns.pi, "--pi"),
-        _perm_arg(ns.sigma, "--sigma"),
-        _int_csv(ns.blocks, "--blocks"),
-        _int_csv(ns.slots, "--slots"),
-        _int_csv(ns.degrees, "--degrees"),
-    )
-
-
-# --------------------------------------------------------------- lemma44
-
-
-def _lemma44_instance(sigma, v, w):
-    params = (
-        ("sigma", _fmt_seq(sigma.images)),
-        ("v", _fmt_seq(v)),
-        ("w", _fmt_seq(w)),
-    )
-    context = {"sigma": list(sigma.images), "v": list(v), "w": list(w)}
-    return CheckInstance(params, {"sigma": sigma, "v": v, "w": w}, context)
-
-
-def _gen_lemma44(rng: SplitMix64, caps: FuzzCaps) -> CheckInstance:
-    n = rng.randint(1, 4)
-    sigma = Permutation(random_permutation_images(rng, n))
-    v = [rng.randint(-9, 9) for _ in range(n)]
-    w = [rng.randint(-9, 9) for _ in range(n)]
-    return _lemma44_instance(sigma, v, w)
-
-
-def _run_lemma44(inst: CheckInstance) -> CheckOutcome:
-    return _bool_outcome("lemma44", inst, inversion_parity_check(**inst.kwargs))
-
-
-def _cli_args_lemma44(parser) -> None:
-    parser.add_argument("--sigma", required=True, help="permutation images")
-    parser.add_argument("--v", required=True, help="first weight vector")
-    parser.add_argument("--w", required=True, help="second weight vector")
-
-
-def _from_cli_lemma44(ws, ns) -> CheckInstance:
-    return _lemma44_instance(
-        _perm_arg(ns.sigma, "--sigma"),
-        _int_csv(ns.v, "--v"),
-        _int_csv(ns.w, "--w"),
-    )
-
-
-# --------------------------------------------------------------- lemma51
-
-
-def _lemma51_instance(f, ys, zs, names=None):
-    if names is None:
-        names = (
-            [("f", f)]
-            + [(f"y{i + 1}", g) for i, g in enumerate(ys)]
-            + [(f"z{i + 1}", g) for i, g in enumerate(zs)]
-        )
-    name_list = [nm for nm, _ in names]
-    args = {
-        "f": name_list[0],
-        "ys": name_list[1 : 1 + len(ys)],
-        "zs": name_list[1 + len(ys) :],
-    }
-    params = (
-        ("dim", f.space.dim),
-        ("N", f.arity),
-        ("n", len(ys)),
-        ("m", len(zs)),
-    )
-    return CheckInstance(
-        params, {"f": f, "ys": ys, "zs": zs}, _maps_context(f.space, names, args)
-    )
-
-
-def _gen_lemma51(rng: SplitMix64, caps: FuzzCaps) -> CheckInstance:
-    space = random_space(rng, caps)
-    dim = space.dim
-    for _ in range(_SHAPE_TRIES):
-        big_n = rng.randint(1, caps.max_arity)
-        total = rng.randint(0, min(4, big_n))
-        n = rng.randint(0, total)
-        m = total - n
-        ys_ar = _random_arities(rng, caps, n)
-        zs_ar = _random_arities(rng, caps, m)
-        out_arity = big_n - total + sum(ys_ar) + sum(zs_ar)
-        if (
-            out_arity <= caps.max_out_arity
-            and math.factorial(total) * dim**out_arity <= 25_000
-        ):
-            break
-    else:
-        big_n, ys_ar, zs_ar = 1, [], [1]
-    f = random_map(rng, space, big_n)
-    ys = [random_map(rng, space, a) for a in ys_ar]
-    zs = [random_map(rng, space, a) for a in zs_ar]
-    return _lemma51_instance(f, ys, zs)
-
-
-def _run_lemma51(inst: CheckInstance) -> CheckOutcome:
-    staged, direct = braced_symmetrization_sides(**inst.kwargs)
-    return _sides_outcome("lemma51", inst, staged, direct)
-
-
-def _cli_args_lemma51(parser) -> None:
-    parser.add_argument("--f", required=True, help="outer map name")
-    parser.add_argument("--ys", default="", help="kept-in-order map names")
-    parser.add_argument("--zs", default="", help="pre-symmetrized map names")
-
-
-def _from_cli_lemma51(ws: Workspace, ns) -> CheckInstance:
-    ys_names = _csv(ns.ys)
-    zs_names = _csv(ns.zs)
-    names = []
-    for nm in [ns.f] + ys_names + zs_names:
-        if nm not in dict(names):
-            names.append((nm, ws.get_map(nm)))
-    return _lemma51_instance(
-        ws.get_map(ns.f),
-        [ws.get_map(nm) for nm in ys_names],
-        [ws.get_map(nm) for nm in zs_names],
-        names=names,
-    )
-
-
-# --------------------------------------------------------- homotopy checks
-
-_DEFAULT_MAX_ARITY = 4
-
-
-def _family_instance(check, family, max_arity, tag=None, names=None):
-    prefix = "mu" if family.flavor == A_INFINITY else "l"
-    if names is None:
-        names = [(f"{prefix}{m.arity}", m) for m in family.components]
-    args: dict = {"maps": [nm for nm, _ in names], "max_arity": max_arity}
-    params = [("dim", family.space.dim)]
-    if tag is not None:
-        params.append(("family", tag))
-    params.append(("arities", _fmt_seq(m.arity for m in family.components)))
-    params.append(("max_arity", max_arity))
-    kwargs = {"family": family, "max_arity": max_arity}
-    return CheckInstance(
-        tuple(params), kwargs, _maps_context(family.space, names, args)
-    )
-
-
-def _gen_ainfty(rng: SplitMix64, caps: FuzzCaps) -> CheckInstance:
-    tag, family = random_a_infinity_family(rng, caps)
-    return _family_instance("ainfty", family, _DEFAULT_MAX_ARITY, tag=tag)
-
-
-def _gen_linfty(rng: SplitMix64, caps: FuzzCaps) -> CheckInstance:
-    tag, family = random_l_infinity_family(rng, caps)
-    return _family_instance("linfty", family, _DEFAULT_MAX_ARITY, tag=tag)
-
-
-def _gen_corollary(rng: SplitMix64, caps: FuzzCaps) -> CheckInstance:
-    tag, family = random_a_infinity_family(rng, caps)
-    return _family_instance("corollary", family, _DEFAULT_MAX_ARITY, tag=tag)
+    return verdict
 
 
 def _defect_outcome(check, inst, defects) -> CheckOutcome:
@@ -708,17 +206,28 @@ def _defect_outcome(check, inst, defects) -> CheckOutcome:
     return CheckOutcome(check, False, inst.params, counterexample)
 
 
-def _run_ainfty(inst: CheckInstance) -> CheckOutcome:
-    defects = a_infinity_defects(inst.kwargs["family"], inst.kwargs["max_arity"])
-    return _defect_outcome("ainfty", inst, defects)
+def _defects(defects):
+    """Verdict of a family's relations up to the instance's max arity."""
+
+    def verdict(name, inst) -> CheckOutcome:
+        found = defects(inst.kwargs["family"], inst.kwargs["max_arity"])
+        return _defect_outcome(name, inst, found)
+
+    return verdict
 
 
-def _run_linfty(inst: CheckInstance) -> CheckOutcome:
-    defects = l_infinity_defects(inst.kwargs["family"], inst.kwargs["max_arity"])
-    return _defect_outcome("linfty", inst, defects)
+def _lemma41_verdict(name, inst) -> CheckOutcome:
+    defect = _decomposition_first_defect(inst.kwargs["f"])
+    if defect is None:
+        return CheckOutcome(name, True, inst.params)
+    counterexample = dict(inst.context)
+    names = inst.kwargs["f"].space.names
+    counterexample["split"] = list(defect["split"])
+    counterexample["inputs"] = [names[i] for i in defect["inputs"]]
+    return CheckOutcome(name, False, inst.params, counterexample)
 
 
-def _run_corollary(inst: CheckInstance) -> CheckOutcome:
+def _corollary_verdict(name, inst) -> CheckOutcome:
     family = inst.kwargs["family"]
     max_arity = inst.kwargs["max_arity"]
     source = a_infinity_defects(family, max_arity)
@@ -728,9 +237,7 @@ def _run_corollary(inst: CheckInstance) -> CheckOutcome:
             "relations; run ainfty on it first"
         )
     shadow = antisymmetrize_structure(family)
-    outcome = _defect_outcome(
-        "corollary", inst, l_infinity_defects(shadow, max_arity)
-    )
+    outcome = _defect_outcome(name, inst, l_infinity_defects(shadow, max_arity))
     if outcome.counterexample is not None:
         outcome.counterexample["antisymmetrized"] = [
             map_to_obj(m, name=f"l{m.arity}") for m in shadow.components
@@ -738,133 +245,366 @@ def _run_corollary(inst: CheckInstance) -> CheckOutcome:
     return outcome
 
 
-def _cli_args_family(parser) -> None:
-    parser.add_argument(
-        "--maps", required=True, help="component map names, comma-separated"
-    )
-    parser.add_argument(
-        "--max-arity",
-        type=int,
-        default=_DEFAULT_MAX_ARITY,
-        help="largest output arity whose relation is checked",
-    )
+# --------------------------------------------------------------- map checks
+#
+# roles[0] is one map, reported by its arity; every later role is a list of
+# maps, reported by its length.  Generated names are the keyword for the
+# first role and x1, x2, ... for a list role "xs".
 
 
-def _make_family_from_cli(check, flavor):
+def _map_instance(roles, maps: dict, names: dict, fixed: dict) -> CheckInstance:
+    """``maps`` and ``names`` hold a map and its name for the first role and
+    lists for the others; ``fixed`` verifier keywords are reported too."""
+    head = roles[0][0]
+    space = maps[head].space
+    params = [("dim", space.dim), (roles[0][1], maps[head].arity)]
+    pairs = [(names[head], maps[head])]
+    for key, size, _ in roles[1:]:
+        params.append((size, len(maps[key])))
+        pairs.extend(zip(names[key], maps[key]))
+    context = _maps_context(space, pairs, {**names, **fixed})
+    return CheckInstance(tuple(params), {**maps, **fixed}, context)
+
+
+def _staged(stages: int, fits):
+    """Shape sampler: an outer arity N, then per stage the arities of the
+    maps inserted into the previous result.  Shapes over the output cap, or
+    failing ``fits(dim, arities after each stage, shape)``, are redrawn; the
+    fallback is N = 1 with one unary map in the second stage."""
+
+    def sample(rng, caps, dim):
+        for _ in range(_SHAPE_TRIES):
+            outer = arity = rng.randint(1, caps.max_arity)
+            shape, after = [], []
+            for s in range(stages):
+                n = rng.randint(0, min(caps.max_n + s, arity))
+                shape.append(_random_arities(rng, caps, n))
+                arity += sum(shape[-1]) - n
+                after.append(arity)
+            if arity <= caps.max_out_arity and fits(dim, after, shape):
+                return outer, shape
+        return 1, [[1] if s == 1 else [] for s in range(stages)]
+
+    return sample
+
+
+def _point_cost(dim, after, shape) -> bool:
+    return dim ** after[-1] <= _POINT_BUDGET
+
+
+def _unshuffle_cost(dim, after, shape) -> bool:
+    # unshuffles run over each bracket's output arguments
+    unshuffles = sum(_multinomial(a, ars) for a, ars in zip(after, shape))
+    return dim ** after[-1] * unshuffles <= _UNSHUFFLE_BUDGET
+
+
+def _antisym_cost(dim, after, shape) -> bool:
+    return math.factorial(after[-1]) * dim ** after[-1] <= _ANTISYM_BUDGET
+
+
+def _sample_lemma51(rng, caps, dim):
+    """At most four maps in all, split between ys and zs."""
+    for _ in range(_SHAPE_TRIES):
+        outer = rng.randint(1, caps.max_arity)
+        total = rng.randint(0, min(4, outer))
+        n = rng.randint(0, total)
+        shape = [_random_arities(rng, caps, n), _random_arities(rng, caps, total - n)]
+        out_arity = outer - total + sum(map(sum, shape))
+        if (
+            out_arity <= caps.max_out_arity
+            and math.factorial(total) * dim**out_arity <= _PERMUTED_BUDGET
+        ):
+            return outer, shape
+    return 1, [[], [1]]
+
+
+def _sample_lemma41(rng, caps, dim):
+    return rng.randint(1, min(4, caps.max_arity + 1)), []
+
+
+def _map_check(name, roles, sample, verdict, make=None, fixed=None, switch=None):
+    """A check on workspace maps.  ``make(rng, space, arity)`` draws one map
+    (random_map by default); ``switch`` is an optional
+    ``(flag, verifier keyword the flag sets to False, help)``."""
+    fixed = fixed or {}
+    head = roles[0][0]
+    lists = [key for key, _, _ in roles[1:]]
+
+    def gen(rng: SplitMix64, caps: FuzzCaps) -> CheckInstance:
+        draw = make or (lambda *a: random_map(*a))
+        space = random_space(rng, caps)
+        outer, shape = sample(rng, caps, space.dim)
+        maps, names = {head: draw(rng, space, outer)}, {head: head}
+        for key, arities in zip(lists, shape):
+            maps[key] = [draw(rng, space, a) for a in arities]
+            names[key] = [f"{key[:-1]}{i + 1}" for i in range(len(arities))]
+        return _map_instance(roles, maps, names, fixed)
+
+    def add_cli_args(parser) -> None:
+        parser.add_argument(f"--{head}", required=True, help=roles[0][2])
+        for key, _, text in roles[1:]:
+            parser.add_argument(f"--{key}", default="", help=text)
+        if switch:
+            flag, keyword, text = switch
+            parser.add_argument(flag, dest=keyword, action="store_false", help=text)
+
     def from_cli(ws: Workspace, ns) -> CheckInstance:
-        names = [(nm, ws.get_map(nm)) for nm in _csv(ns.maps)]
+        names = {head: getattr(ns, head)}
+        names.update((key, _csv(getattr(ns, key))) for key in lists)
+        maps = {head: ws.get_map(names[head])}
+        maps.update((key, [ws.get_map(nm) for nm in names[key]]) for key in lists)
+        options = dict(fixed)
+        if switch and not getattr(ns, switch[1]):
+            options[switch[1]] = False
+        return _map_instance(roles, maps, names, options)
+
+    return Check(
+        name, gen, lambda inst: verdict(name, inst), add_cli_args, from_cli, True
+    )
+
+
+# --------------------------------------------------------- integer checks
+
+
+def _int_check(name, roles, draw, verdict, order=None):
+    """A check on integer lists.  A role is ``(keyword, help, convert)``;
+    ``draw(rng, caps)`` returns {keyword: integers}, and ``order`` gives the
+    report order when it differs from the flag order."""
+    keys = order or [key for key, _, _ in roles]
+    convert = {key: fn for key, _, fn in roles}
+
+    def instance(values: dict) -> CheckInstance:
+        params = tuple((key, _fmt_seq(values[key])) for key in keys)
+        kwargs = {key: convert[key](values[key]) for key in keys}
+        return CheckInstance(params, kwargs, {k: list(values[k]) for k in keys})
+
+    def add_cli_args(parser) -> None:
+        for key, text, _ in roles:
+            parser.add_argument(f"--{key}", required=True, help=text)
+
+    def from_cli(ws, ns) -> CheckInstance:
+        return instance(
+            {key: _int_csv(getattr(ns, key), f"--{key}") for key, _, _ in roles}
+        )
+
+    return Check(
+        name,
+        lambda rng, caps: instance(draw(rng, caps)),
+        lambda inst: verdict(name, inst),
+        add_cli_args,
+        from_cli,
+        False,
+    )
+
+
+def _draw_lemma42(rng: SplitMix64, caps: FuzzCaps) -> dict:
+    for _ in range(_SHAPE_TRIES):
+        blocks = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
+        if 1 <= sum(blocks) <= 5:
+            break
+    else:
+        blocks = (1,)
+    degrees = [
+        rng.randint(caps.degree_lo, caps.degree_hi) for _ in range(sum(blocks))
+    ]
+    return {"blocks": blocks, "degrees": degrees}
+
+
+def _draw_lemma43(rng: SplitMix64, caps: FuzzCaps) -> dict:
+    for _ in range(_SHAPE_TRIES):
+        n = rng.randint(1, 3)
+        blocks = tuple(rng.randint(1, 2) for _ in range(n))
+        slots = tuple(rng.randint(0, 1) for _ in range(n + 1))
+        r = sum(blocks) + sum(slots)
+        if r <= 5:
+            break
+    else:
+        n, blocks, slots, r = 1, (1,), (0, 0), 1
+    sigma = random_permutation_images(rng, n)
+    pi = random_permutation_images(rng, r)
+    degrees = [rng.randint(caps.degree_lo, caps.degree_hi) for _ in range(r)]
+    return {
+        "sigma": sigma,
+        "blocks": blocks,
+        "slots": slots,
+        "pi": pi,
+        "degrees": degrees,
+    }
+
+
+def _draw_lemma44(rng: SplitMix64, caps: FuzzCaps) -> dict:
+    n = rng.randint(1, 4)
+    sigma = random_permutation_images(rng, n)
+    v = [rng.randint(-9, 9) for _ in range(n)]
+    w = [rng.randint(-9, 9) for _ in range(n)]
+    return {"sigma": sigma, "v": v, "w": w}
+
+
+# ---------------------------------------------------------- family checks
+
+
+def _family_instance(family, max_arity, tag=None, names=None) -> CheckInstance:
+    prefix = "mu" if family.flavor == A_INFINITY else "l"
+    if names is None:
+        names = [f"{prefix}{m.arity}" for m in family.components]
+    params = [("dim", family.space.dim)]
+    if tag is not None:
+        params.append(("family", tag))
+    params.append(("arities", _fmt_seq(m.arity for m in family.components)))
+    params.append(("max_arity", max_arity))
+    kwargs = {"family": family, "max_arity": max_arity}
+    args = {"maps": names, "max_arity": max_arity}
+    context = _maps_context(family.space, zip(names, family.components), args)
+    return CheckInstance(tuple(params), kwargs, context)
+
+
+def _family_check(name, flavor, draw, verdict):
+    """A check on a structure family; ``draw(rng, caps)`` returns
+    (tag, family)."""
+
+    def gen(rng: SplitMix64, caps: FuzzCaps) -> CheckInstance:
+        tag, family = draw(rng, caps)
+        return _family_instance(family, _DEFAULT_MAX_ARITY, tag=tag)
+
+    def add_cli_args(parser) -> None:
+        parser.add_argument(
+            "--maps", required=True, help="component map names, comma-separated"
+        )
+        parser.add_argument(
+            "--max-arity",
+            type=int,
+            default=_DEFAULT_MAX_ARITY,
+            help="largest output arity whose relation is checked",
+        )
+
+    def from_cli(ws: Workspace, ns) -> CheckInstance:
+        names = _csv(ns.maps)
+        maps = [ws.get_map(nm) for nm in names]
         if not names:
             raise InputError("--maps must name at least one map")
         if ns.max_arity < 1:
             raise InputError("--max-arity must be at least 1")
-        family = StructureFamily(ws.space, [m for _, m in names], flavor)
-        return _family_instance(check, family, ns.max_arity, names=names)
+        family = StructureFamily(ws.space, maps, flavor)
+        return _family_instance(family, ns.max_arity, names=names)
 
-    return from_cli
+    return Check(
+        name, gen, lambda inst: verdict(name, inst), add_cli_args, from_cli, True
+    )
 
 
 # ---------------------------------------------------------------- registry
 
-CHECKS: dict = {}
-for _check in (
-    Check(
-        "brace-axiom",
-        _gen_brace_axiom,
-        _run_brace_axiom,
-        _cli_args_brace_axiom,
-        _from_cli_brace_axiom,
-        needs_workspace=True,
-    ),
-    Check(
-        "symbrace-axiom-ex33",
-        _gen_symbrace_ex33,
-        _make_symbrace_runner("symbrace-axiom-ex33"),
-        _cli_args_symbrace,
-        _make_symbrace_from_cli("symbrace-axiom-ex33", FLAVOR_UNSHUFFLE),
-        needs_workspace=True,
-    ),
-    Check(
-        "thm1",
-        _gen_thm1,
-        _make_symbrace_runner("thm1"),
-        _cli_args_symbrace,
-        _make_symbrace_from_cli("thm1", FLAVOR_SYMMETRIZED),
-        needs_workspace=True,
-    ),
-    Check(
-        "thm2",
-        _gen_thm2,
-        _run_thm2,
-        _cli_args_thm2,
-        _from_cli_thm2,
-        needs_workspace=True,
-    ),
-    Check(
-        "lemma41",
-        _gen_lemma41,
-        _run_lemma41,
-        _cli_args_lemma41,
-        _from_cli_lemma41,
-        needs_workspace=True,
-    ),
-    Check(
-        "lemma42",
-        _gen_lemma42,
-        _run_lemma42,
-        _cli_args_lemma42,
-        _from_cli_lemma42,
-        needs_workspace=False,
-    ),
-    Check(
-        "lemma43",
-        _gen_lemma43,
-        _run_lemma43,
-        _cli_args_lemma43,
-        _from_cli_lemma43,
-        needs_workspace=False,
-    ),
-    Check(
-        "lemma44",
-        _gen_lemma44,
-        _run_lemma44,
-        _cli_args_lemma44,
-        _from_cli_lemma44,
-        needs_workspace=False,
-    ),
-    Check(
-        "lemma51",
-        _gen_lemma51,
-        _run_lemma51,
-        _cli_args_lemma51,
-        _from_cli_lemma51,
-        needs_workspace=True,
-    ),
-    Check(
-        "ainfty",
-        _gen_ainfty,
-        _run_ainfty,
-        _cli_args_family,
-        _make_family_from_cli("ainfty", A_INFINITY),
-        needs_workspace=True,
-    ),
-    Check(
-        "linfty",
-        _gen_linfty,
-        _run_linfty,
-        _cli_args_family,
-        _make_family_from_cli("linfty", L_INFINITY),
-        needs_workspace=True,
-    ),
-    Check(
-        "corollary",
-        _gen_corollary,
-        _run_corollary,
-        _cli_args_family,
-        _make_family_from_cli("corollary", A_INFINITY),
-        needs_workspace=True,
-    ),
-):
-    CHECKS[_check.name] = _check
+_OUTER = "outer map name"
+_FIRST = "first-stage map names, comma-separated"
+_SECOND = "second-stage map names, comma-separated"
+_SYMBRACE_ROLES = (("f", "N", _OUTER), ("gs", "n", _FIRST), ("xs", "r", _SECOND))
+_BLOCKS = ("blocks", "block sizes, comma-separated", tuple)
+_DEGREES = ("degrees", "degrees, comma-separated", list)
+_SYMBRACE_SIDES = _sides(lambda **kw: symbrace_axiom_sides(**kw))
+
+CHECKS: dict = {
+    check.name: check
+    for check in (
+        _map_check(
+            "brace-axiom",
+            (("x", "N", _OUTER), ("xs", "n", _FIRST), ("ys", "r", _SECOND)),
+            _staged(2, _point_cost),
+            _sides(lambda **kw: brace_axiom_sides(**kw)),
+            switch=(
+                "--no-leading-slot-term",
+                "include_leading_slot_term",
+                "flip the sign convention for the slots before the first insertion",
+            ),
+        ),
+        _map_check(
+            "symbrace-axiom-ex33",
+            _SYMBRACE_ROLES,
+            _staged(2, _unshuffle_cost),
+            _SYMBRACE_SIDES,
+            make=lambda *a: random_antisym_map(*a),
+            fixed={"flavor": FLAVOR_UNSHUFFLE},
+        ),
+        _map_check(
+            "thm1",
+            _SYMBRACE_ROLES,
+            _staged(2, _unshuffle_cost),
+            _SYMBRACE_SIDES,
+            fixed={"flavor": FLAVOR_SYMMETRIZED},
+        ),
+        _map_check(
+            "thm2",
+            (
+                ("f", "N", "map to antisymmetrize"),
+                ("gs", "n", "inserted map names, comma-separated"),
+            ),
+            _staged(1, _antisym_cost),
+            _sides(lambda **kw: antisymmetrized_brace_sides(**kw)),
+        ),
+        _map_check(
+            "lemma41",
+            (("f", "k", "map whose splits to verify"),),
+            _sample_lemma41,
+            _lemma41_verdict,
+        ),
+        _int_check(
+            "lemma42",
+            (_BLOCKS, _DEGREES),
+            _draw_lemma42,
+            _holds(lambda **kw: unshuffle_decomposition_check(**kw)),
+        ),
+        _int_check(
+            "lemma43",
+            (
+                ("sigma", "block permutation images", Permutation),
+                ("pi", "full permutation images", Permutation),
+                _BLOCKS,
+                ("slots", "free slot sizes, comma-separated", tuple),
+                _DEGREES,
+            ),
+            _draw_lemma43,
+            _holds(lambda **kw: block_permutation_sign_check(**kw)),
+            order=("sigma", "blocks", "slots", "pi", "degrees"),
+        ),
+        _int_check(
+            "lemma44",
+            (
+                ("sigma", "permutation images", Permutation),
+                ("v", "first weight vector", list),
+                ("w", "second weight vector", list),
+            ),
+            _draw_lemma44,
+            _holds(lambda **kw: inversion_parity_check(**kw)),
+        ),
+        _map_check(
+            "lemma51",
+            (
+                ("f", "N", _OUTER),
+                ("ys", "n", "kept-in-order map names"),
+                ("zs", "m", "pre-symmetrized map names"),
+            ),
+            _sample_lemma51,
+            _sides(lambda **kw: braced_symmetrization_sides(**kw)),
+        ),
+        _family_check(
+            "ainfty",
+            A_INFINITY,
+            lambda rng, caps: random_a_infinity_family(rng, caps),
+            _defects(lambda fam, k: a_infinity_defects(fam, k)),
+        ),
+        _family_check(
+            "linfty",
+            L_INFINITY,
+            lambda rng, caps: random_l_infinity_family(rng, caps),
+            _defects(lambda fam, k: l_infinity_defects(fam, k)),
+        ),
+        _family_check(
+            "corollary",
+            A_INFINITY,
+            lambda rng, caps: random_a_infinity_family(rng, caps),
+            _corollary_verdict,
+        ),
+    )
+}
 
 CHECK_NAMES = tuple(CHECKS)
 

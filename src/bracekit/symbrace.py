@@ -20,7 +20,6 @@ the antisymmetrizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
@@ -41,29 +40,10 @@ FLAVOR_SYMMETRIZED = "symmetrized"
 _FLAVORS = (FLAVOR_UNSHUFFLE, FLAVOR_SYMMETRIZED)
 
 
-@dataclass(frozen=True)
-class SymBraceContext:
-    """Shape data: outer arity and the inserted maps' arities and degrees."""
-
-    f_arity: int
-    g_arities: tuple
-    g_degrees: tuple
-
-    def __post_init__(self):
-        if len(self.g_arities) != len(self.g_degrees):
-            raise InputError("need one degree per inserted map")
-        if len(self.g_arities) > self.f_arity:
-            raise InputError(
-                f"cannot insert {len(self.g_arities)} maps into arity {self.f_arity}"
-            )
-
-
-def delta_parity(ctx: SymBraceContext) -> int:
-    """Global sign parity of the unshuffle bracket."""
-    a = ctx.g_arities
-    q = ctx.g_degrees
+def delta_parity(N: int, a: Sequence[int], q: Sequence[int]) -> int:
+    """Global sign parity of the unshuffle bracket: f's arity N and the
+    inserted maps' arities a and degrees q."""
     n = len(a)
-    N = ctx.f_arity
     total = 0
     for i in range(1, n + 1):
         total += (N - i) * q[i - 1] + (n - i) * a[i - 1]
@@ -100,7 +80,7 @@ def symbrace_eval(
     free = N - n
     out_arity = sum(arities) + free
     out_degree = f.degree + sum(degrees)
-    base = -1 if delta_parity(SymBraceContext(N, arities, degrees)) else 1
+    base = -1 if delta_parity(N, arities, degrees) else 1
     gammas = list(enumerate_unshuffles(UnshuffleSpec(arities + (free,)), cap))
     slots = (0,) * n + (free,)
 

@@ -5,7 +5,7 @@ import os
 from pathlib import Path
 
 import bracekit
-from bracekit.brace import BraceContext, beta_parity
+from bracekit.brace import beta_parity
 from bracekit.graded import (
     antisym_koszul_sign,
     enumerate_permutations,
@@ -65,8 +65,8 @@ def pointwise_brace(f, gs, include_leading_slot_term=True):
     degrees = tuple(g.degree for g in gs)
     total = MultiMap.zero(f.space, sum(arities) + N - n, f.degree + sum(degrees))
     for pattern in insertion_patterns(N - n, n + 1):
-        ctx = BraceContext(N, arities, degrees, pattern)
-        sign = -1 if beta_parity(ctx, include_leading_slot_term) else 1
+        parity = beta_parity(N, arities, degrees, pattern.slots, include_leading_slot_term)
+        sign = -1 if parity else 1
         total = total + pointwise_compose(f, gs, pattern.slots).scale(sign)
     return total
 

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from bracekit.brace import (
-    BraceContext,
     beta_parity,
     brace_axiom_check,
     brace_axiom_sides,
@@ -12,7 +11,6 @@ from bracekit.brace import (
     braced_symmetrization_check,
 )
 from bracekit.errors import InputError
-from bracekit.graded import InsertionPattern
 from bracekit.multimap import GradedSpace, MultiMap
 from helpers import random_map
 
@@ -28,29 +26,26 @@ def const_map(space, arity, value_index=0):
 
 
 class TestBetaParity:
-    def ctx(self, N, arities, degrees, slots):
-        return BraceContext(N, tuple(arities), tuple(degrees), InsertionPattern(slots))
-
     def test_unary_inserts_of_degree_zero(self):
-        assert beta_parity(self.ctx(2, (1,), (0,), (0, 1))) == 0
-        assert beta_parity(self.ctx(2, (1,), (0,), (1, 0))) == 0
+        assert beta_parity(2, (1,), (0,), (0, 1)) == 0
+        assert beta_parity(2, (1,), (0,), (1, 0)) == 0
 
     def test_binary_insert_sees_leading_slot(self):
-        assert beta_parity(self.ctx(2, (2,), (0,), (0, 1))) == 0
-        assert beta_parity(self.ctx(2, (2,), (0,), (1, 0))) == 1
+        assert beta_parity(2, (2,), (0,), (0, 1)) == 0
+        assert beta_parity(2, (2,), (0,), (1, 0)) == 1
 
     def test_degree_shift_term(self):
-        assert beta_parity(self.ctx(2, (1,), (1,), (0, 1))) == 1
-        assert beta_parity(self.ctx(2, (1,), (1,), (1, 0))) == 1
+        assert beta_parity(2, (1,), (1,), (0, 1)) == 1
+        assert beta_parity(2, (1,), (1,), (1, 0)) == 1
 
     def test_unary_degree_zero_inserts_always_trivial(self):
         for slots in [(0, 0, 2), (1, 0, 1), (2, 0, 0), (0, 1, 1)]:
-            assert beta_parity(self.ctx(4, (1, 1), (0, 0), slots)) == 0
+            assert beta_parity(4, (1, 1), (0, 0), slots) == 0
 
     def test_leading_slot_term_flip(self):
-        ctx = self.ctx(3, (2,), (0,), (1, 1))
-        assert beta_parity(ctx) == 1
-        assert beta_parity(ctx, include_leading_slot_term=False) == 0
+        shape = (3, (2,), (0,), (1, 1))
+        assert beta_parity(*shape) == 1
+        assert beta_parity(*shape, include_leading_slot_term=False) == 0
 
 
 class TestBraceEval:

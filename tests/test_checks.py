@@ -2,6 +2,7 @@
 
 import pytest
 
+import bracekit.checks as checks_module
 from bracekit.checks import (
     CHECK_NAMES,
     CHECKS,
@@ -9,8 +10,10 @@ from bracekit.checks import (
     fuzz_outcomes,
     outcome_line,
 )
+from bracekit.cli import build_parser
 from bracekit.errors import InputError
-from bracekit.fuzz import FuzzCaps, SplitMix64
+from bracekit.fuzz import FuzzCaps, SplitMix64, random_map
+from bracekit.multimap import GradedSpace
 from bracekit.workspace import Workspace
 
 CAPS = FuzzCaps()
@@ -124,3 +127,75 @@ def test_instances_respect_caps():
         assert inst.kwargs["x"].arity <= 2
         outcome = CHECKS["brace-axiom"].run(inst)
         assert outcome.passed
+
+
+MAPS = (("f", 3), ("g", 1), ("h", 1))
+
+
+def _cli_instance(argv):
+    ns = build_parser().parse_args(["check", *argv, "--workspace", "unused.json"])
+    space = GradedSpace([("a", 0), ("b", 1)])
+    rng = SplitMix64(3)
+    maps = [(name, random_map(rng, space, arity)) for name, arity in MAPS]
+    return CHECKS[ns.check_name].from_cli(Workspace(space, maps), ns)
+
+
+@pytest.mark.parametrize(
+    "argv, args, stored",
+    [
+        (
+            ["brace-axiom", "--x", "f", "--xs", "g,g", "--ys", "h"],
+            {"x": "f", "xs": ["g", "g"], "ys": ["h"]},
+            ["f", "g", "h"],
+        ),
+        (
+            ["brace-axiom", "--x", "f", "--xs", "g", "--ys", "g"],
+            {"x": "f", "xs": ["g"], "ys": ["g"]},
+            ["f", "g"],
+        ),
+        (
+            ["thm1", "--f", "f", "--gs", "f", "--xs", "g,h"],
+            {"f": "f", "gs": ["f"], "xs": ["g", "h"], "flavor": "symmetrized"},
+            ["f", "g", "h"],
+        ),
+        (["thm2", "--f", "f", "--gs", "f"], {"f": "f", "gs": ["f"]}, ["f"]),
+        (
+            ["lemma51", "--f", "f", "--ys", "h", "--zs", "h,g"],
+            {"f": "f", "ys": ["h"], "zs": ["h", "g"]},
+            ["f", "g", "h"],
+        ),
+    ],
+)
+def test_cli_args_keep_each_role_when_names_repeat(argv, args, stored):
+    """args name each role's own maps; the workspace holds each map once."""
+    inst = _cli_instance(argv)
+    assert inst.context["args"] == args
+    assert [m["name"] for m in inst.context["workspace"]["maps"]] == stored
+
+
+@pytest.mark.parametrize(
+    "name, phase, target",
+    [
+        ("brace-axiom", "run", "brace_axiom_sides"),
+        ("thm1", "run", "symbrace_axiom_sides"),
+        ("ainfty", "run", "a_infinity_defects"),
+        ("brace-axiom", "gen", "random_map"),
+        ("symbrace-axiom-ex33", "gen", "random_antisym_map"),
+        ("linfty", "gen", "random_l_infinity_family"),
+    ],
+)
+def test_checks_call_module_globals_when_they_run(name, phase, target, monkeypatch):
+    """A tracer rebinds bracekit.checks globals; every check must see that."""
+    original = getattr(checks_module, target)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(target)
+        return original(*args, **kwargs)
+
+    inst = CHECKS[name].gen(SplitMix64(4), CAPS)
+    monkeypatch.setattr(checks_module, target, spy)
+    if phase == "gen":
+        inst = CHECKS[name].gen(SplitMix64(4), CAPS)
+    assert CHECKS[name].run(inst).passed
+    assert calls

@@ -8,7 +8,6 @@ from bracekit.multimap import GradedSpace, MultiMap, is_antisymmetric
 from bracekit.symbrace import (
     FLAVOR_SYMMETRIZED,
     FLAVOR_UNSHUFFLE,
-    SymBraceContext,
     antisymmetrized_brace_check,
     antisymmetrized_brace_sides,
     delta_parity,
@@ -27,21 +26,17 @@ ODDS = GradedSpace([("u", 1), ("v", -1)])
 
 class TestDeltaParity:
     def test_no_inserts(self):
-        assert delta_parity(SymBraceContext(3, (), ())) == 0
+        assert delta_parity(3, (), ()) == 0
 
     def test_single_unary_odd(self):
-        assert delta_parity(SymBraceContext(1, (1,), (1,))) == 0
+        assert delta_parity(1, (1,), (1,)) == 0
 
     def test_two_unary_even(self):
-        assert delta_parity(SymBraceContext(2, (1, 1), (0, 0))) == 0
+        assert delta_parity(2, (1, 1), (0, 0)) == 0
 
     def test_degree_shift(self):
         # N = 2, one unary insert of odd degree: (N-1) q_1 = 1
-        assert delta_parity(SymBraceContext(2, (1,), (1,))) == 1
-
-    def test_shape_validation(self):
-        with pytest.raises(InputError):
-            SymBraceContext(1, (1, 1), (0, 0))
+        assert delta_parity(2, (1,), (1,)) == 1
 
 
 class TestSymbraceEval:
