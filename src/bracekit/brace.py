@@ -19,7 +19,9 @@ be demonstrated, not because both conventions are supported downstream.
 
 Viewed as algebra elements, maps are graded by brace parity
 (p + k + 1 mod 2); the Koszul signs in the nesting identity and in the
-symmetrization helpers below are taken over those parities.
+symmetrization below are taken over those parities.  symmetrize_brace is
+the one eps-signed sum of braces over orderings of the inserted maps; the
+two-stage symmetrization of Lemma 5.1 is checked against it.
 """
 
 from __future__ import annotations
@@ -28,13 +30,8 @@ import itertools
 from typing import Sequence
 
 from .errors import InputError
-from .graded import (
-    DEFAULT_ENUMERATION_CAP,
-    enumerate_permutations,
-    insertion_patterns,
-    koszul_sign,
-)
-from .multimap import MultiMap, compose_into
+from .graded import enumerate_permutations, insertion_patterns, koszul_sign
+from .multimap import MultiMap, add_into, compose_into
 
 
 def beta_parity(
@@ -92,6 +89,24 @@ def brace_eval(
     return MultiMap(f.space, sum(arities) + N - n, f.degree + sum(degrees), entries)
 
 
+def symmetrize_brace(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
+    """eps-signed sum of plain braces f{g_sigma} over all orderings of the
+    g's, in brace parities."""
+    gs = tuple(gs)
+    n = len(gs)
+    if n > f.arity:
+        raise InputError(f"cannot insert {n} maps into a map of arity {f.arity}")
+    if n == 0:
+        return f
+    parities = [g.brace_parity for g in gs]
+    entries: dict = {}
+    for sigma in enumerate_permutations(n):
+        sign = koszul_sign(sigma, parities)
+        add_into(entries, sign, brace_eval(f, sigma.apply(gs)))
+    out_arity = sum(g.arity for g in gs) + f.arity - n
+    return MultiMap(f.space, out_arity, f.degree + sum(g.degree for g in gs), entries)
+
+
 def _bracket_or_zero(bracket, f: MultiMap, args: Sequence[MultiMap], *options):
     """Apply a bracket; arity overflow leaves no insertion pattern, so the
     term is the zero map of the signature the shapes dictate, which keeps
@@ -142,7 +157,7 @@ def brace_axiom_sides(
     for i, p in enumerate(by):
         by_prefix[i + 1] = by_prefix[i] ^ p
 
-    rhs = MultiMap.zero(x.space, lhs.arity, lhs.degree)
+    rhs: dict = {}
     for pairs in _nestings(n, r):
         outer_args = []
         sign = 0
@@ -156,8 +171,8 @@ def brace_axiom_sides(
             prev = j
         outer_args.extend(ys[prev:])
         term = _bracket_or_zero(brace_eval, x, outer_args, include_leading_slot_term)
-        rhs = rhs + (term.scale(-1) if sign else term)
-    return lhs, rhs
+        add_into(rhs, -1 if sign else 1, term)
+    return lhs, MultiMap(x.space, lhs.arity, lhs.degree, rhs)
 
 
 def brace_axiom_check(
@@ -171,10 +186,7 @@ def brace_axiom_check(
 
 
 def braced_interleave_terms(
-    f: MultiMap,
-    ys: Sequence[MultiMap],
-    zs: Sequence[MultiMap],
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
+    f: MultiMap, ys: Sequence[MultiMap], zs: Sequence[MultiMap]
 ) -> list:
     """eps-signed head permutations and rifflings at the brace level.
 
@@ -190,7 +202,7 @@ def braced_interleave_terms(
     by = [g.brace_parity for g in ys]
     bz = [g.brace_parity for g in zs]
     terms = []
-    for sigma in enumerate_permutations(n, cap):
+    for sigma in enumerate_permutations(n):
         base = koszul_sign(sigma, by)
         ys_s = sigma.apply(ys)
         by_s = sigma.apply(by)
@@ -212,47 +224,33 @@ def braced_interleave_terms(
 
 
 def braced_symmetrization_sides(
-    f: MultiMap,
-    ys: Sequence[MultiMap],
-    zs: Sequence[MultiMap],
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
+    f: MultiMap, ys: Sequence[MultiMap], zs: Sequence[MultiMap]
 ):
     """Symmetrizing in two stages versus all at once.
 
     Left: permute the z's by eps, riffle them through the permuted y's
-    (braced_interleave_terms), brace f with each term.  Right: brace f with
-    all n+m maps permuted by eps over the full symmetric group.
+    (braced_interleave_terms), brace f with each term.  Right: the
+    symmetrized brace of f with all n+m maps.
     """
     ys = tuple(ys)
     zs = tuple(zs)
     n, m = len(ys), len(zs)
     if n + m > f.arity:
         raise InputError(f"cannot insert {n + m} maps into arity {f.arity}")
-    everything = ys + zs
-    parities = [g.brace_parity for g in everything]
-    out_arity = sum(g.arity for g in everything) + f.arity - (n + m)
-    out_degree = f.degree + sum(g.degree for g in everything)
-
-    direct = MultiMap.zero(f.space, out_arity, out_degree)
-    for rho in enumerate_permutations(n + m, cap):
-        sign = koszul_sign(rho, parities)
-        direct = direct + brace_eval(f, rho.apply(everything)).scale(sign)
+    direct = symmetrize_brace(f, ys + zs)
 
     bz = [g.brace_parity for g in zs]
-    staged = MultiMap.zero(f.space, out_arity, out_degree)
-    for pi in enumerate_permutations(m, cap):
+    staged: dict = {}
+    for pi in enumerate_permutations(m):
         zsign = koszul_sign(pi, bz)
         zs_p = pi.apply(zs)
-        for sign, seq in braced_interleave_terms(f, ys, zs_p, cap):
-            staged = staged + brace_eval(f, list(seq)).scale(zsign * sign)
-    return staged, direct
+        for sign, seq in braced_interleave_terms(f, ys, zs_p):
+            add_into(staged, zsign * sign, brace_eval(f, seq))
+    return MultiMap(f.space, direct.arity, direct.degree, staged), direct
 
 
 def braced_symmetrization_check(
-    f: MultiMap,
-    ys: Sequence[MultiMap],
-    zs: Sequence[MultiMap],
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
+    f: MultiMap, ys: Sequence[MultiMap], zs: Sequence[MultiMap]
 ) -> bool:
-    staged, direct = braced_symmetrization_sides(f, ys, zs, cap)
+    staged, direct = braced_symmetrization_sides(f, ys, zs)
     return staged == direct

@@ -618,6 +618,8 @@ def fuzz_outcomes(seed: int, cases: int, names: Sequence[str], caps: FuzzCaps):
     Per-(case, check) subseeds are drawn up front from the master stream
     in report order, so each instance depends only on (seed, cases-index,
     check list) and never on how much entropy an earlier case consumed.
+    An InputError from a verifier yields a FAIL whose counterexample is the
+    instance context plus the error message.
     """
     if cases < 0:
         raise InputError("cases must be nonnegative")
@@ -634,4 +636,11 @@ def fuzz_outcomes(seed: int, cases: int, names: Sequence[str], caps: FuzzCaps):
     for case, name, subseed in plan:
         check = CHECKS[name]
         instance = check.gen(SplitMix64(subseed), caps)
-        yield case, name, check.run(instance)
+        try:
+            outcome = check.run(instance)
+        except InputError as exc:
+            # a verifier refusing a generated instance (corollary on a family
+            # failing ainfty) fails that case, not the whole run
+            context = {**instance.context, "error": str(exc)}
+            outcome = CheckOutcome(name, False, instance.params, context)
+        yield case, name, outcome

@@ -10,14 +10,17 @@ Verbs:
 * ``fmt``               rewrite a workspace file in canonical form.
 
 Exit codes: 0 all verdicts pass, 1 at least one FAIL, 2 input or parse
-error (no verdict).  FAIL lines are followed by a counterexample as
-indented JSON carrying the instance and both unequal values.
+error or a request over the enumeration limit (no verdict), 141 (128 +
+SIGPIPE) when the reader closes stdout early.  FAIL lines are followed
+by a counterexample as indented JSON carrying the instance and both
+unequal values.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .checks import CHECK_NAMES, CHECKS, fuzz_outcomes, outcome_line
@@ -29,6 +32,7 @@ from .workspace import Workspace
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_CLOSED_PIPE = 141
 
 
 def _seed(text: str) -> int:
@@ -208,6 +212,11 @@ def main(argv=None) -> int:
     except BracekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull so the
+        # flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,9 +10,9 @@ Two signs govern everything downstream.  Rearranging homogeneous objects
 per swap, and the antisymmetric variant is ``chi(s) = sgn(s) * eps(s)``.
 Only degree parities enter either sign.
 
-Enumeration helpers (all permutations, all unshuffles) take a ``cap``
-guarding the factorial blow-up; the cap is configuration, not a constant
-baked into callers.
+Enumerating all of S_n, or all unshuffles of n elements, grows like n!;
+both enumerators refuse n above the fixed ENUMERATION_CAP with
+ResourceLimitError, as does antisymmetrize above that arity.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceLimitError
 
-DEFAULT_ENUMERATION_CAP = 8
+ENUMERATION_CAP = 8
 
 
 class Permutation:
@@ -151,18 +151,18 @@ def antisym_koszul_sign(perm: Permutation, degrees: Sequence[int]) -> int:
     return -1 if swaps ^ crossings else 1
 
 
-def _check_cap(n: int, cap: int | None, what: str) -> None:
+def _check_cap(n: int, what: str) -> None:
     if n < 0:
         raise InputError(f"{what} size must be nonnegative, got {n}")
-    if cap is not None and n > cap:
-        raise ResourceLimitError(f"{what} over {n} elements exceeds cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"{what} over {n} elements exceeds cap {ENUMERATION_CAP}"
+        )
 
 
-def enumerate_permutations(
-    n: int, cap: int | None = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Permutation]:
+def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic order of one-line words."""
-    _check_cap(n, cap, "permutation enumeration")
+    _check_cap(n, "permutation enumeration")
     for images in itertools.permutations(range(1, n + 1)):
         yield Permutation(images)
 
@@ -184,9 +184,7 @@ class UnshuffleSpec:
         return sum(self.blocks)
 
 
-def enumerate_unshuffles(
-    spec: UnshuffleSpec, cap: int | None = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Permutation]:
+def enumerate_unshuffles(spec: UnshuffleSpec) -> Iterator[Permutation]:
     """Permutations increasing within each consecutive block of positions.
 
     Blocks partition the positions 1..N in order; an unshuffle deals the
@@ -197,7 +195,7 @@ def enumerate_unshuffles(
     >>> sum(1 for _ in enumerate_unshuffles(UnshuffleSpec((2, 1))))
     3
     """
-    _check_cap(spec.total, cap, "unshuffle enumeration")
+    _check_cap(spec.total, "unshuffle enumeration")
 
     def deal(values: tuple, blocks: tuple) -> Iterator[tuple]:
         if not blocks:
@@ -347,9 +345,7 @@ def block_permutation_sign_check(
 
 
 def unshuffle_decomposition_check(
-    blocks: Sequence[int],
-    degrees: Sequence[int],
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
+    blocks: Sequence[int], degrees: Sequence[int]
 ) -> bool:
     """Unshuffles times within-block permutations sweep out all of S_N.
 
@@ -366,16 +362,14 @@ def unshuffle_decomposition_check(
     offs = [0] * len(spec.blocks)
     for i in range(1, len(spec.blocks)):
         offs[i] = offs[i - 1] + spec.blocks[i - 1]
-    hand_perms = [
-        list(enumerate_permutations(b, cap)) for b in spec.blocks
-    ]
+    hand_perms = [list(enumerate_permutations(b)) for b in spec.blocks]
     for sign_fn in (antisym_koszul_sign, koszul_sign):
         expected = Counter(
             (p.images, sign_fn(p, degrees))
-            for p in enumerate_permutations(n_total, cap)
+            for p in enumerate_permutations(n_total)
         )
         got: Counter = Counter()
-        for gamma in enumerate_unshuffles(spec, cap):
+        for gamma in enumerate_unshuffles(spec):
             base = sign_fn(gamma, degrees)
             hand_degrees = [
                 [degrees[gamma(offs[b] + l) - 1] for l in range(1, size + 1)]

@@ -15,8 +15,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InputError
-from .graded import DEFAULT_ENUMERATION_CAP
-from .multimap import GradedSpace, MultiMap, antisymmetrize, is_antisymmetric
+from .multimap import (
+    GradedSpace,
+    MultiMap,
+    add_into,
+    antisymmetrize,
+    is_antisymmetric,
+)
 from .brace import brace_eval
 from .symbrace import symbrace_eval
 
@@ -74,14 +79,14 @@ def _relation_defects(fam: StructureFamily, max_arity: int, bracket) -> dict:
         raise InputError("max_arity must be at least 1")
     defects = {}
     for r in range(1, max_arity + 1):
-        total = MultiMap.zero(fam.space, r, r - 3)
+        total: dict = {}
         for i in range(1, r + 1):
             j = r + 1 - i
             mi = fam.component(i)
             mj = fam.component(j)
             if mi is not None and mj is not None:
-                total = total + bracket(mi, [mj])
-        defects[r] = total
+                add_into(total, 1, bracket(mi, [mj]))
+        defects[r] = MultiMap(fam.space, r, r - 3, total)
     return defects
 
 
@@ -107,24 +112,18 @@ def l_infinity_check(fam: StructureFamily, max_arity: int) -> bool:
     return all(d.is_zero() for d in l_infinity_defects(fam, max_arity).values())
 
 
-def antisymmetrize_structure(
-    fam: StructureFamily, cap: int | None = DEFAULT_ENUMERATION_CAP
-) -> StructureFamily:
+def antisymmetrize_structure(fam: StructureFamily) -> StructureFamily:
     """Antisymmetrize every component, reflavoring the family."""
     if fam.flavor != A_INFINITY:
         raise InputError(f"expected an {A_INFINITY} family, got {fam.flavor}")
     return StructureFamily(
         fam.space,
-        [antisymmetrize(m, cap) for m in fam.components],
+        [antisymmetrize(m) for m in fam.components],
         L_INFINITY,
     )
 
 
-def antisymmetrized_structure_check(
-    fam: StructureFamily,
-    max_arity: int,
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
-) -> bool:
+def antisymmetrized_structure_check(fam: StructureFamily, max_arity: int) -> bool:
     """Does antisymmetrizing a valid associative-flavor family yield a
     valid antisymmetric-flavor family, up to max_arity?
 
@@ -136,4 +135,4 @@ def antisymmetrized_structure_check(
             "the source family fails its own defining relations; "
             "antisymmetrization has nothing to preserve"
         )
-    return l_infinity_check(antisymmetrize_structure(fam, cap), max_arity)
+    return l_infinity_check(antisymmetrize_structure(fam), max_arity)

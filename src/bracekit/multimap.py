@@ -13,6 +13,8 @@ product of arguments is fixed here once, in tensor_block_eval: a map of
 degree q picks up (-1)^{q * d} when it moves past arguments of total
 degree d to reach its own inputs.  compose_into, the sparse composition
 the braces are built from, uses it too and is differential-tested against it.
+Signed sums of whole maps accumulate into one entry table with add_into and
+are validated once, as a MultiMap, at the end.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ResourceLimitError
 from .graded import (
-    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_CAP,
     InsertionPattern,
     adjacent_swap_order,
     antisym_koszul_sign,
@@ -423,9 +425,16 @@ def compose_into(
                 row[j] = row.get(j, 0) + c * cf
 
 
-def antisymmetrize(
-    f: MultiMap, cap: int | None = DEFAULT_ENUMERATION_CAP
-) -> MultiMap:
+def add_into(acc: dict, sign: int, m: MultiMap) -> None:
+    """Add sign * m to the entry table acc: compose_into's counterpart for
+    a map already tabulated."""
+    for key, out in m.entries.items():
+        row = acc.setdefault(key, {})
+        for j, c in out.items():
+            row[j] = row.get(j, 0) + sign * c
+
+
+def antisymmetrize(f: MultiMap) -> MultiMap:
     """Signed symmetrization: as(f)(v) = sum over s in S_k of chi(s) f(sv).
 
     No averaging factor: an already antisymmetric f comes back as k! * f.
@@ -434,8 +443,10 @@ def antisymmetrize(
     steps, each updating the sign and the word in constant time.
     """
     k = f.arity
-    if cap is not None and k > cap:
-        raise ResourceLimitError(f"antisymmetrize over arity {k} exceeds cap {cap}")
+    if k > ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"antisymmetrize over arity {k} exceeds cap {ENUMERATION_CAP}"
+        )
     par = f.space.parities
     swaps = (None, *adjacent_swap_order(k))
     result: dict = {}
@@ -471,68 +482,62 @@ def is_antisymmetric(f: MultiMap) -> bool:
     return True
 
 
-def _homogeneous_parity(v: GradedVector) -> int:
-    d = v.degree()
-    return 0 if d is None else d & 1
-
-
 def tail_permutation_terms(
-    args: Sequence[GradedVector],
-    m: int,
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
+    word: Sequence[int], parities: Sequence[int], m: int
 ) -> list:
-    """chi-signed permutations of the last m arguments.
+    """chi-signed permutations of the last m letters of a word of basis
+    indices, each letter i graded by parities[i].
 
-    Returns a list of (sign, rearranged args) pairs, one per element of S_m.
+    Returns a list of (sign, rearranged word) pairs, one per element of S_m.
     """
-    args = tuple(args)
-    n = len(args) - m
-    if not 0 <= m <= len(args):
-        raise InputError(f"cannot permute the last {m} of {len(args)} arguments")
-    tail = args[n:]
-    degs = [_homogeneous_parity(a) for a in tail]
+    word = tuple(word)
+    n = len(word) - m
+    if not 0 <= m <= len(word):
+        raise InputError(f"cannot permute the last {m} of {len(word)} letters")
+    tail = word[n:]
+    degs = [parities[i] for i in tail]
     return [
-        (antisym_koszul_sign(p, degs), args[:n] + p.apply(tail))
-        for p in enumerate_permutations(m, cap)
+        (antisym_koszul_sign(p, degs), word[:n] + p.apply(tail))
+        for p in enumerate_permutations(m)
     ]
 
 
 def head_permutation_terms(
-    args: Sequence[GradedVector],
-    n: int,
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
+    word: Sequence[int], parities: Sequence[int], n: int
 ) -> list:
-    """chi-signed permutations of the first n arguments."""
-    args = tuple(args)
-    if not 0 <= n <= len(args):
-        raise InputError(f"cannot permute the first {n} of {len(args)} arguments")
-    head = args[:n]
-    degs = [_homogeneous_parity(a) for a in head]
+    """chi-signed permutations of the first n letters of a word."""
+    word = tuple(word)
+    if not 0 <= n <= len(word):
+        raise InputError(f"cannot permute the first {n} of {len(word)} letters")
+    head = word[:n]
+    degs = [parities[i] for i in head]
     return [
-        (antisym_koszul_sign(p, degs), p.apply(head) + args[n:])
-        for p in enumerate_permutations(n, cap)
+        (antisym_koszul_sign(p, degs), p.apply(head) + word[n:])
+        for p in enumerate_permutations(n)
     ]
 
 
-def interleave_terms(args: Sequence[GradedVector], n: int, m: int) -> list:
-    """Signed ways of riffling the last m arguments among the first n.
+def interleave_terms(
+    word: Sequence[int], parities: Sequence[int], n: int, m: int
+) -> list:
+    """Signed ways of riffling the last m letters of a word among the first n.
 
-    The first n arguments keep their order; for every insertion pattern
-    (k_0, ..., k_n) the trailing m arguments are dealt, in order, into the
+    The first n letters keep their order; for every insertion pattern
+    (k_0, ..., k_n) the trailing m letters are dealt, in order, into the
     gaps.  The sign on a pattern is (-1)^eta with
 
         eta = sum_i |y_i| * (degrees of z's placed before y_i)
             + sum_{i=0..n} (n - i) k_i
 
-    where y are the leading and z the trailing arguments.
+    where y are the leading and z the trailing letters.
     """
-    args = tuple(args)
-    if n < 0 or m < 0 or n + m != len(args):
-        raise InputError(f"split {n}+{m} does not match {len(args)} arguments")
-    heads = args[:n]
-    tails = args[n:]
-    hpar = [_homogeneous_parity(a) for a in heads]
-    tpar = [_homogeneous_parity(a) for a in tails]
+    word = tuple(word)
+    if n < 0 or m < 0 or n + m != len(word):
+        raise InputError(f"split {n}+{m} does not match {len(word)} letters")
+    heads = word[:n]
+    tails = word[n:]
+    hpar = [parities[i] for i in heads]
+    tpar = [parities[i] for i in tails]
     terms = []
     for pattern in insertion_patterns(m, n + 1):
         k = pattern.slots
@@ -553,33 +558,28 @@ def interleave_terms(args: Sequence[GradedVector], n: int, m: int) -> list:
     return terms
 
 
-def _decomposition_first_defect(
-    f: MultiMap, cap: int | None = DEFAULT_ENUMERATION_CAP
-):
+def _decomposition_first_defect(f: MultiMap):
     """First (split, tuple) where riffled permutation sums disagree with
-    direct antisymmetrization, or None."""
+    direct antisymmetrization, or None.  Each term is a row of f's table."""
     k = f.arity
-    asf = antisymmetrize(f, cap)
-    space = f.space
+    asf = antisymmetrize(f)
+    par = f.space.parities
     for n in range(k + 1):
         m = k - n
-        for t in space.tuples(k):
-            args = tuple(space.basis_vector(i) for i in t)
-            total = space.zero_vector()
-            for s1, a1 in tail_permutation_terms(args, m, cap):
-                for s2, a2 in head_permutation_terms(a1, n, cap):
-                    for s3, a3 in interleave_terms(a2, n, m):
-                        v = f(list(a3))
-                        if not v.is_zero():
-                            total = total + v.scale(s1 * s2 * s3)
-            if total != asf.value(t):
+        for t in f.space.tuples(k):
+            total: dict = {}
+            for s1, w1 in tail_permutation_terms(t, par, m):
+                for s2, w2 in head_permutation_terms(w1, par, n):
+                    for s3, w3 in interleave_terms(w2, par, n, m):
+                        sign = s1 * s2 * s3
+                        for j, c in f.entries.get(w3, {}).items():
+                            total[j] = total.get(j, 0) + sign * c
+            if {j: c for j, c in total.items() if c} != asf.entries.get(t, {}):
                 return {"split": (n, m), "inputs": t}
     return None
 
 
-def antisymmetrize_decomposition_check(
-    f: MultiMap, cap: int | None = DEFAULT_ENUMERATION_CAP
-) -> bool:
+def antisymmetrize_decomposition_check(f: MultiMap) -> bool:
     """Does riffling tail perms, head perms and interleavings through f
     reproduce as(f) for every head/tail split of the arity?"""
-    return _decomposition_first_defect(f, cap) is None
+    return _decomposition_first_defect(f) is None

@@ -10,12 +10,13 @@ Two brackets satisfy the symmetric-brace axiom here:
         delta = sum_i (N - i) q_i + sum_{j<i} q_i a_j
               + sum_{j<i} a_i a_j + sum_i (n - i) a_i.
 
-  * symmetrize_brace: the eps-signed sum of plain braces f{g_sigma} over
-    all orderings of the inserted maps, defined for any maps.
+  * symmetrize_brace (defined in brace, re-exported here): the eps-signed
+    sum of plain braces f{g_sigma} over all orderings of the inserted maps,
+    defined for any maps.
 
 antisymmetrized_brace_check verifies the bridge: antisymmetrizing the
-symmetrized brace of f over permuted g's equals the unshuffle bracket of
-the antisymmetrizations.
+symmetrized brace of f equals the unshuffle bracket of the
+antisymmetrizations.
 """
 
 from __future__ import annotations
@@ -24,16 +25,21 @@ from typing import Sequence
 
 from .errors import InputError
 from .graded import (
-    DEFAULT_ENUMERATION_CAP,
     UnshuffleSpec,
     antisym_koszul_sign,
-    enumerate_permutations,
     enumerate_unshuffles,
     insertion_patterns,
     koszul_sign,
 )
-from .multimap import MultiMap, _tensor_core, antisymmetrize, is_antisymmetric
-from .brace import _bracket_or_zero, brace_eval
+from .multimap import (
+    MultiMap,
+    _tensor_core,
+    add_into,
+    antisymmetrize,
+    is_antisymmetric,
+)
+# brace_eval and symmetrize_brace stay importable from this module
+from .brace import _bracket_or_zero, brace_eval, symmetrize_brace
 
 FLAVOR_UNSHUFFLE = "example33"
 FLAVOR_SYMMETRIZED = "symmetrized"
@@ -52,11 +58,7 @@ def delta_parity(N: int, a: Sequence[int], q: Sequence[int]) -> int:
     return total & 1
 
 
-def symbrace_eval(
-    f: MultiMap,
-    gs: Sequence[MultiMap],
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
-) -> MultiMap:
+def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     """The unshuffle bracket f<g_1, ..., g_n> on antisymmetric maps.
 
     Arguments are dealt to g_1, ..., g_n and then to f's remaining inputs
@@ -81,7 +83,7 @@ def symbrace_eval(
     out_arity = sum(arities) + free
     out_degree = f.degree + sum(degrees)
     base = -1 if delta_parity(N, arities, degrees) else 1
-    gammas = list(enumerate_unshuffles(UnshuffleSpec(arities + (free,)), cap))
+    gammas = list(enumerate_unshuffles(UnshuffleSpec(arities + (free,))))
     slots = (0,) * n + (free,)
 
     space = f.space
@@ -101,47 +103,19 @@ def symbrace_eval(
     return MultiMap(space, out_arity, out_degree, entries)
 
 
-def symmetrize_brace(
-    f: MultiMap,
-    gs: Sequence[MultiMap],
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
-) -> MultiMap:
-    """eps-signed sum of plain braces over all orderings of the g's."""
-    gs = tuple(gs)
-    n = len(gs)
-    if n > f.arity:
-        raise InputError(f"cannot insert {n} maps into a map of arity {f.arity}")
-    if n == 0:
-        return f
-    parities = [g.brace_parity for g in gs]
-    out = MultiMap.zero(
-        f.space,
-        sum(g.arity for g in gs) + f.arity - n,
-        f.degree + sum(g.degree for g in gs),
-    )
-    for sigma in enumerate_permutations(n, cap):
-        sign = koszul_sign(sigma, parities)
-        out = out + brace_eval(f, sigma.apply(gs)).scale(sign)
-    return out
-
-
-def graded_symmetry_check(
-    f: MultiMap,
-    gs: Sequence[MultiMap],
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
-) -> bool:
+def graded_symmetry_check(f: MultiMap, gs: Sequence[MultiMap]) -> bool:
     """Swapping adjacent inserted maps costs (-1)^{|g_i||g_{i+1}|} in brace
     parities; checks every adjacent swap against the base bracket."""
     gs = tuple(gs)
     n = len(gs)
     if n <= 1:
         return True
-    base = symbrace_eval(f, gs, cap)
+    base = symbrace_eval(f, gs)
     parities = [g.brace_parity for g in gs]
     for i in range(n - 1):
         swapped = gs[:i] + (gs[i + 1], gs[i]) + gs[i + 2 :]
         sign = -1 if parities[i] & parities[i + 1] else 1
-        if symbrace_eval(f, swapped, cap) != base.scale(sign):
+        if symbrace_eval(f, swapped) != base.scale(sign):
             return False
     return True
 
@@ -151,7 +125,6 @@ def symbrace_axiom_sides(
     gs: Sequence[MultiMap],
     xs: Sequence[MultiMap],
     flavor: str = FLAVOR_UNSHUFFLE,
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
 ):
     """Both sides of the symmetric-brace axiom f<gs><xs> = sum of dealt
     brackets, for either bracket flavor.
@@ -170,20 +143,20 @@ def symbrace_axiom_sides(
     n, r = len(gs), len(xs)
     if n > f.arity:
         raise InputError(f"cannot insert {n} maps into arity {f.arity}")
-    inner = bracket(f, gs, cap)
+    inner = bracket(f, gs)
     if r > inner.arity:
         raise InputError(
             f"cannot insert {r} maps into the arity-{inner.arity} first bracket"
         )
-    lhs = bracket(inner, xs, cap)
+    lhs = bracket(inner, xs)
 
     bg = [g.brace_parity for g in gs]
     bx = [x.brace_parity for x in xs]
-    rhs = MultiMap.zero(f.space, lhs.arity, lhs.degree)
+    rhs: dict = {}
     block_cache: dict = {}
     for parts in insertion_patterns(r, n + 1):
         sizes = parts.slots
-        for gamma in enumerate_unshuffles(UnshuffleSpec(sizes), cap):
+        for gamma in enumerate_unshuffles(UnshuffleSpec(sizes)):
             dealt = gamma.apply(xs)
             sign_exp = 0
             prefix = 0
@@ -194,17 +167,17 @@ def symbrace_axiom_sides(
                 block = dealt[pos : pos + size]
                 key = (b, gamma.images[pos : pos + size])
                 if key not in block_cache:
-                    block_cache[key] = _bracket_or_zero(bracket, gs[b], block, cap)
+                    block_cache[key] = _bracket_or_zero(bracket, gs[b], block)
                 outer_args.append(block_cache[key])
                 sign_exp ^= bg[b] & prefix
                 for x in block:
                     prefix ^= x.brace_parity
                 pos += size
             outer_args.extend(dealt[pos:])
-            term = _bracket_or_zero(bracket, f, outer_args, cap)
+            term = _bracket_or_zero(bracket, f, outer_args)
             sign = koszul_sign(gamma, bx) * (-1 if sign_exp else 1)
-            rhs = rhs + term.scale(sign)
-    return lhs, rhs
+            add_into(rhs, sign, term)
+    return lhs, MultiMap(f.space, lhs.arity, lhs.degree, rhs)
 
 
 def symbrace_axiom_check(
@@ -212,52 +185,34 @@ def symbrace_axiom_check(
     gs: Sequence[MultiMap],
     xs: Sequence[MultiMap],
     flavor: str = FLAVOR_UNSHUFFLE,
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
 ) -> bool:
-    lhs, rhs = symbrace_axiom_sides(f, gs, xs, flavor, cap)
+    lhs, rhs = symbrace_axiom_sides(f, gs, xs, flavor)
     return lhs == rhs
 
 
 def symmetrized_axiom_check(
-    f: MultiMap,
-    gs: Sequence[MultiMap],
-    xs: Sequence[MultiMap],
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
+    f: MultiMap, gs: Sequence[MultiMap], xs: Sequence[MultiMap]
 ) -> bool:
     """The symmetrized insertion brace satisfies the symmetric-brace axiom."""
-    return symbrace_axiom_check(f, gs, xs, FLAVOR_SYMMETRIZED, cap)
+    return symbrace_axiom_check(f, gs, xs, FLAVOR_SYMMETRIZED)
 
 
-def antisymmetrized_brace_sides(
-    f: MultiMap,
-    gs: Sequence[MultiMap],
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
-):
+def antisymmetrized_brace_sides(f: MultiMap, gs: Sequence[MultiMap]):
     """as distributes over the symmetrized brace, against the unshuffle
     bracket of the antisymmetrizations.
 
-    Left: sum over orderings sigma, eps(sigma) * as(f{g_sigma}).
+    Left: as(sum over orderings sigma of eps(sigma) f{g_sigma}), which by
+    linearity is the sum of the eps-signed as(f{g_sigma}).
     Right: as(f)<as(g_1), ..., as(g_n)>.
     """
     gs = tuple(gs)
     n = len(gs)
     if n > f.arity:
         raise InputError(f"cannot insert {n} maps into arity {f.arity}")
-    parities = [g.brace_parity for g in gs]
-    as_f = antisymmetrize(f, cap)
-    as_gs = [antisymmetrize(g, cap) for g in gs]
-    rhs = symbrace_eval(as_f, as_gs, cap)
-    lhs = MultiMap.zero(f.space, rhs.arity, rhs.degree)
-    for sigma in enumerate_permutations(n, cap):
-        sign = koszul_sign(sigma, parities)
-        lhs = lhs + antisymmetrize(brace_eval(f, sigma.apply(gs)), cap).scale(sign)
-    return lhs, rhs
+    rhs = symbrace_eval(antisymmetrize(f), [antisymmetrize(g) for g in gs])
+    return antisymmetrize(symmetrize_brace(f, gs)), rhs
 
 
-def antisymmetrized_brace_check(
-    f: MultiMap,
-    gs: Sequence[MultiMap],
-    cap: int | None = DEFAULT_ENUMERATION_CAP,
-) -> bool:
-    lhs, rhs = antisymmetrized_brace_sides(f, gs, cap)
+def antisymmetrized_brace_check(f: MultiMap, gs: Sequence[MultiMap]) -> bool:
+    lhs, rhs = antisymmetrized_brace_sides(f, gs)
     return lhs == rhs

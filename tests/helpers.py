@@ -80,7 +80,7 @@ def pointwise_antisymmetrize(f):
         args = [space.basis_vector(i) for i in t]
         degrees = [space.degrees[i] for i in t]
         total = space.zero_vector()
-        for p in enumerate_permutations(f.arity, None):
+        for p in enumerate_permutations(f.arity):
             total = total + f(list(p.apply(args))).scale(antisym_koszul_sign(p, degrees))
         if not total.is_zero():
             entries[t] = total.coeffs

@@ -1,8 +1,11 @@
 """Check registry: generators, runners, report lines, fuzz driver."""
 
+import itertools
+
 import pytest
 
 import bracekit.checks as checks_module
+from bracekit import brace, symbrace
 from bracekit.checks import (
     CHECK_NAMES,
     CHECKS,
@@ -114,6 +117,25 @@ def test_fuzz_outcomes_rejects_unknown_check():
         list(fuzz_outcomes(1, 1, ("nope",), CAPS))
     with pytest.raises(InputError, match="nonnegative"):
         list(fuzz_outcomes(1, -1, ("lemma44",), CAPS))
+
+
+def test_refused_instance_fails_its_case_and_the_run_goes_on(monkeypatch):
+    # with beta and delta wrong on every second call, some corollary cases
+    # draw families that fail ainfty, which the corollary verdict refuses
+    for module, name in ((brace, "beta_parity"), (symbrace, "delta_parity")):
+        parity, calls = getattr(module, name), itertools.count()
+        monkeypatch.setattr(
+            module, name, lambda *a, p=parity, c=calls: p(*a) ^ (next(c) & 1)
+        )
+    outcomes = list(fuzz_outcomes(11, 6, CHECK_NAMES, CAPS))
+    assert len(outcomes) == 6 * len(CHECK_NAMES)
+    refused = [o for _, name, o in outcomes if name == "corollary" and not o.passed]
+    assert refused
+    for outcome in refused:
+        cx = outcome.counterexample
+        assert "does not satisfy the associativity relations" in cx["error"]
+        assert set(cx) == {"workspace", "args", "error"}
+        Workspace.from_obj(cx["workspace"])
 
 
 def test_instances_respect_caps():

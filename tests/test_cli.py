@@ -109,6 +109,15 @@ class TestCheckVerb:
         )
         assert result.returncode == 0
 
+    def test_corollary_refuses_a_non_associative_family(self, tmp_path, ws_path):
+        result = run_cli(
+            "check", "corollary", "--workspace", str(ws_path), "--maps", "bad",
+            cwd=tmp_path,
+        )
+        assert result.returncode == 2
+        assert "associativity relations" in result.stderr
+        assert result.stdout == ""
+
     def test_unknown_map_is_input_error(self, tmp_path, ws_path):
         result = run_cli(
             "check", "thm2", "--workspace", str(ws_path), "--f", "nope",
@@ -209,6 +218,23 @@ class TestFuzzVerb:
         result = run_cli("fuzz", "--max-dim", "0", "--cases", "1", cwd=tmp_path)
         assert result.returncode == 2
 
+    def test_closed_pipe_exits_141_without_traceback(self, tmp_path):
+        # far more output than a pipe buffers, so the writer is still
+        # running when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bracekit", "fuzz", "--seed", "7",
+             "--cases", "3000", "--checks", "lemma44"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=tmp_path,
+            env=cli_env(),
+        )
+        assert proc.stdout.readline().startswith(b"PASS lemma44 seed=7 case=0 ")
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=300)
+        assert proc.returncode == 141
+        assert stderr == b""
+
     def test_caps_flags_reach_generators(self, tmp_path):
         result = run_cli(
             "fuzz", "--seed", "8", "--cases", "3", "--checks", "brace-axiom",
@@ -249,6 +275,25 @@ class TestAntisymmetrizeVerb:
             "--out", str(tmp_path / "x.json"), cwd=tmp_path,
         )
         assert result.returncode == 2
+
+    def test_arity_over_the_limit_is_refused(self, tmp_path):
+        ws = json.loads(json.dumps(WS))
+        ws["maps"].append({
+            "name": "big",
+            "arity": 9,
+            "degree": 0,
+            "entries": [{"in": ["a"] * 9, "out": [{"basis": "a", "coeff": "1"}]}],
+        })
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(ws), encoding="utf-8")
+        out = tmp_path / "x.json"
+        result = run_cli(
+            "antisymmetrize", "--workspace", str(path), "--map", "big",
+            "--out", str(out), cwd=tmp_path,
+        )
+        assert result.returncode == 2
+        assert "exceeds cap 8" in result.stderr
+        assert not out.exists()
 
 
 class TestFmtVerb:

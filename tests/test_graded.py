@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bracekit.errors import InputError, ResourceLimitError
 from bracekit.graded import (
+    ENUMERATION_CAP,
     InsertionPattern,
     Permutation,
     UnshuffleSpec,
@@ -185,10 +186,12 @@ class TestEnumeration:
         assert perms[0] == (1, 2, 3)
 
     def test_cap_enforced(self):
-        with pytest.raises(ResourceLimitError):
+        assert ENUMERATION_CAP == 8
+        assert next(enumerate_permutations(8)) == Permutation.identity(8)
+        with pytest.raises(ResourceLimitError, match="exceeds cap 8"):
             list(enumerate_permutations(9))
-        with pytest.raises(ResourceLimitError):
-            list(enumerate_permutations(4, cap=3))
+        with pytest.raises(ResourceLimitError, match="exceeds cap 8"):
+            list(enumerate_unshuffles(UnshuffleSpec((5, 4))))
 
     def test_unshuffle_counts(self):
         def multinomial(blocks):

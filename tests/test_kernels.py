@@ -4,15 +4,23 @@ brace_eval sums partial compositions of tables (multimap.compose_into) and
 antisymmetrize scatters from f's nonzero entries.  Both are compared, with
 exact equality of arity, degree and every coefficient, with the reference
 evaluators in helpers, which evaluate tensor_block_eval and MultiMap.__call__
-on every basis tuple.
+on every basis tuple.  Checks built from the kernels alone are guarded
+against falling back to point-by-point evaluation.
 """
 
 import pytest
 
 from bracekit.brace import brace_eval
-from bracekit.fuzz import SplitMix64, random_map
+from bracekit.checks import fuzz_outcomes
+from bracekit.fuzz import FuzzCaps, SplitMix64, random_map
 from bracekit.graded import insertion_patterns
-from bracekit.multimap import GradedSpace, MultiMap, antisymmetrize, compose_into
+from bracekit.multimap import (
+    GradedSpace,
+    MultiMap,
+    add_into,
+    antisymmetrize,
+    compose_into,
+)
 from helpers import pointwise_antisymmetrize, pointwise_brace, pointwise_compose
 
 SEED = 20261017
@@ -125,3 +133,34 @@ def test_brace_sign_of_odd_map_crossing_odd_input():
     out = brace_eval(F_UV, [G_ODD])
     assert (out.arity, out.degree) == (2, -1)
     assert out.entries == {(0, 0): {0: 1}}
+
+
+def test_add_into_accumulates_signed_tables():
+    rng = SplitMix64(SEED + 2)
+    space = _space(rng, 3)
+    f = random_map(rng, space, 2, 60)
+    g = antisymmetrize(f)
+    acc = {}
+    add_into(acc, 1, f)
+    add_into(acc, -1, g)
+    add_into(acc, 2, g)
+    assert MultiMap(space, 2, f.degree, acc) == f + g
+    add_into(acc, -1, f)
+    add_into(acc, -1, g)
+    assert MultiMap(space, 2, f.degree, acc).is_zero()
+
+
+# checks whose every bracket is a composition or a signed permutation of
+# table entries; symbrace_eval, behind ex33, thm2 and linfty, still
+# evaluates point by point
+TABLE_LEVEL_CHECKS = ("brace-axiom", "thm1", "lemma41", "lemma51", "ainfty")
+
+
+def test_table_level_checks_never_evaluate_point_by_point(monkeypatch):
+    def refuse(self, args):
+        raise AssertionError("MultiMap.__call__ reached")
+
+    monkeypatch.setattr(MultiMap, "__call__", refuse)
+    outcomes = list(fuzz_outcomes(7, 20, TABLE_LEVEL_CHECKS, FuzzCaps()))
+    assert len(outcomes) == 20 * len(TABLE_LEVEL_CHECKS)
+    assert all(outcome.passed for _, _, outcome in outcomes)

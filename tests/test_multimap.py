@@ -218,9 +218,9 @@ class TestAntisymmetrize:
             assert antisymmetrize(f) == f.scale(math.factorial(arity))
 
     def test_cap(self):
-        f = MultiMap.zero(EVEN, 3, 1)
-        with pytest.raises(ResourceLimitError):
-            antisymmetrize(f, cap=2)
+        f = MultiMap(EVEN, 9, 0, {(0,) * 9: {0: 1}})
+        with pytest.raises(ResourceLimitError, match="arity 9 exceeds cap 8"):
+            antisymmetrize(f)
 
 
 class TestIsAntisymmetric:
@@ -238,44 +238,48 @@ class TestIsAntisymmetric:
 
 
 class TestPermutationTerms:
+    # words of basis indices; letter i has degree parity PAR[i]
+    PAR = MIXED.parities
+
     def test_tail_terms_trivial(self):
-        args = (MIXED.basis_vector(0), MIXED.basis_vector(1))
-        terms = tail_permutation_terms(args, 0)
-        assert terms == [(1, args)]
+        assert tail_permutation_terms((0, 1), self.PAR, 0) == [(1, (0, 1))]
 
     def test_tail_terms_swap(self):
-        u = MIXED.basis_vector(1)
-        terms = tail_permutation_terms((u, u), 2)
+        terms = tail_permutation_terms((1, 1), self.PAR, 2)
         signs = sorted(s for s, _ in terms)
         assert signs == [1, 1]  # odd pair: chi(swap) = +1
 
     def test_head_terms_swap_evens(self):
-        a = MIXED.basis_vector(0)
-        terms = head_permutation_terms((a, a), 2)
+        terms = head_permutation_terms((0, 0), self.PAR, 2)
         assert sorted(s for s, _ in terms) == [-1, 1]
 
+    def test_head_terms_keep_tail(self):
+        terms = head_permutation_terms((0, 1, 1), self.PAR, 2)
+        assert [w for _, w in terms] == [(0, 1, 1), (1, 0, 1)]
+
     def test_interleave_counts(self):
-        args = tuple(MIXED.basis_vector(0) for _ in range(4))
-        assert len(interleave_terms(args, 2, 2)) == 6
-        assert len(interleave_terms(args, 4, 0)) == 1
-        assert len(interleave_terms(args, 0, 4)) == 1
+        word = (0, 0, 0, 0)
+        assert len(interleave_terms(word, self.PAR, 2, 2)) == 6
+        assert len(interleave_terms(word, self.PAR, 4, 0)) == 1
+        assert len(interleave_terms(word, self.PAR, 0, 4)) == 1
 
     def test_interleave_single_even_pair(self):
-        # one head y, one tail z, both even: patterns (0,1) and (1,0)
-        y = MIXED.basis_vector(0)
-        z = MIXED.basis_vector(0)
-        terms = dict()
-        for sign, seq in interleave_terms((y, z), 1, 1):
-            terms[tuple(id(x) for x in seq)] = sign
-        assert terms[(id(y), id(z))] == 1
-        assert terms[(id(z), id(y))] == -1
+        # one head y = letter 0, one tail z = letter 1, both even:
+        # patterns (0,1) and (1,0)
+        terms = {w: s for s, w in interleave_terms((0, 1), (0, 0), 1, 1)}
+        assert terms == {(0, 1): 1, (1, 0): -1}
 
     def test_interleave_single_odd_pair(self):
-        y = MIXED.basis_vector(1)
-        z = MIXED.basis_vector(1)
-        terms = {tuple(id(x) for x in seq): s for s, seq in interleave_terms((y, z), 1, 1)}
-        assert terms[(id(y), id(z))] == 1
-        assert terms[(id(z), id(y))] == 1  # -(-1)^{|y||z|} = +1
+        terms = {w: s for s, w in interleave_terms((0, 1), (1, 1), 1, 1)}
+        assert terms == {(0, 1): 1, (1, 0): 1}  # -(-1)^{|y||z|} = +1
+
+    def test_bad_splits(self):
+        with pytest.raises(InputError):
+            tail_permutation_terms((0, 1), self.PAR, 3)
+        with pytest.raises(InputError):
+            head_permutation_terms((0, 1), self.PAR, -1)
+        with pytest.raises(InputError):
+            interleave_terms((0, 1), self.PAR, 1, 2)
 
 
 class TestDecomposition:
