@@ -14,12 +14,14 @@ degree q picks up (-1)^{q * d} when it moves past arguments of total
 degree d to reach its own inputs.  compose_into, the sparse composition
 the braces are built from, uses it too and is differential-tested against it.
 Signed sums of whole maps accumulate into one entry table with add_into and
-are validated once, as a MultiMap, at the end.
+are validated once, as a MultiMap, at the end.  antisymmetrize folds f's
+rows onto the sorted word of each orbit and writes each nonzero orbit once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -438,9 +440,16 @@ def antisymmetrize(f: MultiMap) -> MultiMap:
     """Signed symmetrization: as(f)(v) = sum over s in S_k of chi(s) f(sv).
 
     No averaging factor: an already antisymmetric f comes back as k! * f.
-    Scatters each nonzero f(w) to every rearrangement of w with the chi sign
-    of the way there, which is that of the way back: nnz(f) * k! adjacent-swap
-    steps, each updating the sign and the word in constant time.
+    as(f) is chi-antisymmetric, so it is fixed by its value on the sorted
+    word s of each orbit.  Each row f(w) folds onto s = sorted(w) with the
+    chi sign of the sort, -1 per inversion of letters not both odd.  Each s
+    gets its stabilizer weight, m! per odd letter repeated m times and 0 if
+    an even letter repeats, and each nonzero s is written once along an
+    adjacent-swap walk: nnz(f) * k^2 steps plus k! per nonzero orbit.
+
+    >>> V = GradedSpace([("u", 1), ("e", 0)])
+    >>> antisymmetrize(MultiMap(V, 3, -1, {(0, 0, 1): {0: 1}})).entries
+    {(0, 0, 1): {0: 2}, (0, 1, 0): {0: -2}, (1, 0, 0): {0: 2}}
     """
     k = f.arity
     if k > ENUMERATION_CAP:
@@ -448,18 +457,28 @@ def antisymmetrize(f: MultiMap) -> MultiMap:
             f"antisymmetrize over arity {k} exceeds cap {ENUMERATION_CAP}"
         )
     par = f.space.parities
-    swaps = (None, *adjacent_swap_order(k))
-    result: dict = {}
+    folded: dict = {}
     for key, out in f.entries.items():
-        word, sign = list(key), 1
+        inv = [(a, b) for i, a in enumerate(key) for b in key[i + 1 :] if a > b]
+        sign = -1 if sum(not par[a] & par[b] for a, b in inv) & 1 else 1
+        row = folded.setdefault(tuple(sorted(key)), {})
+        for j, c in out.items():
+            row[j] = row.get(j, 0) + sign * c
+    swaps = adjacent_swap_order(k)
+    result: dict = {}
+    for rep, row in folded.items():
+        counts = [(x, rep.count(x)) for x in set(rep)]
+        weight = math.prod(math.factorial(m) if par[x] else m == 1 for x, m in counts)
+        row = {j: weight * c for j, c in row.items() if weight * c}
+        if not row:
+            continue
+        rows, word, flip = (row, {j: -c for j, c in row.items()}), list(rep), 0
+        result[rep] = row
         for s in swaps:
-            if s is not None:
-                a, b = word[s], word[s + 1]
-                word[s], word[s + 1] = b, a
-                sign = sign if par[a] & par[b] else -sign
-            row = result.setdefault(tuple(word), {})
-            for j, c in out.items():
-                row[j] = row.get(j, 0) + sign * c
+            a, b = word[s], word[s + 1]
+            word[s], word[s + 1] = b, a
+            flip ^= not par[a] & par[b]
+            result[tuple(word)] = rows[flip]
     return MultiMap(f.space, k, f.degree, result)
 
 

@@ -1,12 +1,15 @@
 """The sparse table kernels against point-by-point evaluation.
 
 brace_eval sums partial compositions of tables (multimap.compose_into) and
-antisymmetrize scatters from f's nonzero entries.  Both are compared, with
-exact equality of arity, degree and every coefficient, with the reference
-evaluators in helpers, which evaluate tensor_block_eval and MultiMap.__call__
-on every basis tuple.  Checks built from the kernels alone are guarded
-against falling back to point-by-point evaluation.
+antisymmetrize folds f's entries onto sorted words and writes each nonzero
+orbit once.  Both are compared, with exact equality of arity, degree and
+every coefficient, with the reference evaluators in helpers, which evaluate
+tensor_block_eval and MultiMap.__call__ on every basis tuple.  Checks built
+from the kernels alone are guarded against falling back to point-by-point
+evaluation.
 """
+
+from math import factorial
 
 import pytest
 
@@ -94,17 +97,75 @@ def test_compose_into_matches_tensor_block_eval_per_pattern():
             assert got == pointwise_compose(f, gs, pattern.slots), (case, pattern)
 
 
-def test_antisymmetrize_matches_pointwise_sum():
+# degrees for the repeated-letter cases: one or two odd letters, or an even one
+REPEAT_DEGREES = {1: ((1,), (-1,), (0,)), 2: ((1, 1), (1, -1), (0, 1), (-1, 2))}
+
+
+def _antisym_instances():
     rng = SplitMix64(SEED + 1)
     arities = {1: 5, 2: 5, 3: 4, 4: 4}
     for case in range(ANTISYM_CASES):
         dim = 1 + case % 4
         space = _space(rng, dim)
-        f = _map(rng, space, rng.randint(1, arities[dim]))
+        yield _map(rng, space, rng.randint(1, arities[dim]))
+    # dims 1-2 at arities 5-6: every word repeats a letter, so the
+    # stabilizer weight and the even-repeat zero rule decide every entry
+    for case in range(16):
+        dim, arity = 1 + case % 2, 5 + case // 2 % 2
+        degrees = rng.choice(REPEAT_DEGREES[dim])
+        space = GradedSpace((f"e{i + 1}", d) for i, d in enumerate(degrees))
+        yield _map(rng, space, arity)
+
+
+def test_antisymmetrize_matches_pointwise_sum():
+    repeated_odd, cancelled = set(), 0
+    for case, f in enumerate(_antisym_instances()):
         expected = pointwise_antisymmetrize(f)
         got = antisymmetrize(f)
         assert (got.arity, got.degree) == (expected.arity, expected.degree), case
         assert got == expected, case
+        rows = {id(row) for row in got.entries.values()}
+        assert len(rows) == len(got.entries), case
+        par = f.space.parities
+        if any(par[x] and key.count(x) > 1 for key in got.entries for x in key):
+            repeated_odd.add((f.space.dim, f.arity))
+        cancelled += got.is_zero() and not f.is_zero()
+    assert {(1, 5), (1, 6), (2, 5), (2, 6)} <= repeated_odd and cancelled >= 20
+
+
+U_E = GradedSpace([("u", 1), ("e", 0)])
+
+
+@pytest.mark.parametrize(
+    "arity, key, expected",
+    [
+        (3, (0, 0, 0), {(0, 0, 0): {0: 6}}),  # 3! on one odd letter
+        (4, (0, 0, 0, 0), {(0, 0, 0, 0): {0: 24}}),  # 4!
+        # (u, u, e): 2! for the repeated odd letter, -1 per swap past e
+        (3, (0, 0, 1), {(0, 0, 1): {0: 2}, (0, 1, 0): {0: -2}, (1, 0, 0): {0: 2}}),
+        (3, (0, 1, 0), {(0, 0, 1): {0: -2}, (0, 1, 0): {0: 2}, (1, 0, 0): {0: -2}}),
+        (3, (1, 0, 1), {}),  # e repeats: the whole orbit is zero
+        (3, (1, 1, 1), {}),
+    ],
+)
+def test_antisymmetrize_orbit_weights(arity, key, expected):
+    degree = 1 - sum(U_E.degrees[i] for i in key)
+    f = MultiMap(U_E, arity, degree, {key: {0: 1}})
+    got = antisymmetrize(f)
+    assert got.entries == expected
+    assert got == pointwise_antisymmetrize(f)
+
+
+def test_antisymmetrize_twice_is_k_factorial_times_once():
+    rng = SplitMix64(SEED + 4)
+    space = GradedSpace([("x", 0), ("u", 1), ("w", -1)])
+    nonzero = 0
+    for arity in range(1, 6):
+        for density in (20, 60, 100):
+            asf = antisymmetrize(random_map(rng, space, arity, density))
+            assert antisymmetrize(asf) == asf.scale(factorial(arity)), (arity, density)
+            nonzero += not asf.is_zero()
+    assert nonzero >= 10
 
 
 # u odd, v even: g of odd degree sends u to v, so in f(x_1, g(x_2)) it
