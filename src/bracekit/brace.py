@@ -248,9 +248,3 @@ def braced_symmetrization_sides(
             add_into(staged, zsign * sign, brace_eval(f, seq))
     return MultiMap(f.space, direct.arity, direct.degree, staged), direct
 
-
-def braced_symmetrization_check(
-    f: MultiMap, ys: Sequence[MultiMap], zs: Sequence[MultiMap]
-) -> bool:
-    staged, direct = braced_symmetrization_sides(f, ys, zs)
-    return staged == direct

@@ -14,8 +14,11 @@ degree q picks up (-1)^{q * d} when it moves past arguments of total
 degree d to reach its own inputs.  compose_into, the sparse composition
 the braces are built from, uses it too and is differential-tested against it.
 Signed sums of whole maps accumulate into one entry table with add_into and
-are validated once, as a MultiMap, at the end.  antisymmetrize folds f's
-rows onto the sorted word of each orbit and writes each nonzero orbit once.
+are validated once, as a MultiMap, at the end.  A chi-antisymmetric table
+is fixed by its rows on sorted words; expand_orbits writes each nonzero
+sorted word once to its whole orbit.  It is the one orbit writer, shared by
+antisymmetrize, which folds f's rows onto sorted words, and by
+symbrace.symbrace_eval, which evaluates only on sorted words.
 """
 
 from __future__ import annotations
@@ -436,6 +439,33 @@ def add_into(acc: dict, sign: int, m: MultiMap) -> None:
             row[j] = row.get(j, 0) + sign * c
 
 
+def expand_orbits(reps: Mapping[tuple, dict], arity: int, parities) -> dict:
+    """The chi-antisymmetric entry table with the given rows on sorted words.
+
+    reps maps sorted words of basis indices, none repeating an even letter,
+    to output rows; empty rows are skipped.  Each row is written to every
+    rearrangement of its word along an adjacent-swap walk, negated per swap
+    of letters not both odd.  Rearrangements share one positive and one
+    negative row dict; a MultiMap built from the table copies them per key.
+
+    >>> expand_orbits({(0, 0, 1): {0: 2}}, 3, (1, 0))
+    {(0, 0, 1): {0: 2}, (0, 1, 0): {0: -2}, (1, 0, 0): {0: 2}}
+    """
+    swaps = adjacent_swap_order(arity)
+    table: dict = {}
+    for rep, row in reps.items():
+        if not row:
+            continue
+        rows, word, flip = (row, {j: -c for j, c in row.items()}), list(rep), 0
+        table[rep] = row
+        for s in swaps:
+            a, b = word[s], word[s + 1]
+            word[s], word[s + 1] = b, a
+            flip ^= not parities[a] & parities[b]
+            table[tuple(word)] = rows[flip]
+    return table
+
+
 def antisymmetrize(f: MultiMap) -> MultiMap:
     """Signed symmetrization: as(f)(v) = sum over s in S_k of chi(s) f(sv).
 
@@ -444,8 +474,8 @@ def antisymmetrize(f: MultiMap) -> MultiMap:
     word s of each orbit.  Each row f(w) folds onto s = sorted(w) with the
     chi sign of the sort, -1 per inversion of letters not both odd.  Each s
     gets its stabilizer weight, m! per odd letter repeated m times and 0 if
-    an even letter repeats, and each nonzero s is written once along an
-    adjacent-swap walk: nnz(f) * k^2 steps plus k! per nonzero orbit.
+    an even letter repeats, and expand_orbits writes each nonzero s once:
+    nnz(f) * k^2 steps plus k! per nonzero orbit.
 
     >>> V = GradedSpace([("u", 1), ("e", 0)])
     >>> antisymmetrize(MultiMap(V, 3, -1, {(0, 0, 1): {0: 1}})).entries
@@ -464,22 +494,11 @@ def antisymmetrize(f: MultiMap) -> MultiMap:
         row = folded.setdefault(tuple(sorted(key)), {})
         for j, c in out.items():
             row[j] = row.get(j, 0) + sign * c
-    swaps = adjacent_swap_order(k)
-    result: dict = {}
     for rep, row in folded.items():
         counts = [(x, rep.count(x)) for x in set(rep)]
         weight = math.prod(math.factorial(m) if par[x] else m == 1 for x, m in counts)
-        row = {j: weight * c for j, c in row.items() if weight * c}
-        if not row:
-            continue
-        rows, word, flip = (row, {j: -c for j, c in row.items()}), list(rep), 0
-        result[rep] = row
-        for s in swaps:
-            a, b = word[s], word[s + 1]
-            word[s], word[s + 1] = b, a
-            flip ^= not par[a] & par[b]
-            result[tuple(word)] = rows[flip]
-    return MultiMap(f.space, k, f.degree, result)
+        folded[rep] = {j: weight * c for j, c in row.items() if weight * c}
+    return MultiMap(f.space, k, f.degree, expand_orbits(folded, k, par))
 
 
 def is_antisymmetric(f: MultiMap) -> bool:
@@ -597,8 +616,3 @@ def _decomposition_first_defect(f: MultiMap):
                 return {"split": (n, m), "inputs": t}
     return None
 
-
-def antisymmetrize_decomposition_check(f: MultiMap) -> bool:
-    """Does riffling tail perms, head perms and interleavings through f
-    reproduce as(f) for every head/tail split of the arity?"""
-    return _decomposition_first_defect(f) is None

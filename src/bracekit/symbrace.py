@@ -10,6 +10,10 @@ Two brackets satisfy the symmetric-brace axiom here:
         delta = sum_i (N - i) q_i + sum_{j<i} q_i a_j
               + sum_{j<i} a_i a_j + sum_i (n - i) a_i.
 
+    Its output is antisymmetric, so the sum is evaluated only on sorted
+    input words and multimap.expand_orbits, antisymmetrize's orbit writer,
+    writes each nonzero one once to its orbit.
+
   * symmetrize_brace (defined in brace, re-exported here): the eps-signed
     sum of plain braces f{g_sigma} over all orderings of the inserted maps,
     defined for any maps.
@@ -21,6 +25,7 @@ antisymmetrizations.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from .errors import InputError
@@ -36,6 +41,7 @@ from .multimap import (
     _tensor_core,
     add_into,
     antisymmetrize,
+    expand_orbits,
     is_antisymmetric,
 )
 # brace_eval and symmetrize_brace stay importable from this module
@@ -63,7 +69,9 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
 
     Arguments are dealt to g_1, ..., g_n and then to f's remaining inputs
     by every unshuffle, each term signed by chi of the unshuffle; the whole
-    sum is scaled by (-1)^delta.  Inputs must all be antisymmetric.
+    sum is scaled by (-1)^delta.  Inputs must all be antisymmetric.  So is
+    the output: the sum runs only on sorted words without a repeated even
+    letter, and expand_orbits writes each nonzero value to its orbit.
     """
     gs = tuple(gs)
     n = len(gs)
@@ -87,9 +95,12 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     slots = (0,) * n + (free,)
 
     space = f.space
+    par = space.parities
     basis = [space.basis_vector(i) for i in range(space.dim)]
-    entries = {}
-    for t in space.tuples(out_arity):
+    reps = {}
+    for t in itertools.combinations_with_replacement(range(space.dim), out_arity):
+        if any(a == b and not par[a] for a, b in zip(t, t[1:])):
+            continue
         degs = [space.degrees[i] for i in t]
         args = [basis[i] for i in t]
         acc: dict = {}
@@ -98,26 +109,8 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
             v = _tensor_core(f, gs, slots, gamma.apply(args))
             for j, c in v.coeffs.items():
                 acc[j] = acc.get(j, 0) + sign * c
-        if acc:
-            entries[t] = {j: base * c for j, c in acc.items() if c}
-    return MultiMap(space, out_arity, out_degree, entries)
-
-
-def graded_symmetry_check(f: MultiMap, gs: Sequence[MultiMap]) -> bool:
-    """Swapping adjacent inserted maps costs (-1)^{|g_i||g_{i+1}|} in brace
-    parities; checks every adjacent swap against the base bracket."""
-    gs = tuple(gs)
-    n = len(gs)
-    if n <= 1:
-        return True
-    base = symbrace_eval(f, gs)
-    parities = [g.brace_parity for g in gs]
-    for i in range(n - 1):
-        swapped = gs[:i] + (gs[i + 1], gs[i]) + gs[i + 2 :]
-        sign = -1 if parities[i] & parities[i + 1] else 1
-        if symbrace_eval(f, swapped) != base.scale(sign):
-            return False
-    return True
+        reps[t] = {j: base * c for j, c in acc.items() if c}
+    return MultiMap(space, out_arity, out_degree, expand_orbits(reps, out_arity, par))
 
 
 def symbrace_axiom_sides(
@@ -188,13 +181,6 @@ def symbrace_axiom_check(
 ) -> bool:
     lhs, rhs = symbrace_axiom_sides(f, gs, xs, flavor)
     return lhs == rhs
-
-
-def symmetrized_axiom_check(
-    f: MultiMap, gs: Sequence[MultiMap], xs: Sequence[MultiMap]
-) -> bool:
-    """The symmetrized insertion brace satisfies the symmetric-brace axiom."""
-    return symbrace_axiom_check(f, gs, xs, FLAVOR_SYMMETRIZED)
 
 
 def antisymmetrized_brace_sides(f: MultiMap, gs: Sequence[MultiMap]):

@@ -7,11 +7,14 @@ from pathlib import Path
 import bracekit
 from bracekit.brace import beta_parity
 from bracekit.graded import (
+    UnshuffleSpec,
     antisym_koszul_sign,
     enumerate_permutations,
+    enumerate_unshuffles,
     insertion_patterns,
 )
-from bracekit.multimap import MultiMap, antisymmetrize, tensor_block_eval
+from bracekit.multimap import MultiMap, _tensor_core, antisymmetrize, tensor_block_eval
+from bracekit.symbrace import delta_parity
 
 
 def random_map(rng, space, arity, density=0.6):
@@ -85,6 +88,41 @@ def pointwise_antisymmetrize(f):
         if not total.is_zero():
             entries[t] = total.coeffs
     return MultiMap(space, f.arity, f.degree, entries)
+
+
+def pointwise_symbrace(f, gs):
+    """The unshuffle bracket f<gs> on every basis tuple: the chi-signed
+    unshuffle sum through _tensor_core, scaled by (-1)^delta.  The
+    reference for symbrace_eval, which evaluates only sorted words."""
+    gs = tuple(gs)
+    if not gs:
+        return f
+    n = len(gs)
+    N = f.arity
+    arities = tuple(g.arity for g in gs)
+    degrees = tuple(g.degree for g in gs)
+    free = N - n
+    out_arity = sum(arities) + free
+    out_degree = f.degree + sum(degrees)
+    base = -1 if delta_parity(N, arities, degrees) else 1
+    gammas = list(enumerate_unshuffles(UnshuffleSpec(arities + (free,))))
+    slots = (0,) * n + (free,)
+
+    space = f.space
+    basis = [space.basis_vector(i) for i in range(space.dim)]
+    entries = {}
+    for t in space.tuples(out_arity):
+        degs = [space.degrees[i] for i in t]
+        args = [basis[i] for i in t]
+        acc: dict = {}
+        for gamma in gammas:
+            sign = antisym_koszul_sign(gamma, degs)
+            v = _tensor_core(f, gs, slots, gamma.apply(args))
+            for j, c in v.coeffs.items():
+                acc[j] = acc.get(j, 0) + sign * c
+        if acc:
+            entries[t] = {j: base * c for j, c in acc.items() if c}
+    return MultiMap(space, out_arity, out_degree, entries)
 
 
 def cli_env():

@@ -10,7 +10,7 @@ import json
 import subprocess
 import sys
 
-from bracekit.brace import braced_symmetrization_check
+from bracekit.brace import braced_symmetrization_sides
 from bracekit.checks import CHECKS, fuzz_outcomes, outcome_line
 from bracekit.cli import main as cli_main
 from bracekit.fuzz import FuzzCaps, SplitMix64, random_map
@@ -31,8 +31,8 @@ from bracekit.homotopy import (
 from bracekit.multimap import (
     GradedSpace,
     MultiMap,
+    _decomposition_first_defect,
     antisymmetrize,
-    antisymmetrize_decomposition_check,
 )
 from helpers import cli_env
 
@@ -105,7 +105,7 @@ def test_antisymmetrization_riffle_decomposition_all_splits():
                 [("a", rng.randint(-2, 2)), ("b", rng.randint(-2, 2))]
             )
             f = random_map(rng, space, arity)
-            if not antisymmetrize_decomposition_check(f):
+            if _decomposition_first_defect(f) is not None:
                 bad.append((arity, f))
     _report(
         "antisymmetrization factors through tail perms, head perms and "
@@ -220,7 +220,8 @@ def test_staged_brace_symmetrization_matches_direct():
         f = random_map(rng, space, 4)
         ys = [random_map(rng, space, 1) for _ in range(n)]
         zs = [random_map(rng, space, 1) for _ in range(4 - n)]
-        if not braced_symmetrization_check(f, ys, zs):
+        staged, direct = braced_symmetrization_sides(f, ys, zs)
+        if staged != direct:
             failures.append(f"explicit split {n}+{4 - n}")
     _report(
         "two-stage eps-symmetrization of brace insertions equals the direct "

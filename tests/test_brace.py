@@ -8,7 +8,7 @@ from bracekit.brace import (
     brace_axiom_sides,
     brace_eval,
     braced_interleave_terms,
-    braced_symmetrization_check,
+    braced_symmetrization_sides,
 )
 from bracekit.errors import InputError
 from bracekit.multimap import GradedSpace, MultiMap
@@ -161,13 +161,15 @@ class TestBracedSymmetrization:
         rng = random.Random(10)
         f = random_map(rng, MIXED, 2)
         ys = [random_map(rng, MIXED, 1) for _ in range(2)]
-        assert braced_symmetrization_check(f, ys, [])
+        staged, direct = braced_symmetrization_sides(f, ys, [])
+        assert staged == direct
 
     def test_no_head_maps(self):
         rng = random.Random(11)
         f = random_map(rng, MIXED, 2)
         zs = [random_map(rng, MIXED, 1) for _ in range(2)]
-        assert braced_symmetrization_check(f, [], zs)
+        staged, direct = braced_symmetrization_sides(f, [], zs)
+        assert staged == direct
 
     def test_random_instances(self):
         rng = random.Random(12)
@@ -181,10 +183,11 @@ class TestBracedSymmetrization:
             f = random_map(rng, space, N)
             ys = [random_map(rng, space, rng.randint(1, 2)) for _ in range(n)]
             zs = [random_map(rng, space, rng.randint(1, 2)) for _ in range(m)]
-            assert braced_symmetrization_check(f, ys, zs)
+            staged, direct = braced_symmetrization_sides(f, ys, zs)
+            assert staged == direct
 
     def test_shape_precondition(self):
         f = const_map(POINT, 1)
         g = const_map(POINT, 1)
         with pytest.raises(InputError):
-            braced_symmetrization_check(f, [g], [g])
+            braced_symmetrization_sides(f, [g], [g])

@@ -1,14 +1,16 @@
 """The sparse table kernels against point-by-point evaluation.
 
-brace_eval sums partial compositions of tables (multimap.compose_into) and
-antisymmetrize folds f's entries onto sorted words and writes each nonzero
-orbit once.  Both are compared, with exact equality of arity, degree and
-every coefficient, with the reference evaluators in helpers, which evaluate
-tensor_block_eval and MultiMap.__call__ on every basis tuple.  Checks built
-from the kernels alone are guarded against falling back to point-by-point
-evaluation.
+brace_eval sums partial compositions of tables (multimap.compose_into);
+antisymmetrize folds f's entries onto sorted words, and symbrace_eval
+evaluates only on sorted words; both write each nonzero orbit once through
+multimap.expand_orbits.  All three are compared, with exact equality of
+arity, degree and every coefficient, with the reference evaluators in
+helpers, which evaluate tensor_block_eval, MultiMap.__call__ and
+_tensor_core on every basis tuple.  Checks built from the kernels alone are
+guarded against falling back to point-by-point evaluation.
 """
 
+import random
 from math import factorial
 
 import pytest
@@ -16,19 +18,29 @@ import pytest
 from bracekit.brace import brace_eval
 from bracekit.checks import fuzz_outcomes
 from bracekit.fuzz import FuzzCaps, SplitMix64, random_map
-from bracekit.graded import insertion_patterns
+from bracekit.graded import UnshuffleSpec, enumerate_unshuffles, insertion_patterns
 from bracekit.multimap import (
     GradedSpace,
     MultiMap,
     add_into,
     antisymmetrize,
+    _tensor_core,
     compose_into,
+    expand_orbits,
 )
-from helpers import pointwise_antisymmetrize, pointwise_brace, pointwise_compose
+from bracekit.symbrace import symbrace_eval
+from helpers import (
+    pointwise_antisymmetrize,
+    pointwise_brace,
+    pointwise_compose,
+    pointwise_symbrace,
+    random_antisym_map,
+)
 
 SEED = 20261017
 BRACE_CASES = 320
 ANTISYM_CASES = 200
+SYMBRACE_CASES = 320
 # largest output arity per dimension, so the references visit at most
 # dim ** arity <= 256 tuples
 MAX_OUT_ARITY = {1: 6, 2: 6, 3: 5, 4: 4}
@@ -211,9 +223,116 @@ def test_add_into_accumulates_signed_tables():
     assert MultiMap(space, 2, f.degree, acc).is_zero()
 
 
+def _antisym_map(rng, space, arity):
+    """A random antisymmetric map at a random density, redrawn a few times
+    while it antisymmetrizes to zero, and now and then replaced by zero."""
+    for _ in range(8):
+        m = random_antisym_map(rng, space, arity, rng.choice((0.2, 0.6, 1.0)))
+        if not m.is_zero():
+            break
+    return MultiMap.zero(space, arity, m.degree) if rng.random() < 0.05 else m
+
+
+def _symbrace_instances():
+    """n = 1-3 antisymmetric maps inserted into an antisymmetric f of arity
+    n to 3, output arity within MAX_OUT_ARITY, over mixed-parity spaces."""
+    rng = random.Random(SEED + 5)
+    for case in range(SYMBRACE_CASES):
+        dim = 1 + case % 4
+        space = _space(rng, dim)
+        n = rng.randint(1, 3)
+        N = rng.randint(n, 3)
+        room = MAX_OUT_ARITY[dim] - (N - n)
+        arities = []
+        for i in range(n):
+            a = rng.randint(1, min(3, room - (n - i - 1)))
+            arities.append(a)
+            room -= a
+        f = _antisym_map(rng, space, N)
+        yield case, f, [_antisym_map(rng, space, a) for a in arities]
+
+
+def _repeats(key, letters):
+    """Does key repeat one of the given letters?"""
+    return any(key.count(x) > 1 for x in key if x in letters)
+
+
+def test_symbrace_eval_matches_pointwise_symbrace():
+    repeated_odd, cancelled, nonzero, shapes = set(), 0, 0, set()
+    for case, f, gs in _symbrace_instances():
+        expected = pointwise_symbrace(f, gs)
+        got = symbrace_eval(f, gs)
+        assert (got.arity, got.degree) == (expected.arity, expected.degree), case
+        assert got == expected, case
+        par = f.space.parities
+        evens = {x for x in range(f.space.dim) if not par[x]}
+        odds = set(range(f.space.dim)) - evens
+        assert not any(_repeats(key, evens) for key in got.entries), case
+        if any(_repeats(key, odds) for key in got.entries):
+            repeated_odd.add((f.space.dim, got.arity))
+        cancelled += got.is_zero() and not any(m.is_zero() for m in (f, *gs))
+        nonzero += not got.is_zero()
+        shapes.add((f.space.dim, len(gs)))
+    assert shapes == {(dim, n) for dim in (1, 2, 3, 4) for n in (1, 2, 3)}
+    # nonzero orbits through a repeated odd letter at dims 1-4, output
+    # arities 2-6; zero brackets of nonzero maps; and mostly nonzero results
+    assert {(1, 6), (2, 6), (3, 5), (4, 4)} <= repeated_odd and len(repeated_odd) >= 12
+    assert cancelled >= 50 and nonzero >= 100
+
+
+def test_symbrace_eval_visits_each_admissible_sorted_word_once(monkeypatch):
+    calls = []
+
+    def record(f, gs, slots, args):
+        calls.append(tuple(next(iter(a.coeffs)) for a in args))
+        return _tensor_core(f, gs, slots, args)
+
+    monkeypatch.setattr("bracekit.symbrace._tensor_core", record)
+    for case, f, gs in _symbrace_instances():
+        if case % 8:
+            continue
+        calls.clear()
+        got = symbrace_eval(f, gs)
+        par = f.space.parities
+        spec = UnshuffleSpec(tuple(g.arity for g in gs) + (f.arity - len(gs),))
+        gammas = list(enumerate_unshuffles(spec))
+        admissible = [
+            t
+            for t in f.space.tuples(got.arity)
+            if list(t) == sorted(t) and not any(t.count(x) > 1 for x in t if not par[x])
+        ]
+        assert len(calls) == len(admissible) * len(gammas), case
+        # each run of len(gammas) calls is the unshuffle sum on one sorted word
+        words = []
+        for start in range(0, len(calls), len(gammas)):
+            run = calls[start : start + len(gammas)]
+            word = tuple(sorted(run[0]))
+            assert [gamma.apply(word) for gamma in gammas] == run, case
+            words.append(word)
+        assert words == admissible, case
+
+
+def test_expand_orbits_round_trips_antisymmetric_maps():
+    rng = random.Random(SEED + 6)
+    spaces = [
+        GradedSpace([("u", 1)]),
+        GradedSpace([("u", 1), ("e", 0)]),
+        GradedSpace([("x", 0), ("u", 1), ("w", -1)]),
+    ]
+    nonzero = 0
+    for space in spaces:
+        for arity in range(1, 6):
+            for density in (0.2, 0.6, 1.0):
+                f = random_antisym_map(rng, space, arity, density)
+                reps = {k: v for k, v in f.entries.items() if list(k) == sorted(k)}
+                assert expand_orbits(reps, arity, space.parities) == f.entries
+                nonzero += not f.is_zero()
+    assert nonzero >= 20
+
+
 # checks whose every bracket is a composition or a signed permutation of
 # table entries; symbrace_eval, behind ex33, thm2 and linfty, still
-# evaluates point by point
+# evaluates point by point on sorted words
 TABLE_LEVEL_CHECKS = ("brace-axiom", "thm1", "lemma41", "lemma51", "ainfty")
 
 
