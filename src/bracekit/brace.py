@@ -21,7 +21,9 @@ Viewed as algebra elements, maps are graded by brace parity
 (p + k + 1 mod 2); the Koszul signs in the nesting identity and in the
 symmetrization below are taken over those parities.  symmetrize_brace is
 the one eps-signed sum of braces over orderings of the inserted maps; the
-two-stage symmetrization of Lemma 5.1 is checked against it.
+two-stage symmetrization of Lemma 5.1, built from the same staged
+rearrangements as Lemma 4.1 (graded.staged_rearrangements), is checked
+against it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ import itertools
 from typing import Sequence
 
 from .errors import InputError
-from .graded import enumerate_permutations, insertion_patterns, koszul_sign
+from .graded import (
+    enumerate_permutations,
+    insertion_patterns,
+    koszul_sign,
+    staged_rearrangements,
+)
 from .multimap import MultiMap, add_into, compose_into
 
 
@@ -65,7 +72,7 @@ def brace_eval(
     """Insert the maps gs into f, summing all patterns with beta signs.
 
     Each pattern's term is one sparse composition of tables (compose_into),
-    differential-tested against the point-by-point tensor_block_eval.
+    differential-tested against point-by-point evaluation.
     The result has arity sum(a_i) + N - n and degree p + sum(q_i).
     With no gs the brace is f itself.
     """
@@ -185,52 +192,15 @@ def brace_axiom_check(
     return lhs == rhs
 
 
-def braced_interleave_terms(
-    f: MultiMap, ys: Sequence[MultiMap], zs: Sequence[MultiMap]
-) -> list:
-    """eps-signed head permutations and rifflings at the brace level.
-
-    Returns (sign, argument maps) pairs: for each permutation of the y's
-    and each insertion pattern of the z's into the gaps, the sign is the
-    Koszul sign of the permutation times (-1)^{sum |y| * (z's placed
-    earlier)}, all in brace parities.  Feeding each term to f's brace and
-    summing yields the partially symmetrized brace.
-    """
-    ys = tuple(ys)
-    zs = tuple(zs)
-    n, m = len(ys), len(zs)
-    by = [g.brace_parity for g in ys]
-    bz = [g.brace_parity for g in zs]
-    terms = []
-    for sigma in enumerate_permutations(n):
-        base = koszul_sign(sigma, by)
-        ys_s = sigma.apply(ys)
-        by_s = sigma.apply(by)
-        for pattern in insertion_patterns(m, n + 1):
-            k = pattern.slots
-            eta = 0
-            seq = list(zs[: k[0]])
-            zprefix = sum(bz[: k[0]]) & 1
-            zpos = k[0]
-            for i in range(1, n + 1):
-                eta ^= by_s[i - 1] & zprefix
-                seq.append(ys_s[i - 1])
-                for idx in range(zpos, zpos + k[i]):
-                    seq.append(zs[idx])
-                    zprefix ^= bz[idx]
-                zpos += k[i]
-            terms.append((base * (-1 if eta else 1), tuple(seq)))
-    return terms
-
-
 def braced_symmetrization_sides(
     f: MultiMap, ys: Sequence[MultiMap], zs: Sequence[MultiMap]
 ):
-    """Symmetrizing in two stages versus all at once.
+    """Symmetrizing in two stages versus all at once (Lemma 5.1).
 
-    Left: permute the z's by eps, riffle them through the permuted y's
-    (braced_interleave_terms), brace f with each term.  Right: the
-    symmetrized brace of f with all n+m maps.
+    Left: brace f with every eps-signed staged rearrangement of ys + zs
+    (graded.staged_rearrangements in brace parities): the z's permuted, the
+    y's permuted, the z's riffled among the y's.  Right: the symmetrized
+    brace of f with all n+m maps.
     """
     ys = tuple(ys)
     zs = tuple(zs)
@@ -239,12 +209,8 @@ def braced_symmetrization_sides(
         raise InputError(f"cannot insert {n + m} maps into arity {f.arity}")
     direct = symmetrize_brace(f, ys + zs)
 
-    bz = [g.brace_parity for g in zs]
+    parities = [g.brace_parity for g in ys + zs]
     staged: dict = {}
-    for pi in enumerate_permutations(m):
-        zsign = koszul_sign(pi, bz)
-        zs_p = pi.apply(zs)
-        for sign, seq in braced_interleave_terms(f, ys, zs_p):
-            add_into(staged, zsign * sign, brace_eval(f, seq))
+    for sign, seq in staged_rearrangements(ys + zs, parities, n, False):
+        add_into(staged, sign, brace_eval(f, seq))
     return MultiMap(f.space, direct.arity, direct.degree, staged), direct
-

@@ -8,7 +8,8 @@ Two signs govern everything downstream.  Rearranging homogeneous objects
 ``x_1, ..., x_n`` into ``x_{s(1)}, ..., x_{s(n)}`` costs the Koszul sign
 ``eps(s)``, accumulated one adjacent swap at a time at ``(-1)^{|x||y|}``
 per swap, and the antisymmetric variant is ``chi(s) = sgn(s) * eps(s)``.
-Only degree parities enter either sign.
+Only degree parities enter either sign.  staged_rearrangements, shared by
+Lemmas 4.1 (chi) and 5.1 (eps), is the one place the riffle sign is computed.
 
 Enumerating all of S_n, or all unshuffles of n elements, grows like n!;
 both enumerators refuse n above the fixed ENUMERATION_CAP with
@@ -244,6 +245,58 @@ def insertion_patterns(total: int, parts: int) -> Iterator[InsertionPattern]:
         yield InsertionPattern(
             tuple(bounds[i + 1] - bounds[i] for i in range(parts))
         )
+
+
+def staged_rearrangements(
+    items: Sequence, parities: Sequence[int], n: int, chi: bool
+) -> Iterator[tuple]:
+    """S_{n+m} = riffles . (S_n x S_m): every rearrangement of items, staged.
+
+    The first n items are the heads y, the last m the tails z.  Yields
+    (sign, rearranged tuple) for every permutation of the z's (outermost),
+    then every permutation of the y's, then every riffle of the permuted z's
+    among the permuted y's: an insertion pattern (k_0, ..., k_n) deals the
+    z's in order, k_0 before y_1 and k_i after y_i.  Block permutations are
+    signed by chi (antisym_koszul_sign) when chi is set and by eps
+    (koszul_sign) otherwise, over the items' degree parities; the riffle by
+    (-1)^eta with
+
+        eta = sum_i |y_i| * (parities of the z's placed before y_i)
+            + sum_{i=0..n} (n - i) k_i        (this term only when chi is set)
+
+    Each rearrangement comes once, with its chi or eps sign.
+
+    >>> terms = staged_rearrangements("abc", (0, 0, 0), 1, True)
+    >>> sorted(("".join(w), s) for s, w in terms)
+    [('abc', 1), ('acb', -1), ('bac', -1), ('bca', 1), ('cab', 1), ('cba', -1)]
+    """
+    m = len(items) - n
+    if not 0 <= n <= len(items) == len(parities):
+        raise InputError(
+            f"cannot split {len(items)} items ({len(parities)} parities) at {n}"
+        )
+    sign_of = antisym_koszul_sign if chi else koszul_sign
+    hpar, tpar = parities[:n], parities[n:]
+    head_perms = [
+        (sign_of(s, hpar), s.apply(items[:n]), s.apply(hpar))
+        for s in enumerate_permutations(n)
+    ]
+    riffles = [
+        (p.slots, sum((n - i) * k for i, k in enumerate(p.slots)) if chi else 0)
+        for p in insertion_patterns(m, n + 1)
+    ]
+    for pi in enumerate_permutations(m):
+        zsign, zs, zpar = sign_of(pi, tpar), pi.apply(items[n:]), pi.apply(tpar)
+        for ysign, ys, ypar in head_perms:
+            for slots, eta in riffles:
+                pos = slots[0]
+                seq, zprefix = zs[:pos], sum(zpar[:pos])
+                for y, p, k in zip(ys, ypar, slots[1:]):
+                    eta += p * zprefix
+                    seq += (y,) + zs[pos : pos + k]
+                    zprefix += sum(zpar[pos : pos + k])
+                    pos += k
+                yield (-1 if eta & 1 else 1) * zsign * ysign, seq
 
 
 def interleave_block_permutation(

@@ -9,10 +9,11 @@ stored as a table on basis tuples.  Construction enforces homogeneity:
 every tabulated output lives in degree p + sum of the input degrees.
 
 The sign convention for evaluating a tensor product of maps on a tensor
-product of arguments is fixed here once, in tensor_block_eval: a map of
-degree q picks up (-1)^{q * d} when it moves past arguments of total
-degree d to reach its own inputs.  compose_into, the sparse composition
-the braces are built from, uses it too and is differential-tested against it.
+product of arguments is fixed here once: a map of degree q picks up
+(-1)^{q * d} when it moves past arguments of total degree d to reach its
+own inputs.  _tensor_core applies it point by point on argument vectors;
+compose_into, the sparse composition the braces are built from, applies it
+to whole tables and is differential-tested against _tensor_core.
 Signed sums of whole maps accumulate into one entry table with add_into and
 are validated once, as a MultiMap, at the end.  A chi-antisymmetric table
 is fixed by its rows on sorted words; expand_orbits writes each nonzero
@@ -29,14 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ResourceLimitError
-from .graded import (
-    ENUMERATION_CAP,
-    InsertionPattern,
-    adjacent_swap_order,
-    antisym_koszul_sign,
-    enumerate_permutations,
-    insertion_patterns,
-)
+from .graded import ENUMERATION_CAP, adjacent_swap_order, staged_rearrangements
 
 Scalar = int | Fraction
 
@@ -350,52 +344,12 @@ def _tensor_core(
     return val.scale(-1) if sign_exp else val
 
 
-def tensor_block_eval(
-    f: MultiMap,
-    gs: Sequence[MultiMap],
-    slots: InsertionPattern | Sequence[int],
-    args: Sequence[GradedVector],
-) -> GradedVector:
-    """Evaluate f after feeding blocks of args through the maps gs.
-
-    slots gives the counts of untouched arguments before, between and after
-    the n maps; f must have arity n + sum(slots).  Each g consumes the next
-    g.arity arguments as a block.  The Koszul sign moves each g past all
-    arguments standing before its block: a factor (-1)^{deg g * deg x} per
-    argument x crossed.
-    """
-    gs = tuple(gs)
-    if isinstance(slots, InsertionPattern):
-        slots = slots.slots
-    slots = tuple(int(k) for k in slots)
-    if len(slots) != len(gs) + 1:
-        raise InputError(f"expected {len(gs) + 1} slot counts, got {len(slots)}")
-    if any(k < 0 for k in slots):
-        raise InputError("slot counts must be nonnegative")
-    if f.arity != len(gs) + sum(slots):
-        raise InputError(
-            f"outer map arity {f.arity} does not match "
-            f"{len(gs)} insertions plus {sum(slots)} free slots"
-        )
-    expected = sum(g.arity for g in gs) + sum(slots)
-    if len(args) != expected:
-        raise InputError(f"expected {expected} arguments, got {len(args)}")
-    for g in gs:
-        if g.space != f.space:
-            raise InputError("all maps must share one space")
-    for a in args:
-        if not isinstance(a, GradedVector) or a.space != f.space:
-            raise InputError("arguments must be vectors in the maps' space")
-        a.degree()  # raises on non-homogeneous input
-    return _tensor_core(f, gs, slots, args)
-
-
 def compose_into(
     acc: dict, sign: int, f: MultiMap, gs: Sequence[MultiMap], slots: Sequence[int]
 ) -> None:
     """Add sign * f o (1^{k_0} (x) g_1 (x) ... (x) g_n (x) 1^{k_n}) to the
     entry table acc, joining each g's entries, indexed by output, to f's
-    entries on the slot g fills.  The Koszul sign is tensor_block_eval's; a
+    entries on the slot g fills.  The Koszul sign is _tensor_core's; a
     block's degree parity is its g's output parity plus |g|, so the sign
     depends on f's entry alone.
     """
@@ -520,99 +474,19 @@ def is_antisymmetric(f: MultiMap) -> bool:
     return True
 
 
-def tail_permutation_terms(
-    word: Sequence[int], parities: Sequence[int], m: int
-) -> list:
-    """chi-signed permutations of the last m letters of a word of basis
-    indices, each letter i graded by parities[i].
-
-    Returns a list of (sign, rearranged word) pairs, one per element of S_m.
-    """
-    word = tuple(word)
-    n = len(word) - m
-    if not 0 <= m <= len(word):
-        raise InputError(f"cannot permute the last {m} of {len(word)} letters")
-    tail = word[n:]
-    degs = [parities[i] for i in tail]
-    return [
-        (antisym_koszul_sign(p, degs), word[:n] + p.apply(tail))
-        for p in enumerate_permutations(m)
-    ]
-
-
-def head_permutation_terms(
-    word: Sequence[int], parities: Sequence[int], n: int
-) -> list:
-    """chi-signed permutations of the first n letters of a word."""
-    word = tuple(word)
-    if not 0 <= n <= len(word):
-        raise InputError(f"cannot permute the first {n} of {len(word)} letters")
-    head = word[:n]
-    degs = [parities[i] for i in head]
-    return [
-        (antisym_koszul_sign(p, degs), p.apply(head) + word[n:])
-        for p in enumerate_permutations(n)
-    ]
-
-
-def interleave_terms(
-    word: Sequence[int], parities: Sequence[int], n: int, m: int
-) -> list:
-    """Signed ways of riffling the last m letters of a word among the first n.
-
-    The first n letters keep their order; for every insertion pattern
-    (k_0, ..., k_n) the trailing m letters are dealt, in order, into the
-    gaps.  The sign on a pattern is (-1)^eta with
-
-        eta = sum_i |y_i| * (degrees of z's placed before y_i)
-            + sum_{i=0..n} (n - i) k_i
-
-    where y are the leading and z the trailing letters.
-    """
-    word = tuple(word)
-    if n < 0 or m < 0 or n + m != len(word):
-        raise InputError(f"split {n}+{m} does not match {len(word)} letters")
-    heads = word[:n]
-    tails = word[n:]
-    hpar = [parities[i] for i in heads]
-    tpar = [parities[i] for i in tails]
-    terms = []
-    for pattern in insertion_patterns(m, n + 1):
-        k = pattern.slots
-        eta = 0
-        for i in range(n + 1):
-            eta += (n - i) * k[i]
-        seq = list(tails[: k[0]])
-        zprefix = sum(tpar[: k[0]]) & 1
-        zpos = k[0]
-        for i in range(1, n + 1):
-            eta += hpar[i - 1] * zprefix
-            seq.append(heads[i - 1])
-            for z_idx in range(zpos, zpos + k[i]):
-                seq.append(tails[z_idx])
-                zprefix ^= tpar[z_idx]
-            zpos += k[i]
-        terms.append((-1 if eta & 1 else 1, tuple(seq)))
-    return terms
-
-
 def _decomposition_first_defect(f: MultiMap):
-    """First (split, tuple) where riffled permutation sums disagree with
-    direct antisymmetrization, or None.  Each term is a row of f's table."""
+    """First (split, tuple) where the chi-signed staged rearrangements of
+    the tuple (Lemma 4.1) disagree with direct antisymmetrization, or None.
+    Each term is a row of f's table."""
     k = f.arity
     asf = antisymmetrize(f)
     par = f.space.parities
     for n in range(k + 1):
-        m = k - n
         for t in f.space.tuples(k):
             total: dict = {}
-            for s1, w1 in tail_permutation_terms(t, par, m):
-                for s2, w2 in head_permutation_terms(w1, par, n):
-                    for s3, w3 in interleave_terms(w2, par, n, m):
-                        sign = s1 * s2 * s3
-                        for j, c in f.entries.get(w3, {}).items():
-                            total[j] = total.get(j, 0) + sign * c
+            for sign, w in staged_rearrangements(t, [par[i] for i in t], n, True):
+                for j, c in f.entries.get(w, {}).items():
+                    total[j] = total.get(j, 0) + sign * c
             if {j: c for j, c in total.items() if c} != asf.entries.get(t, {}):
-                return {"split": (n, m), "inputs": t}
+                return {"split": (n, k - n), "inputs": t}
     return None
-

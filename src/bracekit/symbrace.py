@@ -18,7 +18,7 @@ Two brackets satisfy the symmetric-brace axiom here:
     sum of plain braces f{g_sigma} over all orderings of the inserted maps,
     defined for any maps.
 
-antisymmetrized_brace_check verifies the bridge: antisymmetrizing the
+antisymmetrized_brace_sides states the bridge: antisymmetrizing the
 symmetrized brace of f equals the unshuffle bracket of the
 antisymmetrizations.
 """
@@ -197,8 +197,3 @@ def antisymmetrized_brace_sides(f: MultiMap, gs: Sequence[MultiMap]):
         raise InputError(f"cannot insert {n} maps into arity {f.arity}")
     rhs = symbrace_eval(antisymmetrize(f), [antisymmetrize(g) for g in gs])
     return antisymmetrize(symmetrize_brace(f, gs)), rhs
-
-
-def antisymmetrized_brace_check(f: MultiMap, gs: Sequence[MultiMap]) -> bool:
-    lhs, rhs = antisymmetrized_brace_sides(f, gs)
-    return lhs == rhs

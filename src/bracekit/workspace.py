@@ -41,6 +41,8 @@ def parse_coeff(text) -> Scalar:
         value = Fraction(text)
     except ZeroDivisionError:
         raise WorkspaceError(f"bad coefficient {text!r} (zero denominator)") from None
+    except ValueError as exc:  # more digits than int() will convert
+        raise WorkspaceError(f"bad coefficient: {exc}") from None
     return int(value) if value.denominator == 1 else value
 
 
@@ -152,7 +154,9 @@ class Workspace:
     def loads(cls, text: str) -> "Workspace":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # besides JSONDecodeError: an integer with more digits than int()
+            # will convert, or nesting deeper than the parser can follow
             raise WorkspaceError(f"invalid JSON: {exc}") from None
         return cls.from_obj(obj)
 
@@ -160,7 +164,7 @@ class Workspace:
     def load(cls, path) -> "Workspace":
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise WorkspaceError(f"cannot read {path}: {exc}") from None
         try:
             return cls.loads(text)
@@ -186,7 +190,10 @@ class Workspace:
         return json.dumps(self.to_obj(), indent=2) + "\n"
 
     def save(self, path) -> None:
-        Path(path).write_text(self.canonical_text(), encoding="utf-8")
+        try:
+            Path(path).write_text(self.canonical_text(), encoding="utf-8")
+        except OSError as exc:
+            raise WorkspaceError(f"cannot write {path}: {exc}") from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Workspace):

@@ -3,17 +3,20 @@ reference evaluators, and the environment of a CLI subprocess."""
 
 import os
 from pathlib import Path
+from typing import Sequence
 
 import bracekit
 from bracekit.brace import beta_parity
+from bracekit.errors import InputError
 from bracekit.graded import (
+    InsertionPattern,
     UnshuffleSpec,
     antisym_koszul_sign,
     enumerate_permutations,
     enumerate_unshuffles,
     insertion_patterns,
 )
-from bracekit.multimap import MultiMap, _tensor_core, antisymmetrize, tensor_block_eval
+from bracekit.multimap import GradedVector, MultiMap, _tensor_core, antisymmetrize
 from bracekit.symbrace import delta_parity
 
 
@@ -42,6 +45,46 @@ def random_map(rng, space, arity, density=0.6):
 
 def random_antisym_map(rng, space, arity, density=0.6):
     return antisymmetrize(random_map(rng, space, arity, density))
+
+
+def tensor_block_eval(
+    f: MultiMap,
+    gs: Sequence[MultiMap],
+    slots: InsertionPattern | Sequence[int],
+    args: Sequence[GradedVector],
+) -> GradedVector:
+    """Evaluate f after feeding blocks of args through the maps gs.
+
+    slots gives the counts of untouched arguments before, between and after
+    the n maps; f must have arity n + sum(slots).  Each g consumes the next
+    g.arity arguments as a block.  The Koszul sign moves each g past all
+    arguments standing before its block: a factor (-1)^{deg g * deg x} per
+    argument x crossed.  The reference for multimap.compose_into.
+    """
+    gs = tuple(gs)
+    if isinstance(slots, InsertionPattern):
+        slots = slots.slots
+    slots = tuple(int(k) for k in slots)
+    if len(slots) != len(gs) + 1:
+        raise InputError(f"expected {len(gs) + 1} slot counts, got {len(slots)}")
+    if any(k < 0 for k in slots):
+        raise InputError("slot counts must be nonnegative")
+    if f.arity != len(gs) + sum(slots):
+        raise InputError(
+            f"outer map arity {f.arity} does not match "
+            f"{len(gs)} insertions plus {sum(slots)} free slots"
+        )
+    expected = sum(g.arity for g in gs) + sum(slots)
+    if len(args) != expected:
+        raise InputError(f"expected {expected} arguments, got {len(args)}")
+    for g in gs:
+        if g.space != f.space:
+            raise InputError("all maps must share one space")
+    for a in args:
+        if not isinstance(a, GradedVector) or a.space != f.space:
+            raise InputError("arguments must be vectors in the maps' space")
+        a.degree()  # raises on non-homogeneous input
+    return _tensor_core(f, gs, slots, args)
 
 
 def pointwise_compose(f, gs, slots):

@@ -7,10 +7,10 @@ from bracekit.brace import (
     brace_axiom_check,
     brace_axiom_sides,
     brace_eval,
-    braced_interleave_terms,
     braced_symmetrization_sides,
 )
 from bracekit.errors import InputError
+from bracekit.graded import staged_rearrangements
 from bracekit.multimap import GradedSpace, MultiMap
 from helpers import random_map
 
@@ -154,8 +154,9 @@ class TestBracedSymmetrization:
         f = random_map(rng, MIXED, 4)
         ys = [random_map(rng, MIXED, 1) for _ in range(2)]
         zs = [random_map(rng, MIXED, 1) for _ in range(2)]
-        # 2! head perms times C(2+2,2) rifflings
-        assert len(braced_interleave_terms(f, ys, zs)) == 12
+        # 2! tail perms times 2! head perms times C(2+2,2) rifflings
+        parities = [g.brace_parity for g in ys + zs]
+        assert len(list(staged_rearrangements(ys + zs, parities, 2, False))) == 24
 
     def test_no_tail_maps(self):
         rng = random.Random(10)
@@ -185,6 +186,18 @@ class TestBracedSymmetrization:
             zs = [random_map(rng, space, rng.randint(1, 2)) for _ in range(m)]
             staged, direct = braced_symmetrization_sides(f, ys, zs)
             assert staged == direct
+
+    def test_riffle_sign_on_odd_pair(self):
+        # y and z are unary of degree 1, so both have odd brace parity: the
+        # riffle placing z before y costs (-1)^{|y||z|} = -1, and dropping
+        # that sign leaves an uncancelled staged side
+        space = GradedSpace([("u", 0), ("v", 1)])
+        y = MultiMap(space, 1, 1, {(0,): {1: 1}})
+        z = MultiMap(space, 1, 1, {(0,): {1: 2}})
+        f = MultiMap(space, 2, -2, {(1, 1): {0: 1}})
+        staged, direct = braced_symmetrization_sides(f, [y], [z])
+        assert staged == direct
+        assert brace_eval(f, [y, z]) + brace_eval(f, [z, y]) != direct
 
     def test_shape_precondition(self):
         f = const_map(POINT, 1)

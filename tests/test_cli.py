@@ -319,6 +319,38 @@ class TestFmtVerb:
         result = run_cli("fmt", "--workspace", str(path), cwd=tmp_path)
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe{}",
+            b"[" * 100_000 + b"]" * 100_000,
+            json.dumps(WS).replace('"degree": 0', '"degree": ' + "1" * 5000, 1).encode(),
+            json.dumps(WS).replace('"coeff": "1"', '"coeff": "' + "1" * 5000 + '"', 1).encode(),
+        ],
+        ids=["not-utf8", "nested-100000-deep", "5000-digit-degree", "5000-digit-coeff"],
+    )
+    def test_fmt_rejects_unreadable_content(self, tmp_path, content):
+        path = tmp_path / "ws.json"
+        path.write_bytes(content)
+        result = run_cli("fmt", "--workspace", str(path), cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+        assert path.read_bytes() == content
+
+
+@pytest.mark.parametrize("verb", ["fmt", "antisymmetrize"])
+def test_unwritable_out_is_input_error(tmp_path, ws_path, verb):
+    out = tmp_path / "missing" / "x.json"
+    extra = ("--map", "mu") if verb == "antisymmetrize" else ()
+    result = run_cli(
+        verb, "--workspace", str(ws_path), *extra, "--out", str(out), cwd=tmp_path
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: cannot write {out}")
+    assert "Traceback" not in result.stderr
+
 
 def test_main_is_importable_and_returns_int(tmp_path, capsys):
     from bracekit.cli import main

@@ -5,20 +5,21 @@ import random
 import pytest
 
 from bracekit.errors import InputError, ResourceLimitError
-from bracekit.graded import antisym_koszul_sign, enumerate_permutations
+from bracekit.graded import (
+    antisym_koszul_sign,
+    enumerate_permutations,
+    koszul_sign,
+    staged_rearrangements,
+)
 from bracekit.multimap import (
     GradedSpace,
     GradedVector,
     MultiMap,
     _decomposition_first_defect,
     antisymmetrize,
-    head_permutation_terms,
-    interleave_terms,
     is_antisymmetric,
-    tail_permutation_terms,
-    tensor_block_eval,
 )
-from helpers import random_map
+from helpers import random_map, tensor_block_eval
 
 
 MIXED = GradedSpace([("a", 0), ("b", 1)])
@@ -241,45 +242,68 @@ class TestPermutationTerms:
     # words of basis indices; letter i has degree parity PAR[i]
     PAR = MIXED.parities
 
+    def terms(self, word, n, chi=True):
+        return list(staged_rearrangements(word, [self.PAR[i] for i in word], n, chi))
+
     def test_tail_terms_trivial(self):
-        assert tail_permutation_terms((0, 1), self.PAR, 0) == [(1, (0, 1))]
+        assert self.terms((), 0) == [(1, ())]
+        assert self.terms((0,), 0) == [(1, (0,))]
 
     def test_tail_terms_swap(self):
-        terms = tail_permutation_terms((1, 1), self.PAR, 2)
+        terms = self.terms((1, 1), 0)
         signs = sorted(s for s, _ in terms)
         assert signs == [1, 1]  # odd pair: chi(swap) = +1
 
     def test_head_terms_swap_evens(self):
-        terms = head_permutation_terms((0, 0), self.PAR, 2)
+        terms = self.terms((0, 0), 2)
         assert sorted(s for s, _ in terms) == [-1, 1]
 
     def test_head_terms_keep_tail(self):
-        terms = head_permutation_terms((0, 1, 1), self.PAR, 2)
-        assert [w for _, w in terms] == [(0, 1, 1), (1, 0, 1)]
+        terms = self.terms((0, 1), 2)
+        assert [w for _, w in terms] == [(0, 1), (1, 0)]
 
     def test_interleave_counts(self):
+        # m! * n! * C(n + m, m) terms: 4! for every split of four letters
         word = (0, 0, 0, 0)
-        assert len(interleave_terms(word, self.PAR, 2, 2)) == 6
-        assert len(interleave_terms(word, self.PAR, 4, 0)) == 1
-        assert len(interleave_terms(word, self.PAR, 0, 4)) == 1
+        assert len(self.terms(word, 2)) == 24
+        assert len(self.terms(word, 4)) == 24
+        assert len(self.terms(word, 0)) == 24
 
     def test_interleave_single_even_pair(self):
         # one head y = letter 0, one tail z = letter 1, both even:
         # patterns (0,1) and (1,0)
-        terms = {w: s for s, w in interleave_terms((0, 1), (0, 0), 1, 1)}
+        terms = {w: s for s, w in staged_rearrangements((0, 1), (0, 0), 1, True)}
         assert terms == {(0, 1): 1, (1, 0): -1}
 
     def test_interleave_single_odd_pair(self):
-        terms = {w: s for s, w in interleave_terms((0, 1), (1, 1), 1, 1)}
+        terms = {w: s for s, w in staged_rearrangements((0, 1), (1, 1), 1, True)}
         assert terms == {(0, 1): 1, (1, 0): 1}  # -(-1)^{|y||z|} = +1
+
+    def test_eps_single_odd_pair(self):
+        # without the sgn factor the odd pair's swap costs (-1)^{|y||z|}
+        terms = {w: s for s, w in staged_rearrangements("yz", (1, 1), 1, False)}
+        assert terms == {("y", "z"): 1, ("z", "y"): -1}
+
+    def test_each_rearrangement_once_with_its_sign(self):
+        rng = random.Random(4)
+        for size in range(5):
+            parities = [rng.randint(0, 1) for _ in range(size)]
+            for chi, sign_fn in ((True, antisym_koszul_sign), (False, koszul_sign)):
+                expected = sorted(
+                    (p.images, sign_fn(p, parities))
+                    for p in enumerate_permutations(size)
+                )
+                for n in range(size + 1):
+                    got = staged_rearrangements(range(1, size + 1), parities, n, chi)
+                    assert sorted((w, s) for s, w in got) == expected
 
     def test_bad_splits(self):
         with pytest.raises(InputError):
-            tail_permutation_terms((0, 1), self.PAR, 3)
+            self.terms((0, 1), 3)
         with pytest.raises(InputError):
-            head_permutation_terms((0, 1), self.PAR, -1)
+            self.terms((0, 1), -1)
         with pytest.raises(InputError):
-            interleave_terms((0, 1), self.PAR, 1, 2)
+            list(staged_rearrangements((0, 1), (0,), 1, True))
 
 
 class TestDecomposition:
