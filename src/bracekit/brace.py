@@ -13,9 +13,9 @@ with beta depending only on the shape data:
          + sum_{j < i} q_i a_j
 
 where N is f's arity and a_i, q_i are the arities and degrees of the g's.
-The j = 0 term of the first sum is a convention choice; the keyword
-include_leading_slot_term exists so its effect on the nesting identity can
-be demonstrated, not because both conventions are supported downstream.
+This is the one sign the library computes; mutants that drop one of its
+terms (the j = 0 slot term among them) live in the tests, which show that
+the nesting identity fails under each.
 
 Viewed as algebra elements, maps are graded by brace parity
 (p + k + 1 mod 2); the Koszul signs in the nesting identity and in the
@@ -46,15 +46,13 @@ def beta_parity(
     a: Sequence[int],
     q: Sequence[int],
     k: Sequence[int],
-    include_leading_slot_term: bool = True,
 ) -> int:
     """Parity of the brace sign on one insertion pattern: f's arity N, the
     inserted maps' arities a and degrees q, and the free slot counts k."""
     n = len(a)
     total = 0
     for i in range(1, n + 1):
-        lo = 0 if include_leading_slot_term else 1
-        for j in range(lo, i):
+        for j in range(i):
             aj = a[j - 1] if j >= 1 else 0
             total += (a[i - 1] - 1) * (k[j] + aj)
     for i in range(1, n + 1):
@@ -64,11 +62,7 @@ def beta_parity(
     return total & 1
 
 
-def brace_eval(
-    f: MultiMap,
-    gs: Sequence[MultiMap],
-    include_leading_slot_term: bool = True,
-) -> MultiMap:
+def brace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     """Insert the maps gs into f, summing all patterns with beta signs.
 
     Each pattern's term is one sparse composition of tables (compose_into),
@@ -91,7 +85,7 @@ def brace_eval(
     entries: dict = {}
     for pattern in insertion_patterns(N - n, n + 1):
         slots = pattern.slots
-        parity = beta_parity(N, arities, degrees, slots, include_leading_slot_term)
+        parity = beta_parity(N, arities, degrees, slots)
         compose_into(entries, -1 if parity else 1, f, gs, slots)
     return MultiMap(f.space, sum(arities) + N - n, f.degree + sum(degrees), entries)
 
@@ -114,13 +108,13 @@ def symmetrize_brace(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     return MultiMap(f.space, out_arity, f.degree + sum(g.degree for g in gs), entries)
 
 
-def _bracket_or_zero(bracket, f: MultiMap, args: Sequence[MultiMap], *options):
+def _bracket_or_zero(bracket, f: MultiMap, args: Sequence[MultiMap]):
     """Apply a bracket; arity overflow leaves no insertion pattern, so the
     term is the zero map of the signature the shapes dictate, which keeps
     sums over nestings well typed."""
     args = tuple(args)
     if len(args) <= f.arity:
-        return bracket(f, args, *options)
+        return bracket(f, args)
     out_arity = sum(m.arity for m in args) + f.arity - len(args)
     out_degree = f.degree + sum(m.degree for m in args)
     return MultiMap.zero(f.space, out_arity, out_degree)
@@ -133,12 +127,7 @@ def _nestings(n: int, r: int):
         yield tuple((seq[2 * t], seq[2 * t + 1]) for t in range(n))
 
 
-def brace_axiom_sides(
-    x: MultiMap,
-    xs: Sequence[MultiMap],
-    ys: Sequence[MultiMap],
-    include_leading_slot_term: bool = True,
-):
+def brace_axiom_sides(x: MultiMap, xs: Sequence[MultiMap], ys: Sequence[MultiMap]):
     """Both sides of the nesting identity for x{x_1..x_n}{y_1..y_r}.
 
     The right side redistributes the y's: each x_t swallows a consecutive
@@ -151,12 +140,12 @@ def brace_axiom_sides(
     n, r = len(xs), len(ys)
     if n > x.arity:
         raise InputError(f"cannot insert {n} maps into arity {x.arity}")
-    inner = brace_eval(x, xs, include_leading_slot_term)
+    inner = brace_eval(x, xs)
     if r > inner.arity:
         raise InputError(
             f"cannot insert {r} maps into the arity-{inner.arity} first brace"
         )
-    lhs = brace_eval(inner, ys, include_leading_slot_term)
+    lhs = brace_eval(inner, ys)
 
     bx = [m.brace_parity for m in xs]
     by = [m.brace_parity for m in ys]
@@ -171,24 +160,19 @@ def brace_axiom_sides(
         prev = 0
         for t, (i, j) in enumerate(pairs):
             outer_args.extend(ys[prev:i])
-            outer_args.append(
-                _bracket_or_zero(brace_eval, xs[t], ys[i:j], include_leading_slot_term)
-            )
+            outer_args.append(_bracket_or_zero(brace_eval, xs[t], ys[i:j]))
             sign ^= bx[t] & by_prefix[i]
             prev = j
         outer_args.extend(ys[prev:])
-        term = _bracket_or_zero(brace_eval, x, outer_args, include_leading_slot_term)
+        term = _bracket_or_zero(brace_eval, x, outer_args)
         add_into(rhs, -1 if sign else 1, term)
     return lhs, MultiMap(x.space, lhs.arity, lhs.degree, rhs)
 
 
 def brace_axiom_check(
-    x: MultiMap,
-    xs: Sequence[MultiMap],
-    ys: Sequence[MultiMap],
-    include_leading_slot_term: bool = True,
+    x: MultiMap, xs: Sequence[MultiMap], ys: Sequence[MultiMap]
 ) -> bool:
-    lhs, rhs = brace_axiom_sides(x, xs, ys, include_leading_slot_term)
+    lhs, rhs = brace_axiom_sides(x, xs, ys)
     return lhs == rhs
 
 

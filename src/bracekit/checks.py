@@ -322,10 +322,9 @@ def _sample_lemma41(rng, caps, dim):
     return rng.randint(1, min(4, caps.max_arity + 1)), []
 
 
-def _map_check(name, roles, sample, verdict, make=None, fixed=None, switch=None):
+def _map_check(name, roles, sample, verdict, make=None, fixed=None):
     """A check on workspace maps.  ``make(rng, space, arity)`` draws one map
-    (random_map by default); ``switch`` is an optional
-    ``(flag, verifier keyword the flag sets to False, help)``."""
+    (random_map by default)."""
     fixed = fixed or {}
     head = roles[0][0]
     lists = [key for key, _, _ in roles[1:]]
@@ -344,19 +343,13 @@ def _map_check(name, roles, sample, verdict, make=None, fixed=None, switch=None)
         parser.add_argument(f"--{head}", required=True, help=roles[0][2])
         for key, _, text in roles[1:]:
             parser.add_argument(f"--{key}", default="", help=text)
-        if switch:
-            flag, keyword, text = switch
-            parser.add_argument(flag, dest=keyword, action="store_false", help=text)
 
     def from_cli(ws: Workspace, ns) -> CheckInstance:
         names = {head: getattr(ns, head)}
         names.update((key, _csv(getattr(ns, key))) for key in lists)
         maps = {head: ws.get_map(names[head])}
         maps.update((key, [ws.get_map(nm) for nm in names[key]]) for key in lists)
-        options = dict(fixed)
-        if switch and not getattr(ns, switch[1]):
-            options[switch[1]] = False
-        return _map_instance(roles, maps, names, options)
+        return _map_instance(roles, maps, names, fixed)
 
     return Check(
         name, gen, lambda inst: verdict(name, inst), add_cli_args, from_cli, True
@@ -510,11 +503,6 @@ CHECKS: dict = {
             (("x", "N", _OUTER), ("xs", "n", _FIRST), ("ys", "r", _SECOND)),
             _staged(2, _point_cost),
             _sides(lambda **kw: brace_axiom_sides(**kw)),
-            switch=(
-                "--no-leading-slot-term",
-                "include_leading_slot_term",
-                "flip the sign convention for the slots before the first insertion",
-            ),
         ),
         _map_check(
             "symbrace-axiom-ex33",

@@ -60,9 +60,6 @@ class SplitMix64:
             j = self.next_u64() % (i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def spawn(self) -> "SplitMix64":
-        return SplitMix64(self.next_u64())
-
 
 @dataclass(frozen=True)
 class FuzzCaps:

@@ -7,14 +7,18 @@ The antisymmetric flavor requires the same with the unshuffle bracket
 m_i<m_j> and antisymmetric components.
 
 Checks are truncations: arities above max_arity are not inspected, so a
-pass certifies the relations only up to that arity.
+pass certifies the relations only up to that arity.  A max_arity above
+both graded.ENUMERATION_CAP and 2k - 1, for k the family's top component
+arity, is refused before any bracket is evaluated: no relation above 2k - 1
+has a term, and the work of a check grows with the square of max_arity.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
+from .graded import ENUMERATION_CAP
 from .multimap import (
     GradedSpace,
     MultiMap,
@@ -77,6 +81,9 @@ class StructureFamily:
 def _relation_defects(fam: StructureFamily, max_arity: int, bracket) -> dict:
     if max_arity < 1:
         raise InputError("max_arity must be at least 1")
+    cap = max(ENUMERATION_CAP, 2 * fam.max_component_arity - 1)
+    if max_arity > cap:
+        raise ResourceLimitError(f"max_arity {max_arity} exceeds cap {cap}")
     defects = {}
     for r in range(1, max_arity + 1):
         total: dict = {}
@@ -121,18 +128,3 @@ def antisymmetrize_structure(fam: StructureFamily) -> StructureFamily:
         [antisymmetrize(m) for m in fam.components],
         L_INFINITY,
     )
-
-
-def antisymmetrized_structure_check(fam: StructureFamily, max_arity: int) -> bool:
-    """Does antisymmetrizing a valid associative-flavor family yield a
-    valid antisymmetric-flavor family, up to max_arity?
-
-    Feeding this an invalid family is an input error: the claim being
-    checked presupposes the source relations hold.
-    """
-    if not a_infinity_check(fam, max_arity):
-        raise InputError(
-            "the source family fails its own defining relations; "
-            "antisymmetrization has nothing to preserve"
-        )
-    return l_infinity_check(antisymmetrize_structure(fam), max_arity)

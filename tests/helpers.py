@@ -1,5 +1,6 @@
 """Shared test helpers: small homogeneous random tables, point-by-point
-reference evaluators, and the environment of a CLI subprocess."""
+reference evaluators, wrong brace signs, and the environment of a CLI
+subprocess."""
 
 import os
 from pathlib import Path
@@ -100,7 +101,7 @@ def pointwise_compose(f, gs, slots):
     return MultiMap(space, out_arity, f.degree + sum(g.degree for g in gs), entries)
 
 
-def pointwise_brace(f, gs, include_leading_slot_term=True):
+def pointwise_brace(f, gs):
     """The brace f{gs} as the beta-signed sum of pointwise_compose over the
     insertion patterns: the reference for brace_eval."""
     gs = tuple(gs)
@@ -111,10 +112,32 @@ def pointwise_brace(f, gs, include_leading_slot_term=True):
     degrees = tuple(g.degree for g in gs)
     total = MultiMap.zero(f.space, sum(arities) + N - n, f.degree + sum(degrees))
     for pattern in insertion_patterns(N - n, n + 1):
-        parity = beta_parity(N, arities, degrees, pattern.slots, include_leading_slot_term)
+        parity = beta_parity(N, arities, degrees, pattern.slots)
         sign = -1 if parity else 1
         total = total + pointwise_compose(f, gs, pattern.slots).scale(sign)
     return total
+
+
+# Sign mutants: beta with one of its terms dropped, for monkeypatching
+# over bracekit.brace.beta_parity.  Each wraps the beta_parity imported
+# above, so it keeps working while the module global is patched.
+
+
+def beta_without_leading_slot_term(N, a, q, k):
+    """beta without its j = 0 slot term sum_i (a_i - 1) k_0."""
+    return beta_parity(N, a, q, k) ^ ((k[0] * sum(x - 1 for x in a)) & 1)
+
+
+def beta_without_degree_shift_term(N, a, q, k):
+    """beta without sum_i (N - i) q_i."""
+    dropped = sum((N - i) * qi for i, qi in enumerate(q, 1))
+    return beta_parity(N, a, q, k) ^ (dropped & 1)
+
+
+def beta_without_crossing_term(N, a, q, k):
+    """beta without sum_{j < i} q_i a_j."""
+    dropped = sum(qi * sum(a[:i]) for i, qi in enumerate(q))
+    return beta_parity(N, a, q, k) ^ (dropped & 1)
 
 
 def pointwise_antisymmetrize(f):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bracekit import brace
 from bracekit.brace import (
     beta_parity,
     brace_axiom_check,
@@ -9,10 +10,17 @@ from bracekit.brace import (
     brace_eval,
     braced_symmetrization_sides,
 )
+from bracekit.checks import fuzz_outcomes
 from bracekit.errors import InputError
+from bracekit.fuzz import FuzzCaps
 from bracekit.graded import staged_rearrangements
 from bracekit.multimap import GradedSpace, MultiMap
-from helpers import random_map
+from helpers import (
+    beta_without_crossing_term,
+    beta_without_degree_shift_term,
+    beta_without_leading_slot_term,
+    random_map,
+)
 
 POINT = GradedSpace([("e", 0)])
 PLANE = GradedSpace([("a", 0), ("b", 0)])
@@ -42,10 +50,11 @@ class TestBetaParity:
         for slots in [(0, 0, 2), (1, 0, 1), (2, 0, 0), (0, 1, 1)]:
             assert beta_parity(4, (1, 1), (0, 0), slots) == 0
 
-    def test_leading_slot_term_flip(self):
+    def test_leading_slot_term_flip(self, monkeypatch):
         shape = (3, (2,), (0,), (1, 1))
         assert beta_parity(*shape) == 1
-        assert beta_parity(*shape, include_leading_slot_term=False) == 0
+        monkeypatch.setattr(brace, "beta_parity", beta_without_leading_slot_term)
+        assert brace.beta_parity(*shape) == 0
 
 
 class TestBraceEval:
@@ -131,13 +140,29 @@ class TestBraceAxiom:
         with pytest.raises(InputError):
             brace_axiom_check(x, [g], [g, g])
 
-    def test_leading_slot_convention_is_load_bearing(self):
+    def test_leading_slot_convention_is_load_bearing(self, monkeypatch):
         e = POINT
         x = MultiMap(e, 2, 0, {(0, 0): {0: 1}})
         g = MultiMap(e, 2, 0, {(0, 0): {0: 1}})
         h = MultiMap(e, 1, 0, {(0,): {0: 1}})
         assert brace_axiom_check(x, [g], [h])
-        assert not brace_axiom_check(x, [g], [h], include_leading_slot_term=False)
+        monkeypatch.setattr(brace, "beta_parity", beta_without_leading_slot_term)
+        assert not brace_axiom_check(x, [g], [h])
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            beta_without_leading_slot_term,
+            beta_without_degree_shift_term,
+            beta_without_crossing_term,
+        ],
+        ids=lambda m: m.__name__,
+    )
+    def test_fuzz_kills_every_beta_mutant(self, mutant, monkeypatch):
+        # seed 7 fails 13, 7 and 6 of 100 brace-axiom cases under these
+        monkeypatch.setattr(brace, "beta_parity", mutant)
+        outcomes = fuzz_outcomes(7, 100, ["brace-axiom"], FuzzCaps())
+        assert any(not outcome.passed for _, _, outcome in outcomes)
 
     def test_sides_share_signature(self):
         rng = random.Random(8)

@@ -18,6 +18,7 @@ from bracekit.errors import InputError
 from bracekit.fuzz import FuzzCaps, SplitMix64, random_map
 from bracekit.multimap import GradedSpace
 from bracekit.workspace import Workspace
+from helpers import beta_without_leading_slot_term
 
 CAPS = FuzzCaps()
 
@@ -77,11 +78,11 @@ def test_map_instances_embed_a_loadable_workspace():
     assert inst.context["args"]["x"] in ws.maps
 
 
-def test_flipped_sign_convention_fails_and_reports():
+def test_flipped_sign_convention_fails_and_reports(monkeypatch):
+    monkeypatch.setattr(brace, "beta_parity", beta_without_leading_slot_term)
     check = CHECKS["brace-axiom"]
     for seed in range(40):
         inst = check.gen(SplitMix64(seed), CAPS)
-        inst.kwargs["include_leading_slot_term"] = False
         outcome = check.run(inst)
         if not outcome.passed:
             cx = outcome.counterexample

@@ -35,14 +35,14 @@ WS = {
 }
 
 
-def run_cli(*args, cwd):
+def run_cli(*args, cwd, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "bracekit", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=cli_env(),
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -117,6 +117,25 @@ class TestCheckVerb:
         assert result.returncode == 2
         assert "associativity relations" in result.stderr
         assert result.stdout == ""
+
+    def test_max_arity_above_cap_is_refused_up_front(self, tmp_path, ws_path):
+        # the relations' work grows with max_arity squared: this one would
+        # never finish if it were started
+        result = run_cli(
+            "check", "ainfty", "--workspace", str(ws_path), "--maps", "mu",
+            "--max-arity", "1000000000", cwd=tmp_path, timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stderr.rstrip().endswith("exceeds cap 8")
+        assert result.stdout == ""
+
+    def test_brace_sign_has_no_switch(self, tmp_path, ws_path):
+        result = run_cli(
+            "check", "brace-axiom", "--workspace", str(ws_path), "--x", "mu",
+            "--xs", "mu", "--no-leading-slot-term", cwd=tmp_path,
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments: --no-leading-slot-term" in result.stderr
 
     def test_unknown_map_is_input_error(self, tmp_path, ws_path):
         result = run_cli(

@@ -67,11 +67,6 @@ class TestSplitMix64:
         rng.shuffle(items)
         assert sorted(items) == list(range(10))
 
-    def test_spawn_diverges_from_parent(self):
-        parent = SplitMix64(6)
-        child = parent.spawn()
-        assert child.next_u64() != parent.next_u64()
-
 
 class TestCaps:
     def test_defaults_are_valid(self):

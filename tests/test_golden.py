@@ -9,8 +9,9 @@ The files under tests/golden/ pin three transcripts of in-process
 * ``counterexamples.txt``: fuzz runs under wrong brace/symmetric-brace signs
   (``brace.beta_parity`` and ``symbrace.delta_parity`` monkeypatched), the
   ``check`` replay of the first counterexample of every failing check, and
-  ``check`` runs on a small workspace under the flipped leading-slot
-  convention and on a non-associative product.
+  ``check`` runs on a small workspace: brace-axiom under the test-side
+  mutant ``helpers.beta_without_leading_slot_term`` patched over
+  ``brace.beta_parity``, and ainfty and thm2 on a non-associative product.
 
 A change that alters CLI output on purpose regenerates them from the
 repository root with
@@ -27,10 +28,12 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from bracekit import brace, cli, symbrace
 from bracekit.checks import CHECK_NAMES, fuzz_outcomes
 from bracekit.fuzz import FuzzCaps
+from helpers import beta_without_leading_slot_term
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -70,8 +73,9 @@ _WORKSPACE = {
         _map("h", 1, ("a", "b")),
     ],
 }
+# runs under beta_without_leading_slot_term
+_MUTANT_RUN = ["brace-axiom", "--x", "bad", "--xs", "mu", "--ys", "h"]
 _WORKSPACE_RUNS = (
-    ["brace-axiom", "--x", "bad", "--xs", "mu", "--ys", "h", "--no-leading-slot-term"],
     ["ainfty", "--maps", "bad", "--max-arity", "3"],
     ["thm2", "--f", "bad", "--gs", "h"],
 )
@@ -140,8 +144,13 @@ def counterexample_transcript() -> str:
             with _flipped(flip):
                 parts.append(_run(_replay_argv(name, record, path)))
     Path("small.json").write_text(json.dumps(_WORKSPACE), encoding="utf-8")
-    for argv in _WORKSPACE_RUNS:
-        parts.append(_run(["check", argv[0], "--workspace", "small.json", *argv[1:]]))
+
+    def check(name, *flags):
+        return _run(["check", name, "--workspace", "small.json", *flags])
+
+    with mock.patch.object(brace, "beta_parity", beta_without_leading_slot_term):
+        parts.append(check(*_MUTANT_RUN))
+    parts += [check(*argv) for argv in _WORKSPACE_RUNS]
     return "".join(parts)
 
 

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from bracekit.errors import InputError
+from bracekit.checks import CHECKS, _family_instance
+from bracekit.errors import InputError, ResourceLimitError
 from bracekit.homotopy import (
     A_INFINITY,
     L_INFINITY,
@@ -11,7 +12,6 @@ from bracekit.homotopy import (
     a_infinity_check,
     a_infinity_defects,
     antisymmetrize_structure,
-    antisymmetrized_structure_check,
     l_infinity_check,
     l_infinity_defects,
 )
@@ -107,6 +107,23 @@ class TestAInfinity:
         with pytest.raises(InputError):
             a_infinity_check(fam, 2)
 
+    def test_max_arity_above_cap_is_refused(self):
+        fam = StructureFamily(PLANE, [AFFINE], A_INFINITY)
+        assert set(a_infinity_defects(fam, 8)) == set(range(1, 9))
+        with pytest.raises(ResourceLimitError, match="exceeds cap 8$"):
+            a_infinity_defects(fam, 9)
+
+    def test_top_component_raises_the_cap(self):
+        # m5{m5} has arity 9, above the enumeration cap: it is still checked
+        space = GradedSpace([("x", 0), ("y", 3)])
+        m5 = MultiMap(space, 5, 3, {(0,) * 5: {1: 1}})
+        fam = StructureFamily(space, [m5], A_INFINITY)
+        defects = a_infinity_defects(fam, 9)
+        assert set(defects) == set(range(1, 10))
+        assert defects[9].arity == 9 and defects[9].is_zero()
+        with pytest.raises(ResourceLimitError, match="exceeds cap 9$"):
+            a_infinity_defects(fam, 10)
+
 
 class TestLInfinity:
     def test_commutator_satisfies_jacobi(self):
@@ -151,19 +168,21 @@ class TestAntisymmetrizeStructure:
 
     def test_corollary_on_associative_algebra(self):
         fam = StructureFamily(PLANE, [AFFINE], A_INFINITY)
-        assert antisymmetrized_structure_check(fam, 3)
+        assert a_infinity_check(fam, 3)
+        assert l_infinity_check(antisymmetrize_structure(fam), 3)
 
     def test_corollary_with_differential(self):
         space = GradedSpace([("x", 0), ("y", -1)])
         d = MultiMap(space, 1, -1, {(0,): {1: 1}})
         fam = StructureFamily(space, [d], A_INFINITY)
-        assert antisymmetrized_structure_check(fam, 2)
+        assert a_infinity_check(fam, 2)
+        assert l_infinity_check(antisymmetrize_structure(fam), 2)
 
     def test_invalid_source_is_input_error(self):
         bad = product_map(PLANE, {("a", "a"): {"b": 1}, ("a", "b"): {"a": 1}})
         fam = StructureFamily(PLANE, [bad], A_INFINITY)
-        with pytest.raises(InputError):
-            antisymmetrized_structure_check(fam, 3)
+        with pytest.raises(InputError, match="associativity"):
+            CHECKS["corollary"].run(_family_instance(fam, 3))
 
     def test_random_commutative_rescalings(self):
         rng = random.Random(23)
@@ -184,4 +203,5 @@ class TestAntisymmetrizeStructure:
             mu = MultiMap(PLANE, 2, 0, entries)
             assert is_associative(mu)
             fam = StructureFamily(PLANE, [mu], A_INFINITY)
-            assert antisymmetrized_structure_check(fam, 3)
+            assert a_infinity_check(fam, 3)
+            assert l_infinity_check(antisymmetrize_structure(fam), 3)

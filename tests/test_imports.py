@@ -1,8 +1,15 @@
-"""No bracekit module imports a name it never uses.
+"""No bracekit module imports a name it never uses, and the package
+defines nothing it never uses.
 
 A name bound by an import counts as used when the module reads it as a
 bare name or as the root of an attribute chain anywhere in its code,
 annotations included.  Deliberate re-exports are listed in REEXPORTS.
+
+A module-level function or class counts as used when some module of the
+package reads its name, as a bare name or as an attribute, or when
+``__init__`` imports it as public API.  So does a method, other than a
+dunder, of a class ``__init__`` does not export.  Code only the tests call
+belongs in the tests.
 """
 
 import ast
@@ -44,3 +51,89 @@ def test_no_module_imports_an_unused_name(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     stale = [(line, name) for line, name in unused_imports(tree) if name not in allowed]
     assert not stale, f"{path.name} imports names it never uses: {stale}"
+
+
+def _reads(tree: ast.Module) -> set:
+    """Every name the module reads as a bare name or an attribute, except a
+    top-level definition's reads of its own name."""
+    names = set()
+    for stmt in tree.body:
+        found = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found.add(node.attr)
+        names |= found - {getattr(stmt, "name", None)}
+    return names
+
+
+def dead_definitions(modules: dict) -> list:
+    """Qualified names of the unused definitions among the parsed modules
+    (stem -> tree); the module "__init__" lists the exports.
+
+    Reads are matched by name alone: a method counts as used when any
+    attribute of that name is read anywhere, so a dead method named like a
+    live attribute (``get``, ``items``) goes unreported.
+    """
+    read = set().union(*map(_reads, modules.values()))
+    init = modules.get("__init__")
+    exported = {
+        alias.asname or alias.name
+        for node in (init.body if init else [])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = (*functions, ast.ClassDef)
+    dead = []
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, defs) or node.name in exported:
+                continue
+            if node.name not in read:
+                dead.append(f"{stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                dead += [
+                    f"{stem}.{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, functions)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                    and item.name not in read
+                ]
+    return sorted(dead)
+
+
+def test_finds_a_dead_definition():
+    modules = {
+        "__init__": ast.parse("from .a import Public, api"),
+        "a": ast.parse(
+            "def api(): return helper() + Box().used\n"
+            "def helper(): return 1\n"
+            "def orphan(): return orphan\n"
+            "class Box:\n"
+            "    def __init__(self): self.unread = 0\n"
+            "    used = 1\n"
+            "    def unread(self): pass\n"
+            "class Public:\n"
+            "    def api_method(self): pass\n"
+        ),
+    }
+    assert dead_definitions(modules) == ["a.Box.unread", "a.orphan"]
+    del modules["__init__"]
+    assert dead_definitions(modules) == [
+        "a.Box.unread",
+        "a.Public",
+        "a.Public.api_method",
+        "a.api",
+        "a.orphan",
+    ]
+
+
+def test_package_defines_nothing_it_never_uses():
+    modules = {
+        p.stem: ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    dead = dead_definitions(modules)
+    assert not dead, f"defined but never used in src/bracekit: {dead}"
