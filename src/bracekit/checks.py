@@ -76,7 +76,7 @@ from .workspace import Workspace, map_to_obj
 
 # dim**out_arity cap for plain brace evaluations
 _POINT_BUDGET = 800
-# out_arity! * dim**out_arity cap when outputs get antisymmetrized
+# k! * dim**k cap on antisymmetrizing arity k (lemma41: times its k + 1 splits)
 _ANTISYM_BUDGET = 250_000
 # dim**out_arity * unshuffle-count cap for symmetric brackets
 _UNSHUFFLE_BUDGET = 100_000
@@ -319,7 +319,11 @@ def _sample_lemma51(rng, caps, dim):
 
 
 def _sample_lemma41(rng, caps, dim):
-    return rng.randint(1, min(4, caps.max_arity + 1)), []
+    for _ in range(_SHAPE_TRIES):
+        k = rng.randint(1, min(4, caps.max_arity + 1))
+        if (k + 1) * math.factorial(k) * dim**k <= _ANTISYM_BUDGET:
+            return k, []
+    return 1, []
 
 
 def _map_check(name, roles, sample, verdict, make=None, fixed=None):

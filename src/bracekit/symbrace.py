@@ -10,9 +10,9 @@ Two brackets satisfy the symmetric-brace axiom here:
         delta = sum_i (N - i) q_i + sum_{j<i} q_i a_j
               + sum_{j<i} a_i a_j + sum_i (n - i) a_i.
 
-    Its output is antisymmetric, so the sum is evaluated only on sorted
-    input words and multimap.expand_orbits, antisymmetrize's orbit writer,
-    writes each nonzero one once to its orbit.
+    Its output is antisymmetric, so only terms on sorted input words that
+    can be nonzero are evaluated, and multimap.expand_orbits (antisymmetrize's
+    orbit writer) writes each nonzero one once to its orbit.
 
   * symmetrize_brace (defined in brace, re-exported here): the eps-signed
     sum of plain braces f{g_sigma} over all orderings of the inserted maps,
@@ -69,9 +69,10 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
 
     Arguments are dealt to g_1, ..., g_n and then to f's remaining inputs
     by every unshuffle, each term signed by chi of the unshuffle; the whole
-    sum is scaled by (-1)^delta.  Inputs must all be antisymmetric.  So is
-    the output: the sum runs only on sorted words without a repeated even
-    letter, and expand_orbits writes each nonzero value to its orbit.
+    sum is scaled by (-1)^delta.  Inputs must be antisymmetric, and so is
+    the output: it is summed only on sorted words without a repeated even
+    letter whose degree an output can have, over unshuffles dealing each g_i
+    one of its rows (other terms vanish); expand_orbits fills the orbits.
     """
     gs = tuple(gs)
     n = len(gs)
@@ -92,6 +93,7 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     out_degree = f.degree + sum(degrees)
     base = -1 if delta_parity(N, arities, degrees) else 1
     gammas = list(enumerate_unshuffles(UnshuffleSpec(arities + (free,))))
+    cuts = list(itertools.accumulate((0,) + arities))
     slots = (0,) * n + (free,)
 
     space = f.space
@@ -102,11 +104,15 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
         if any(a == b and not par[a] for a, b in zip(t, t[1:])):
             continue
         degs = [space.degrees[i] for i in t]
-        args = [basis[i] for i in t]
+        if out_degree + sum(degs) not in space.degrees:
+            continue
         acc: dict = {}
         for gamma in gammas:
+            dealt = gamma.apply(t)
+            if any(dealt[a:b] not in g.entries for g, a, b in zip(gs, cuts, cuts[1:])):
+                continue
             sign = antisym_koszul_sign(gamma, degs)
-            v = _tensor_core(f, gs, slots, gamma.apply(args))
+            v = _tensor_core(f, gs, slots, [basis[i] for i in dealt])
             for j, c in v.coeffs.items():
                 acc[j] = acc.get(j, 0) + sign * c
         reps[t] = {j: base * c for j, c in acc.items() if c}

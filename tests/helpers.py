@@ -1,6 +1,6 @@
 """Shared test helpers: small homogeneous random tables, point-by-point
-reference evaluators, wrong brace signs, and the environment of a CLI
-subprocess."""
+reference evaluators, wrong brace and unshuffle-bracket signs, and the
+environment of a CLI subprocess."""
 
 import os
 from pathlib import Path
@@ -138,6 +138,35 @@ def beta_without_crossing_term(N, a, q, k):
     """beta without sum_{j < i} q_i a_j."""
     dropped = sum(qi * sum(a[:i]) for i, qi in enumerate(q))
     return beta_parity(N, a, q, k) ^ (dropped & 1)
+
+
+# Sign mutants of the unshuffle bracket: delta with one of its terms
+# dropped, for monkeypatching over bracekit.symbrace.delta_parity, each
+# wrapping the delta_parity imported above.
+
+
+def delta_without_degree_shift_term(N, a, q):
+    """delta without sum_i (N - i) q_i."""
+    dropped = sum((N - i) * qi for i, qi in enumerate(q, 1))
+    return delta_parity(N, a, q) ^ (dropped & 1)
+
+
+def delta_without_crossing_term(N, a, q):
+    """delta without sum_{j < i} q_i a_j."""
+    dropped = sum(qi * sum(a[:i]) for i, qi in enumerate(q))
+    return delta_parity(N, a, q) ^ (dropped & 1)
+
+
+def delta_without_arity_pair_term(N, a, q):
+    """delta without sum_{j < i} a_i a_j."""
+    dropped = sum(ai * sum(a[:i]) for i, ai in enumerate(a))
+    return delta_parity(N, a, q) ^ (dropped & 1)
+
+
+def delta_without_arity_shift_term(N, a, q):
+    """delta without sum_i (n - i) a_i."""
+    dropped = sum((len(a) - i) * ai for i, ai in enumerate(a, 1))
+    return delta_parity(N, a, q) ^ (dropped & 1)
 
 
 def pointwise_antisymmetrize(f):

@@ -1,6 +1,7 @@
 """Check registry: generators, runners, report lines, fuzz driver."""
 
 import itertools
+import math
 
 import pytest
 
@@ -150,6 +151,24 @@ def test_instances_respect_caps():
         assert inst.kwargs["x"].arity <= 2
         outcome = CHECKS["brace-axiom"].run(inst)
         assert outcome.passed
+
+
+def test_lemma41_arity_fits_the_antisymmetrization_budget():
+    """lemma41 does (k + 1) * k! * dim**k work on an arity-k map; k is
+    redrawn over the budget, with k = 1 as the fallback.  Only the
+    instances are drawn, none is verified."""
+    budget = checks_module._ANTISYM_BUDGET
+    caps = FuzzCaps(max_dim=12)
+    drawn = set()
+    for seed in range(40):
+        params = dict(CHECKS["lemma41"].gen(SplitMix64(seed), caps).params)
+        dim, k = params["dim"], params["k"]
+        assert (k + 1) * math.factorial(k) * dim**k <= budget, (seed, dim, k)
+        drawn.add((dim >= 10, k))
+    assert {(False, 4), (True, 3)} <= drawn
+    # at dim = budget even k = 1 is over it
+    sample = checks_module._sample_lemma41
+    assert sample(SplitMix64(0), caps, budget) == (1, [])
 
 
 MAPS = (("f", 3), ("g", 1), ("h", 1))

@@ -13,8 +13,11 @@ The files under tests/golden/ pin three transcripts of in-process
   mutant ``helpers.beta_without_leading_slot_term`` patched over
   ``brace.beta_parity``, and ainfty and thm2 on a non-associative product.
 
-A change that alters CLI output on purpose regenerates them from the
-repository root with
+``FUZZ_100_MD5`` below pins the md5 of the report of
+``fuzz --seed 7 --cases 100``, as ``| md5sum`` prints it.
+
+A change that alters CLI output on purpose regenerates the files and the
+digest from the repository root with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -22,10 +25,12 @@ and says in its description why the output changed.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -36,6 +41,7 @@ from bracekit.fuzz import FuzzCaps
 from helpers import beta_without_leading_slot_term
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+FUZZ_100_MD5 = "b903f17b777743992b547cbdda739197"
 
 
 def _negated(parity):
@@ -115,6 +121,14 @@ def fuzz_transcript() -> str:
     return _run(["fuzz", "--seed", "7", "--cases", "10"])
 
 
+def fuzz_100_digest() -> str:
+    """md5 of the stdout of ``fuzz --seed 7 --cases 100``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["fuzz", "--seed", "7", "--cases", "100"])
+    return hashlib.md5(out.getvalue().encode()).hexdigest()
+
+
 def help_transcript() -> str:
     argvs = [["--help"], ["check", "--help"]]
     argvs += [["check", name, "--help"] for name in CHECK_NAMES]
@@ -180,6 +194,10 @@ def test_flipped_sign_counterexamples_are_unchanged(tmp_path, monkeypatch):
     _check("counterexamples.txt", tmp_path, monkeypatch)
 
 
+def test_fuzz_100_case_report_is_unchanged():
+    assert fuzz_100_digest() == FUZZ_100_MD5
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     GOLDEN.mkdir(exist_ok=True)
@@ -188,7 +206,13 @@ if __name__ == "__main__":
         os.chdir(scratch)
         try:
             texts = {name: make() for name, make in TRANSCRIPTS.items()}
+            digest = fuzz_100_digest()
         finally:
             os.chdir(home)
     for name, text in texts.items():
         (GOLDEN / name).write_text(text, encoding="utf-8")
+    source = Path(__file__)
+    text = source.read_text(encoding="utf-8")
+    pinned = f'FUZZ_100_MD5 = "{digest}"'
+    text = re.sub(r"^FUZZ_100_MD5 = .*$", pinned, text, count=1, flags=re.M)
+    source.write_text(text, encoding="utf-8")

@@ -2,7 +2,8 @@
 
 brace_eval sums partial compositions of tables (multimap.compose_into);
 antisymmetrize folds f's entries onto sorted words, and symbrace_eval
-evaluates only on sorted words; both write each nonzero orbit once through
+evaluates only on sorted words, and there only the terms its degree and
+block skips keep; both write each nonzero orbit once through
 multimap.expand_orbits.  All three are compared, with exact equality of
 arity, degree and every coefficient, with the reference evaluators in
 helpers, which evaluate tensor_block_eval, MultiMap.__call__ and
@@ -256,8 +257,39 @@ def _repeats(key, letters):
     return any(key.count(x) > 1 for x in key if x in letters)
 
 
+def _symbrace_terms(f, gs):
+    """symbrace_eval's exact work model on the sorted words without a
+    repeated even letter, in word-then-unshuffle order: the dealt words
+    gamma(t) it evaluates, those the degree skip drops (t's degree plus the
+    bracket's is no basis degree), and those the block skip drops (some g_i
+    is zero on the block dealt to it)."""
+    space = f.space
+    par = space.parities
+    n = len(gs)
+    out_degree = f.degree + sum(g.degree for g in gs)
+    spec = UnshuffleSpec(tuple(g.arity for g in gs) + (f.arity - n,))
+    gammas = list(enumerate_unshuffles(spec))
+    starts = [sum(g.arity for g in gs[:i]) for i in range(n)]
+    kept, no_degree, no_block = [], [], []
+    for t in space.tuples(spec.total):
+        if list(t) != sorted(t) or any(t.count(x) > 1 for x in t if not par[x]):
+            continue
+        degree_ok = out_degree + sum(space.degrees[i] for i in t) in space.degrees
+        for gamma in gammas:
+            word = gamma.apply(t)
+            blocks = [word[s : s + g.arity] for s, g in zip(starts, gs)]
+            if not degree_ok:
+                no_degree.append(word)
+            elif any(g.value(b).is_zero() for g, b in zip(gs, blocks)):
+                no_block.append(word)
+            else:
+                kept.append(word)
+    return kept, no_degree, no_block
+
+
 def test_symbrace_eval_matches_pointwise_symbrace():
     repeated_odd, cancelled, nonzero, shapes = set(), 0, 0, set()
+    lose_words, lose_terms, lose_nothing = 0, 0, 0
     for case, f, gs in _symbrace_instances():
         expected = pointwise_symbrace(f, gs)
         got = symbrace_eval(f, gs)
@@ -272,14 +304,23 @@ def test_symbrace_eval_matches_pointwise_symbrace():
         cancelled += got.is_zero() and not any(m.is_zero() for m in (f, *gs))
         nonzero += not got.is_zero()
         shapes.add((f.space.dim, len(gs)))
+        _, no_degree, no_block = _symbrace_terms(f, gs)
+        lose_words += bool(no_degree)
+        lose_terms += bool(no_block)
+        lose_nothing += not no_degree and not no_block
     assert shapes == {(dim, n) for dim in (1, 2, 3, 4) for n in (1, 2, 3)}
     # nonzero orbits through a repeated odd letter at dims 1-4, output
     # arities 2-6; zero brackets of nonzero maps; and mostly nonzero results
     assert {(1, 6), (2, 6), (3, 5), (4, 4)} <= repeated_odd and len(repeated_odd) >= 12
     assert cancelled >= 50 and nonzero >= 100
+    # both skips drop terms, and some instances keep every term
+    assert lose_words >= 150 and lose_terms >= 100 and lose_nothing >= 50
 
 
 def test_symbrace_eval_visits_each_admissible_sorted_word_once(monkeypatch):
+    """The _tensor_core calls are exactly the terms that pass the degree
+    and block skips, in word-then-unshuffle order, and every dropped term
+    is zero."""
     calls = []
 
     def record(f, gs, slots, args):
@@ -287,28 +328,34 @@ def test_symbrace_eval_visits_each_admissible_sorted_word_once(monkeypatch):
         return _tensor_core(f, gs, slots, args)
 
     monkeypatch.setattr("bracekit.symbrace._tensor_core", record)
+    dropped = 0
     for case, f, gs in _symbrace_instances():
-        if case % 8:
-            continue
         calls.clear()
-        got = symbrace_eval(f, gs)
-        par = f.space.parities
-        spec = UnshuffleSpec(tuple(g.arity for g in gs) + (f.arity - len(gs),))
-        gammas = list(enumerate_unshuffles(spec))
-        admissible = [
-            t
-            for t in f.space.tuples(got.arity)
-            if list(t) == sorted(t) and not any(t.count(x) > 1 for x in t if not par[x])
-        ]
-        assert len(calls) == len(admissible) * len(gammas), case
-        # each run of len(gammas) calls is the unshuffle sum on one sorted word
-        words = []
-        for start in range(0, len(calls), len(gammas)):
-            run = calls[start : start + len(gammas)]
-            word = tuple(sorted(run[0]))
-            assert [gamma.apply(word) for gamma in gammas] == run, case
-            words.append(word)
-        assert words == admissible, case
+        symbrace_eval(f, gs)
+        kept, no_degree, no_block = _symbrace_terms(f, gs)
+        assert calls == kept, case
+        space = f.space
+        slots = (0,) * len(gs) + (f.arity - len(gs),)
+        for word in no_degree + no_block:
+            args = [space.basis_vector(i) for i in word]
+            assert _tensor_core(f, gs, slots, args).is_zero(), (case, word)
+        dropped += len(no_degree) + len(no_block)
+    assert dropped >= 10_000
+
+
+def test_symbrace_eval_skips_every_word_of_an_unreachable_degree(monkeypatch):
+    """f<g> has degree -4 and arity 3 over basis degrees 0 and 1, so its
+    outputs would have degree -4 to -1: no term is evaluated."""
+
+    def refuse(*args):
+        raise AssertionError("_tensor_core reached")
+
+    space = GradedSpace([("x", 0), ("y", 1)])
+    f = MultiMap(space, 2, -2, {(1, 1): {0: 1}})
+    g = MultiMap(space, 2, -2, {(1, 1): {0: 1}})
+    monkeypatch.setattr("bracekit.symbrace._tensor_core", refuse)
+    got = symbrace_eval(f, [g])
+    assert (got.arity, got.degree) == (3, -4) and got.is_zero()
 
 
 def test_expand_orbits_round_trips_antisymmetric_maps():
@@ -330,8 +377,9 @@ def test_expand_orbits_round_trips_antisymmetric_maps():
 
 
 # checks whose every bracket is a composition or a signed permutation of
-# table entries; symbrace_eval, behind ex33, thm2 and linfty, still
-# evaluates point by point on sorted words
+# table entries; symbrace_eval, behind ex33, thm2 and linfty, still runs
+# _tensor_core point by point, but only on the terms that survive its
+# degree and block skips
 TABLE_LEVEL_CHECKS = ("brace-axiom", "thm1", "lemma41", "lemma51", "ainfty")
 
 

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+from bracekit import symbrace
 from bracekit.brace import brace_eval
+from bracekit.checks import fuzz_outcomes
 from bracekit.errors import InputError
+from bracekit.fuzz import FuzzCaps
 from bracekit.multimap import GradedSpace, MultiMap, is_antisymmetric
 from bracekit.symbrace import (
     FLAVOR_SYMMETRIZED,
@@ -15,7 +18,14 @@ from bracekit.symbrace import (
     symbrace_eval,
     symmetrize_brace,
 )
-from helpers import random_antisym_map, random_map
+from helpers import (
+    delta_without_arity_pair_term,
+    delta_without_arity_shift_term,
+    delta_without_crossing_term,
+    delta_without_degree_shift_term,
+    random_antisym_map,
+    random_map,
+)
 
 POINT = GradedSpace([("e", 0)])
 MIXED = GradedSpace([("a", 0), ("b", 1)])
@@ -48,6 +58,27 @@ class TestDeltaParity:
     def test_degree_shift(self):
         # N = 2, one unary insert of odd degree: (N-1) q_1 = 1
         assert delta_parity(2, (1,), (1,)) == 1
+
+    @pytest.mark.parametrize("check", ["symbrace-axiom-ex33", "thm2"])
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            None,
+            delta_without_degree_shift_term,
+            delta_without_crossing_term,
+            delta_without_arity_pair_term,
+            delta_without_arity_shift_term,
+        ],
+        ids=lambda m: m.__name__ if m else "no_mutant",
+    )
+    def test_fuzz_kills_every_delta_mutant(self, check, mutant, monkeypatch):
+        # seed 7 fails 5, 5, 7 and 13 of 100 ex33 cases under these, 4, 3,
+        # 4 and 6 of 100 thm2 cases, and none without a mutant
+        if mutant:
+            monkeypatch.setattr(symbrace, "delta_parity", mutant)
+        outcomes = fuzz_outcomes(7, 100, [check], FuzzCaps())
+        kills = sum(not outcome.passed for _, _, outcome in outcomes)
+        assert (kills > 0) == (mutant is not None)
 
 
 class TestSymbraceEval:
