@@ -83,8 +83,7 @@ def brace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     arities = tuple(g.arity for g in gs)
     degrees = tuple(g.degree for g in gs)
     entries: dict = {}
-    for pattern in insertion_patterns(N - n, n + 1):
-        slots = pattern.slots
+    for slots in insertion_patterns(N - n, n + 1):
         parity = beta_parity(N, arities, degrees, slots)
         compose_into(entries, -1 if parity else 1, f, gs, slots)
     return MultiMap(f.space, sum(arities) + N - n, f.degree + sum(degrees), entries)

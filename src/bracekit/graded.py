@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceLimitError
@@ -168,35 +167,27 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
-@dataclass(frozen=True)
-class UnshuffleSpec:
-    """An ordered tuple of block sizes; blocks may be empty."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple(int(b) for b in self.blocks)
-        if any(b < 0 for b in blocks):
-            raise InputError(f"block sizes must be nonnegative: {blocks}")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def total(self) -> int:
-        return sum(self.blocks)
+def _block_sizes(blocks: Sequence[int]) -> tuple:
+    blocks = tuple(int(b) for b in blocks)
+    if any(b < 0 for b in blocks):
+        raise InputError(f"block sizes must be nonnegative: {blocks}")
+    return blocks
 
 
-def enumerate_unshuffles(spec: UnshuffleSpec) -> Iterator[Permutation]:
+def enumerate_unshuffles(blocks: Sequence[int]) -> Iterator[Permutation]:
     """Permutations increasing within each consecutive block of positions.
 
-    Blocks partition the positions 1..N in order; an unshuffle deals the
-    values 1..N into the blocks so that each block reads increasingly.
+    The block sizes, which may be 0, partition the positions 1..N in order;
+    an unshuffle deals the values 1..N into the blocks so that each block
+    reads increasingly.
 
-    >>> [u.images for u in enumerate_unshuffles(UnshuffleSpec((1, 1)))]
+    >>> [u.images for u in enumerate_unshuffles((1, 1))]
     [(1, 2), (2, 1)]
-    >>> sum(1 for _ in enumerate_unshuffles(UnshuffleSpec((2, 1))))
+    >>> sum(1 for _ in enumerate_unshuffles((2, 1)))
     3
     """
-    _check_cap(spec.total, "unshuffle enumeration")
+    blocks = _block_sizes(blocks)
+    _check_cap(sum(blocks), "unshuffle enumeration")
 
     def deal(values: tuple, blocks: tuple) -> Iterator[tuple]:
         if not blocks:
@@ -207,33 +198,16 @@ def enumerate_unshuffles(spec: UnshuffleSpec) -> Iterator[Permutation]:
             for tail in deal(rest, blocks[1:]):
                 yield picked + tail
 
-    for images in deal(tuple(range(1, spec.total + 1)), spec.blocks):
+    for images in deal(tuple(range(1, sum(blocks) + 1)), blocks):
         yield Permutation(images)
 
 
-@dataclass(frozen=True)
-class InsertionPattern:
-    """Slot counts (k_0, ..., k_n): free inputs kept between inserted maps."""
+def insertion_patterns(total: int, parts: int) -> Iterator[tuple]:
+    """All weak compositions of `total` into `parts` slots, lexicographic:
+    the slot counts (k_0, ..., k_n) of free inputs kept between n inserted
+    maps.
 
-    slots: tuple
-
-    def __post_init__(self):
-        slots = tuple(int(k) for k in self.slots)
-        if not slots:
-            raise InputError("an insertion pattern needs at least one slot")
-        if any(k < 0 for k in slots):
-            raise InputError(f"slot counts must be nonnegative: {slots}")
-        object.__setattr__(self, "slots", slots)
-
-    @property
-    def total(self) -> int:
-        return sum(self.slots)
-
-
-def insertion_patterns(total: int, parts: int) -> Iterator[InsertionPattern]:
-    """All weak compositions of `total` into `parts` slots, lexicographic.
-
-    >>> [p.slots for p in insertion_patterns(2, 2)]
+    >>> list(insertion_patterns(2, 2))
     [(0, 2), (1, 1), (2, 0)]
     """
     if parts < 1:
@@ -242,9 +216,7 @@ def insertion_patterns(total: int, parts: int) -> Iterator[InsertionPattern]:
         raise InputError("total must be nonnegative")
     for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
         bounds = (0,) + cuts + (total,)
-        yield InsertionPattern(
-            tuple(bounds[i + 1] - bounds[i] for i in range(parts))
-        )
+        yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
 
 
 def staged_rearrangements(
@@ -282,8 +254,8 @@ def staged_rearrangements(
         for s in enumerate_permutations(n)
     ]
     riffles = [
-        (p.slots, sum((n - i) * k for i, k in enumerate(p.slots)) if chi else 0)
-        for p in insertion_patterns(m, n + 1)
+        (slots, sum((n - i) * k for i, k in enumerate(slots)) if chi else 0)
+        for slots in insertion_patterns(m, n + 1)
     ]
     for pi in enumerate_permutations(m):
         zsign, zs, zpar = sign_of(pi, tpar), pi.apply(items[n:]), pi.apply(tpar)
@@ -408,25 +380,25 @@ def unshuffle_decomposition_check(
     unshuffle sign and the within-hand signs (hands graded by the degrees
     they were dealt).
     """
-    spec = UnshuffleSpec(tuple(blocks))
-    n_total = spec.total
+    blocks = _block_sizes(blocks)
+    n_total = sum(blocks)
     if len(degrees) != n_total:
         raise InputError(f"expected {n_total} degrees, got {len(degrees)}")
-    offs = [0] * len(spec.blocks)
-    for i in range(1, len(spec.blocks)):
-        offs[i] = offs[i - 1] + spec.blocks[i - 1]
-    hand_perms = [list(enumerate_permutations(b)) for b in spec.blocks]
+    offs = [0] * len(blocks)
+    for i in range(1, len(blocks)):
+        offs[i] = offs[i - 1] + blocks[i - 1]
+    hand_perms = [list(enumerate_permutations(b)) for b in blocks]
     for sign_fn in (antisym_koszul_sign, koszul_sign):
         expected = Counter(
             (p.images, sign_fn(p, degrees))
             for p in enumerate_permutations(n_total)
         )
         got: Counter = Counter()
-        for gamma in enumerate_unshuffles(spec):
+        for gamma in enumerate_unshuffles(blocks):
             base = sign_fn(gamma, degrees)
             hand_degrees = [
                 [degrees[gamma(offs[b] + l) - 1] for l in range(1, size + 1)]
-                for b, size in enumerate(spec.blocks)
+                for b, size in enumerate(blocks)
             ]
             for pis in itertools.product(*hand_perms):
                 images = []

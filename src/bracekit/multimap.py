@@ -11,9 +11,10 @@ every tabulated output lives in degree p + sum of the input degrees.
 The sign convention for evaluating a tensor product of maps on a tensor
 product of arguments is fixed here once: a map of degree q picks up
 (-1)^{q * d} when it moves past arguments of total degree d to reach its
-own inputs.  _tensor_core applies it point by point on argument vectors;
-compose_into, the sparse composition the braces are built from, applies it
-to whole tables and is differential-tested against _tensor_core.
+own inputs.  compose_into, the sparse composition the braces are built
+from, applies it to whole tables; symbrace.symbrace_eval applies it to the
+blocks one word deals to the inserted maps.  Both are differential-tested
+against the point-by-point oracle _tensor_core in the tests' helpers.
 Signed sums of whole maps accumulate into one entry table with add_into and
 are validated once, as a MultiMap, at the end.  A chi-antisymmetric table
 is fixed by its rows on sorted words; expand_orbits writes each nonzero
@@ -302,56 +303,15 @@ class MultiMap:
         )
 
 
-def _arg_parities(args: Sequence[GradedVector]):
-    """Degree parities of homogeneous args, or None if any arg is zero."""
-    pars = []
-    for a in args:
-        d = a.degree()
-        if d is None:
-            return None
-        pars.append(d & 1)
-    return pars
-
-
-def _tensor_core(
-    f: MultiMap,
-    gs: Sequence[MultiMap],
-    slots: Sequence[int],
-    args: Sequence[GradedVector],
-) -> GradedVector:
-    """Evaluate (1^{k_0} (x) g_1 (x) 1^{k_1} (x) ... (x) g_n (x) 1^{k_n})
-    then f, on already-validated homogeneous args."""
-    pars = _arg_parities(args)
-    if pars is None:
-        return f.space.zero_vector()
-    outer = []
-    sign_exp = 0
-    prefix = 0
-    pos = 0
-    for i, g in enumerate(gs):
-        for _ in range(slots[i]):
-            outer.append(args[pos])
-            prefix ^= pars[pos]
-            pos += 1
-        sign_exp ^= (g.degree & 1) & prefix
-        chunk = args[pos : pos + g.arity]
-        for p in pars[pos : pos + g.arity]:
-            prefix ^= p
-        pos += g.arity
-        outer.append(g(chunk))
-    outer.extend(args[pos:])
-    val = f(outer)
-    return val.scale(-1) if sign_exp else val
-
-
 def compose_into(
     acc: dict, sign: int, f: MultiMap, gs: Sequence[MultiMap], slots: Sequence[int]
 ) -> None:
     """Add sign * f o (1^{k_0} (x) g_1 (x) ... (x) g_n (x) 1^{k_n}) to the
     entry table acc, joining each g's entries, indexed by output, to f's
-    entries on the slot g fills.  The Koszul sign is _tensor_core's; a
-    block's degree parity is its g's output parity plus |g|, so the sign
-    depends on f's entry alone.
+    entries on the slot g fills.  The Koszul sign is the module's
+    convention, as the tests' point-by-point oracle _tensor_core applies
+    it; a block's degree parity is its g's output parity plus |g|, so the
+    sign depends on f's entry alone.
     """
     par = f.space.parities
     by_out = []

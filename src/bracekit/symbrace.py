@@ -12,7 +12,9 @@ Two brackets satisfy the symmetric-brace axiom here:
 
     Its output is antisymmetric, so only terms on sorted input words that
     can be nonzero are evaluated, and multimap.expand_orbits (antisymmetrize's
-    orbit writer) writes each nonzero one once to its orbit.
+    orbit writer) writes each nonzero one once to its orbit.  A term reads
+    each g_i's value from its table row and evaluates f once, with the
+    Koszul sign of multimap's convention taken on the dealt blocks.
 
   * symmetrize_brace (defined in brace, re-exported here): the eps-signed
     sum of plain braces f{g_sigma} over all orderings of the inserted maps,
@@ -30,7 +32,6 @@ from typing import Sequence
 
 from .errors import InputError
 from .graded import (
-    UnshuffleSpec,
     antisym_koszul_sign,
     enumerate_unshuffles,
     insertion_patterns,
@@ -38,7 +39,6 @@ from .graded import (
 )
 from .multimap import (
     MultiMap,
-    _tensor_core,
     add_into,
     antisymmetrize,
     expand_orbits,
@@ -68,11 +68,14 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     """The unshuffle bracket f<g_1, ..., g_n> on antisymmetric maps.
 
     Arguments are dealt to g_1, ..., g_n and then to f's remaining inputs
-    by every unshuffle, each term signed by chi of the unshuffle; the whole
-    sum is scaled by (-1)^delta.  Inputs must be antisymmetric, and so is
-    the output: it is summed only on sorted words without a repeated even
-    letter whose degree an output can have, over unshuffles dealing each g_i
-    one of its rows (other terms vanish); expand_orbits fills the orbits.
+    by every unshuffle, each term signed by chi of the unshuffle and by the
+    Koszul sign of each g_i moving past the letters dealt to the g's before
+    it; the whole sum is scaled by (-1)^delta.  Inputs must be
+    antisymmetric, and so is the output: it is summed only on sorted words
+    without a repeated even letter whose degree an output can have, over
+    unshuffles dealing each g_i one of its rows (other terms vanish), by
+    evaluating f on those rows' values and the free letters; expand_orbits
+    fills the orbits.
     """
     gs = tuple(gs)
     n = len(gs)
@@ -92,13 +95,20 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     out_arity = sum(arities) + free
     out_degree = f.degree + sum(degrees)
     base = -1 if delta_parity(N, arities, degrees) else 1
-    gammas = list(enumerate_unshuffles(UnshuffleSpec(arities + (free,))))
+    gammas = list(enumerate_unshuffles(arities + (free,)))
     cuts = list(itertools.accumulate((0,) + arities))
-    slots = (0,) * n + (free,)
 
     space = f.space
     par = space.parities
     basis = [space.basis_vector(i) for i in range(space.dim)]
+    # g_i's value on each of its rows, and the row's degree parity
+    values = [
+        {
+            block: (space.vector(row), sum(par[x] for x in block) & 1)
+            for block, row in g.entries.items()
+        }
+        for g in gs
+    ]
     reps = {}
     for t in itertools.combinations_with_replacement(range(space.dim), out_arity):
         if any(a == b and not par[a] for a, b in zip(t, t[1:])):
@@ -109,12 +119,18 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
         acc: dict = {}
         for gamma in gammas:
             dealt = gamma.apply(t)
-            if any(dealt[a:b] not in g.entries for g, a, b in zip(gs, cuts, cuts[1:])):
+            hits = [v.get(dealt[a:b]) for v, a, b in zip(values, cuts, cuts[1:])]
+            if None in hits:
                 continue
+            # the Koszul sign of each g_i crossing the letters dealt before it
+            sign_exp = prefix = 0
+            for q, (_, p) in zip(degrees, hits):
+                sign_exp ^= q & prefix
+                prefix ^= p
             sign = antisym_koszul_sign(gamma, degs)
-            v = _tensor_core(f, gs, slots, [basis[i] for i in dealt])
-            for j, c in v.coeffs.items():
-                acc[j] = acc.get(j, 0) + sign * c
+            outer = [v for v, _ in hits] + [basis[i] for i in dealt[cuts[-1] :]]
+            for j, c in f(outer).coeffs.items():
+                acc[j] = acc.get(j, 0) + (-sign if sign_exp else sign) * c
         reps[t] = {j: base * c for j, c in acc.items() if c}
     return MultiMap(space, out_arity, out_degree, expand_orbits(reps, out_arity, par))
 
@@ -153,9 +169,8 @@ def symbrace_axiom_sides(
     bx = [x.brace_parity for x in xs]
     rhs: dict = {}
     block_cache: dict = {}
-    for parts in insertion_patterns(r, n + 1):
-        sizes = parts.slots
-        for gamma in enumerate_unshuffles(UnshuffleSpec(sizes)):
+    for sizes in insertion_patterns(r, n + 1):
+        for gamma in enumerate_unshuffles(sizes):
             dealt = gamma.apply(xs)
             sign_exp = 0
             prefix = 0

@@ -1,6 +1,7 @@
 """Shared test helpers: small homogeneous random tables, point-by-point
-reference evaluators, wrong brace and unshuffle-bracket signs, and the
-environment of a CLI subprocess."""
+reference evaluators built on the tensor-block oracle _tensor_core, wrong
+brace, unshuffle-bracket and riffle signs, and the environment of a CLI
+subprocess."""
 
 import os
 from pathlib import Path
@@ -10,14 +11,13 @@ import bracekit
 from bracekit.brace import beta_parity
 from bracekit.errors import InputError
 from bracekit.graded import (
-    InsertionPattern,
-    UnshuffleSpec,
     antisym_koszul_sign,
     enumerate_permutations,
     enumerate_unshuffles,
     insertion_patterns,
+    staged_rearrangements,
 )
-from bracekit.multimap import GradedVector, MultiMap, _tensor_core, antisymmetrize
+from bracekit.multimap import GradedVector, MultiMap, antisymmetrize
 from bracekit.symbrace import delta_parity
 
 
@@ -48,10 +48,52 @@ def random_antisym_map(rng, space, arity, density=0.6):
     return antisymmetrize(random_map(rng, space, arity, density))
 
 
+def _arg_parities(args: Sequence[GradedVector]):
+    """Degree parities of homogeneous args, or None if any arg is zero."""
+    pars = []
+    for a in args:
+        d = a.degree()
+        if d is None:
+            return None
+        pars.append(d & 1)
+    return pars
+
+
+def _tensor_core(
+    f: MultiMap,
+    gs: Sequence[MultiMap],
+    slots: Sequence[int],
+    args: Sequence[GradedVector],
+) -> GradedVector:
+    """Evaluate (1^{k_0} (x) g_1 (x) 1^{k_1} (x) ... (x) g_n (x) 1^{k_n})
+    then f, on already-validated homogeneous args."""
+    pars = _arg_parities(args)
+    if pars is None:
+        return f.space.zero_vector()
+    outer = []
+    sign_exp = 0
+    prefix = 0
+    pos = 0
+    for i, g in enumerate(gs):
+        for _ in range(slots[i]):
+            outer.append(args[pos])
+            prefix ^= pars[pos]
+            pos += 1
+        sign_exp ^= (g.degree & 1) & prefix
+        chunk = args[pos : pos + g.arity]
+        for p in pars[pos : pos + g.arity]:
+            prefix ^= p
+        pos += g.arity
+        outer.append(g(chunk))
+    outer.extend(args[pos:])
+    val = f(outer)
+    return val.scale(-1) if sign_exp else val
+
+
 def tensor_block_eval(
     f: MultiMap,
     gs: Sequence[MultiMap],
-    slots: InsertionPattern | Sequence[int],
+    slots: Sequence[int],
     args: Sequence[GradedVector],
 ) -> GradedVector:
     """Evaluate f after feeding blocks of args through the maps gs.
@@ -63,8 +105,6 @@ def tensor_block_eval(
     argument x crossed.  The reference for multimap.compose_into.
     """
     gs = tuple(gs)
-    if isinstance(slots, InsertionPattern):
-        slots = slots.slots
     slots = tuple(int(k) for k in slots)
     if len(slots) != len(gs) + 1:
         raise InputError(f"expected {len(gs) + 1} slot counts, got {len(slots)}")
@@ -111,10 +151,10 @@ def pointwise_brace(f, gs):
     arities = tuple(g.arity for g in gs)
     degrees = tuple(g.degree for g in gs)
     total = MultiMap.zero(f.space, sum(arities) + N - n, f.degree + sum(degrees))
-    for pattern in insertion_patterns(N - n, n + 1):
-        parity = beta_parity(N, arities, degrees, pattern.slots)
+    for slots in insertion_patterns(N - n, n + 1):
+        parity = beta_parity(N, arities, degrees, slots)
         sign = -1 if parity else 1
-        total = total + pointwise_compose(f, gs, pattern.slots).scale(sign)
+        total = total + pointwise_compose(f, gs, slots).scale(sign)
     return total
 
 
@@ -169,6 +209,27 @@ def delta_without_arity_shift_term(N, a, q):
     return delta_parity(N, a, q) ^ (dropped & 1)
 
 
+# Sign mutant of the staged rearrangements behind Lemmas 4.1 and 5.1, for
+# monkeypatching over the staged_rearrangements bound in bracekit.multimap
+# and bracekit.brace; it wraps the staged_rearrangements imported above.
+
+
+def eta_without_parity_crossing(items, parities, n, chi):
+    """staged_rearrangements with eta lacking sum_i |y_i| * (parities of
+    the z's placed before y_i).  It rearranges the indexes of items, so
+    heads (indexes below n) and tails stay apart when items repeat, and
+    maps them back to the items."""
+    indexes = tuple(range(len(items)))
+    for sign, seq in staged_rearrangements(indexes, parities, n, chi):
+        crossing = zprefix = 0
+        for i in seq:
+            if i < n:
+                crossing += parities[i] * zprefix
+            else:
+                zprefix += parities[i]
+        yield (-sign if crossing & 1 else sign), tuple(items[i] for i in seq)
+
+
 def pointwise_antisymmetrize(f):
     """as(f) on every basis tuple: the chi-signed sum of f over all
     rearrangements of the argument vectors."""
@@ -200,7 +261,7 @@ def pointwise_symbrace(f, gs):
     out_arity = sum(arities) + free
     out_degree = f.degree + sum(degrees)
     base = -1 if delta_parity(N, arities, degrees) else 1
-    gammas = list(enumerate_unshuffles(UnshuffleSpec(arities + (free,))))
+    gammas = list(enumerate_unshuffles(arities + (free,)))
     slots = (0,) * n + (free,)
 
     space = f.space

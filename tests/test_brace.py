@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bracekit import brace
+from bracekit import brace, multimap
 from bracekit.brace import (
     beta_parity,
     brace_axiom_check,
@@ -19,12 +19,20 @@ from helpers import (
     beta_without_crossing_term,
     beta_without_degree_shift_term,
     beta_without_leading_slot_term,
+    eta_without_parity_crossing,
     random_map,
 )
 
 POINT = GradedSpace([("e", 0)])
 PLANE = GradedSpace([("a", 0), ("b", 0)])
 MIXED = GradedSpace([("a", 0), ("b", 1)])
+# f, y and z of test_riffle_sign_on_odd_pair
+_UV = GradedSpace([("u", 0), ("v", 1)])
+ODD_PAIR = (
+    MultiMap(_UV, 2, -2, {(1, 1): {0: 1}}),
+    MultiMap(_UV, 1, 1, {(0,): {1: 1}}),
+    MultiMap(_UV, 1, 1, {(0,): {1: 2}}),
+)
 
 
 def const_map(space, arity, value_index=0):
@@ -216,13 +224,23 @@ class TestBracedSymmetrization:
         # y and z are unary of degree 1, so both have odd brace parity: the
         # riffle placing z before y costs (-1)^{|y||z|} = -1, and dropping
         # that sign leaves an uncancelled staged side
-        space = GradedSpace([("u", 0), ("v", 1)])
-        y = MultiMap(space, 1, 1, {(0,): {1: 1}})
-        z = MultiMap(space, 1, 1, {(0,): {1: 2}})
-        f = MultiMap(space, 2, -2, {(1, 1): {0: 1}})
+        f, y, z = ODD_PAIR
         staged, direct = braced_symmetrization_sides(f, [y], [z])
         assert staged == direct
         assert brace_eval(f, [y, z]) + brace_eval(f, [z, y]) != direct
+
+    def test_eta_mutant_is_caught(self, monkeypatch):
+        # the riffle sign without its crossing term fails 25 of 100 seed-7
+        # lemma41 cases but no lemma51 case; the odd pair catches it there
+        for module in (multimap, brace):
+            monkeypatch.setattr(
+                module, "staged_rearrangements", eta_without_parity_crossing
+            )
+        outcomes = fuzz_outcomes(7, 100, ["lemma41"], FuzzCaps())
+        assert any(not outcome.passed for _, _, outcome in outcomes)
+        f, y, z = ODD_PAIR
+        staged, direct = braced_symmetrization_sides(f, [y], [z])
+        assert staged != direct
 
     def test_shape_precondition(self):
         f = const_map(POINT, 1)

@@ -109,6 +109,16 @@ class TestCheckVerb:
         )
         assert result.returncode == 0
 
+    def test_negative_block_size_is_refused_before_enumerating(self, tmp_path):
+        # the blocks' sum matches the one degree, so only the -1 is wrong;
+        # enumerating hands first would blame a permutation size instead
+        result = run_cli(
+            "check", "lemma42", "--blocks=-1,2", "--degrees", "0", cwd=tmp_path
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: block sizes must be nonnegative: (-1, 2)\n"
+
     def test_corollary_refuses_a_non_associative_family(self, tmp_path, ws_path):
         result = run_cli(
             "check", "corollary", "--workspace", str(ws_path), "--maps", "bad",

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from bracekit.errors import InputError, ResourceLimitError
 from bracekit.graded import (
     ENUMERATION_CAP,
-    InsertionPattern,
     Permutation,
-    UnshuffleSpec,
     adjacent_swap_order,
     antisym_koszul_sign,
     block_permutation_sign_check,
@@ -191,7 +189,7 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError, match="exceeds cap 8"):
             list(enumerate_permutations(9))
         with pytest.raises(ResourceLimitError, match="exceeds cap 8"):
-            list(enumerate_unshuffles(UnshuffleSpec((5, 4))))
+            list(enumerate_unshuffles((5, 4)))
 
     def test_unshuffle_counts(self):
         def multinomial(blocks):
@@ -203,30 +201,32 @@ class TestEnumeration:
             return out
 
         for blocks in [(1, 1), (2, 1), (2, 2), (0, 2), (3,), (1, 1, 1), (2, 0, 1)]:
-            got = sum(1 for _ in enumerate_unshuffles(UnshuffleSpec(blocks)))
+            got = sum(1 for _ in enumerate_unshuffles(blocks))
             assert got == multinomial(blocks)
 
     def test_unshuffles_increase_within_blocks(self):
-        for u in enumerate_unshuffles(UnshuffleSpec((2, 3))):
+        for u in enumerate_unshuffles((2, 3)):
             assert u(1) < u(2)
             assert u(3) < u(4) < u(5)
 
     def test_empty_block_unshuffle_is_identity(self):
-        us = list(enumerate_unshuffles(UnshuffleSpec((0, 2))))
+        us = list(enumerate_unshuffles((0, 2)))
         assert us == [Permutation.identity(2)]
 
     def test_insertion_patterns(self):
-        pats = [p.slots for p in insertion_patterns(2, 2)]
+        pats = list(insertion_patterns(2, 2))
         assert pats == [(0, 2), (1, 1), (2, 0)]
-        assert [p.slots for p in insertion_patterns(0, 3)] == [(0, 0, 0)]
+        assert list(insertion_patterns(0, 3)) == [(0, 0, 0)]
         total = sum(1 for _ in insertion_patterns(3, 3))
         assert total == 10
 
-    def test_insertion_pattern_validation(self):
+    def test_unshuffle_block_validation(self):
+        with pytest.raises(InputError, match=r"nonnegative: \(1, -1\)"):
+            list(enumerate_unshuffles((1, -1)))
         with pytest.raises(InputError):
-            InsertionPattern(())
+            list(insertion_patterns(1, 0))
         with pytest.raises(InputError):
-            InsertionPattern((1, -1))
+            list(insertion_patterns(-1, 2))
 
 
 class TestAdjacentSwapOrder:

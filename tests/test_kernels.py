@@ -3,12 +3,13 @@
 brace_eval sums partial compositions of tables (multimap.compose_into);
 antisymmetrize folds f's entries onto sorted words, and symbrace_eval
 evaluates only on sorted words, and there only the terms its degree and
-block skips keep; both write each nonzero orbit once through
-multimap.expand_orbits.  All three are compared, with exact equality of
-arity, degree and every coefficient, with the reference evaluators in
-helpers, which evaluate tensor_block_eval, MultiMap.__call__ and
-_tensor_core on every basis tuple.  Checks built from the kernels alone are
-guarded against falling back to point-by-point evaluation.
+block skips keep, each as one evaluation of f on the inserted maps' rows;
+both write each nonzero orbit once through multimap.expand_orbits.  All
+three are compared, with exact equality of arity, degree and every
+coefficient, with the reference evaluators in helpers, which evaluate
+tensor_block_eval, MultiMap.__call__ and the oracle _tensor_core on every
+basis tuple.  Checks built from the kernels alone are guarded against
+falling back to point-by-point evaluation.
 """
 
 import random
@@ -19,18 +20,18 @@ import pytest
 from bracekit.brace import brace_eval
 from bracekit.checks import fuzz_outcomes
 from bracekit.fuzz import FuzzCaps, SplitMix64, random_map
-from bracekit.graded import UnshuffleSpec, enumerate_unshuffles, insertion_patterns
+from bracekit.graded import enumerate_unshuffles, insertion_patterns
 from bracekit.multimap import (
     GradedSpace,
     MultiMap,
     add_into,
     antisymmetrize,
-    _tensor_core,
     compose_into,
     expand_orbits,
 )
 from bracekit.symbrace import symbrace_eval
 from helpers import (
+    _tensor_core,
     pointwise_antisymmetrize,
     pointwise_brace,
     pointwise_compose,
@@ -102,11 +103,11 @@ def test_compose_into_matches_tensor_block_eval_per_pattern():
             continue
         out_arity = sum(g.arity for g in gs) + f.arity - len(gs)
         out_degree = f.degree + sum(g.degree for g in gs)
-        for pattern in insertion_patterns(f.arity - len(gs), len(gs) + 1):
+        for slots in insertion_patterns(f.arity - len(gs), len(gs) + 1):
             acc = {}
-            compose_into(acc, 1, f, gs, pattern.slots)
+            compose_into(acc, 1, f, gs, slots)
             got = MultiMap(f.space, out_arity, out_degree, acc)
-            assert got == pointwise_compose(f, gs, pattern.slots), (case, pattern)
+            assert got == pointwise_compose(f, gs, slots), (case, slots)
 
 
 # degrees for the repeated-letter cases: one or two odd letters, or an even one
@@ -208,6 +209,25 @@ def test_brace_sign_of_odd_map_crossing_odd_input():
     assert out.entries == {(0, 0): {0: 1}}
 
 
+# u odd, v and w even: g_1 = G_UV and g_2 = G_UW have odd degree, so in
+# f(g_1(x_1), g_2(x_2)) g_2 crosses the odd letter x_1 = u and picks up -1.
+# Both unshuffles of (u, u) deal the same term with chi = 1, and delta is
+# even, so f<g_1, g_2>(u, u) = -2 f(v, w) = -2u.
+UVW = GradedSpace([("u", 1), ("v", 0), ("w", 2)])
+G_UV = MultiMap(UVW, 1, -1, {(0,): {1: 1}})
+G_UW = MultiMap(UVW, 1, 1, {(0,): {2: 1}})
+F_VW = MultiMap(UVW, 2, -1, {(1, 2): {0: 1}, (2, 1): {0: -1}})
+
+
+def test_unshuffle_bracket_sign_of_odd_map_crossing_odd_input():
+    got = symbrace_eval(F_VW, [G_UV, G_UW])
+    assert got == pointwise_symbrace(F_VW, [G_UV, G_UW])
+    assert got.entries == {(0, 0): {0: -2}}
+    u = UVW.basis_vector(0)
+    unsigned = F_VW([G_UV([u]), G_UW([u])]).scale(2)
+    assert got.value((0, 0)) != unsigned
+
+
 def test_add_into_accumulates_signed_tables():
     rng = SplitMix64(SEED + 2)
     space = _space(rng, 3)
@@ -267,11 +287,11 @@ def _symbrace_terms(f, gs):
     par = space.parities
     n = len(gs)
     out_degree = f.degree + sum(g.degree for g in gs)
-    spec = UnshuffleSpec(tuple(g.arity for g in gs) + (f.arity - n,))
-    gammas = list(enumerate_unshuffles(spec))
+    blocks = tuple(g.arity for g in gs) + (f.arity - n,)
+    gammas = list(enumerate_unshuffles(blocks))
     starts = [sum(g.arity for g in gs[:i]) for i in range(n)]
     kept, no_degree, no_block = [], [], []
-    for t in space.tuples(spec.total):
+    for t in space.tuples(sum(blocks)):
         if list(t) != sorted(t) or any(t.count(x) > 1 for x in t if not par[x]):
             continue
         degree_ok = out_degree + sum(space.degrees[i] for i in t) in space.degrees
@@ -287,9 +307,19 @@ def _symbrace_terms(f, gs):
     return kept, no_degree, no_block
 
 
+def _crossing_parity(gs, word, par):
+    """Parity of the Koszul sign of each g_i moving past the letters dealt
+    to g_1, ..., g_{i-1} in the dealt word."""
+    total = pos = 0
+    for g in gs:
+        total += g.degree * sum(par[x] for x in word[:pos])
+        pos += g.arity
+    return total & 1
+
+
 def test_symbrace_eval_matches_pointwise_symbrace():
     repeated_odd, cancelled, nonzero, shapes = set(), 0, 0, set()
-    lose_words, lose_terms, lose_nothing = 0, 0, 0
+    lose_words, lose_terms, lose_nothing, odd_crossing = 0, 0, 0, 0
     for case, f, gs in _symbrace_instances():
         expected = pointwise_symbrace(f, gs)
         got = symbrace_eval(f, gs)
@@ -304,7 +334,8 @@ def test_symbrace_eval_matches_pointwise_symbrace():
         cancelled += got.is_zero() and not any(m.is_zero() for m in (f, *gs))
         nonzero += not got.is_zero()
         shapes.add((f.space.dim, len(gs)))
-        _, no_degree, no_block = _symbrace_terms(f, gs)
+        kept, no_degree, no_block = _symbrace_terms(f, gs)
+        odd_crossing += any(_crossing_parity(gs, word, par) for word in kept)
         lose_words += bool(no_degree)
         lose_terms += bool(no_block)
         lose_nothing += not no_degree and not no_block
@@ -315,25 +346,38 @@ def test_symbrace_eval_matches_pointwise_symbrace():
     assert cancelled >= 50 and nonzero >= 100
     # both skips drop terms, and some instances keep every term
     assert lose_words >= 150 and lose_terms >= 100 and lose_nothing >= 50
+    # in 27 instances some kept term carries an odd crossing sign
+    assert odd_crossing >= 20
+
+
+def _outer_args(f, gs, word):
+    """f's arguments on one dealt word: each g_i's value on its block, then
+    the basis vectors of the free letters."""
+    space, pos, outer = f.space, 0, []
+    for g in gs:
+        outer.append(g.value(word[pos : pos + g.arity]))
+        pos += g.arity
+    return outer + [space.basis_vector(i) for i in word[pos:]]
 
 
 def test_symbrace_eval_visits_each_admissible_sorted_word_once(monkeypatch):
-    """The _tensor_core calls are exactly the terms that pass the degree
-    and block skips, in word-then-unshuffle order, and every dropped term
-    is zero."""
+    """f is evaluated exactly on the terms that pass the degree and block
+    skips, in word-then-unshuffle order, and every dropped term is zero."""
     calls = []
+    call = MultiMap.__call__
 
-    def record(f, gs, slots, args):
-        calls.append(tuple(next(iter(a.coeffs)) for a in args))
-        return _tensor_core(f, gs, slots, args)
+    def record(self, args):
+        calls.append((self, list(args)))
+        return call(self, args)
 
-    monkeypatch.setattr("bracekit.symbrace._tensor_core", record)
+    monkeypatch.setattr(MultiMap, "__call__", record)
     dropped = 0
     for case, f, gs in _symbrace_instances():
         calls.clear()
         symbrace_eval(f, gs)
         kept, no_degree, no_block = _symbrace_terms(f, gs)
-        assert calls == kept, case
+        got = [args for m, args in calls if m is f]
+        assert got == [_outer_args(f, gs, word) for word in kept], case
         space = f.space
         slots = (0,) * len(gs) + (f.arity - len(gs),)
         for word in no_degree + no_block:
@@ -347,13 +391,13 @@ def test_symbrace_eval_skips_every_word_of_an_unreachable_degree(monkeypatch):
     """f<g> has degree -4 and arity 3 over basis degrees 0 and 1, so its
     outputs would have degree -4 to -1: no term is evaluated."""
 
-    def refuse(*args):
-        raise AssertionError("_tensor_core reached")
+    def refuse(self, args):
+        raise AssertionError("MultiMap.__call__ reached")
 
     space = GradedSpace([("x", 0), ("y", 1)])
     f = MultiMap(space, 2, -2, {(1, 1): {0: 1}})
     g = MultiMap(space, 2, -2, {(1, 1): {0: 1}})
-    monkeypatch.setattr("bracekit.symbrace._tensor_core", refuse)
+    monkeypatch.setattr(MultiMap, "__call__", refuse)
     got = symbrace_eval(f, [g])
     assert (got.arity, got.degree) == (3, -4) and got.is_zero()
 
@@ -377,9 +421,9 @@ def test_expand_orbits_round_trips_antisymmetric_maps():
 
 
 # checks whose every bracket is a composition or a signed permutation of
-# table entries; symbrace_eval, behind ex33, thm2 and linfty, still runs
-# _tensor_core point by point, but only on the terms that survive its
-# degree and block skips
+# table entries; symbrace_eval, behind ex33, thm2 and linfty, reads the
+# inserted maps' rows but still evaluates f point by point, once per term
+# that survives its degree and block skips
 TABLE_LEVEL_CHECKS = ("brace-axiom", "thm1", "lemma41", "lemma51", "ainfty")
 
 
