@@ -17,13 +17,13 @@ This is the one sign the library computes; mutants that drop one of its
 terms (the j = 0 slot term among them) live in the tests, which show that
 the nesting identity fails under each.
 
-Viewed as algebra elements, maps are graded by brace parity
-(p + k + 1 mod 2); the Koszul signs in the nesting identity and in the
-symmetrization below are taken over those parities.  symmetrize_brace is
-the one eps-signed sum of braces over orderings of the inserted maps; the
-two-stage symmetrization of Lemma 5.1, built from the same staged
-rearrangements as Lemma 4.1 (graded.staged_rearrangements), is checked
-against it.
+As algebra elements, maps are graded by brace parity (p + k + 1 mod 2);
+the Koszul signs of the nesting identity and the symmetrization are taken
+over those parities.  symmetrize_brace is the one eps-signed sum of braces
+over orderings of the inserted maps; Lemma 5.1's two-stage symmetrization,
+from Lemma 4.1's staged rearrangements, is checked against it.  Each sum of
+braces adds every summand straight into one table (_brace_into), which is
+validated once, as a MultiMap.
 """
 
 from __future__ import annotations
@@ -66,45 +66,56 @@ def brace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     """Insert the maps gs into f, summing all patterns with beta signs.
 
     Each pattern's term is one sparse composition of tables (compose_into),
-    differential-tested against point-by-point evaluation.
+    differential-tested against point-by-point evaluation; all of them
+    accumulate into one table, validated once.
     The result has arity sum(a_i) + N - n and degree p + sum(q_i).
     With no gs the brace is f itself.
     """
     gs = tuple(gs)
-    n = len(gs)
-    N = f.arity
+    if not gs:
+        return f
+    entries: dict = {}
+    _brace_into(entries, 1, f, gs)
+    return MultiMap(f.space, *_signature(f, gs), entries)
+
+
+def _signature(f: MultiMap, gs: Sequence[MultiMap]) -> tuple:
+    """Arity and degree of a bracket of f with the maps gs."""
+    arity = sum(g.arity for g in gs) + f.arity - len(gs)
+    return arity, f.degree + sum(g.degree for g in gs)
+
+
+def _brace_into(acc: dict, sign: int, f: MultiMap, gs: tuple) -> None:
+    """Add sign * f{gs} to the entry table acc: the beta-signed sum of
+    compose_into over the insertion patterns.  With no gs it adds f
+    itself, which carries no beta sign."""
+    n, N = len(gs), f.arity
     if n > N:
         raise InputError(f"cannot insert {n} maps into a map of arity {N}")
-    for g in gs:
-        if g.space != f.space:
-            raise InputError("all maps in a brace must share one space")
+    if any(g.space != f.space for g in gs):
+        raise InputError("all maps in a brace must share one space")
     if n == 0:
-        return f
+        return add_into(acc, sign, f)
     arities = tuple(g.arity for g in gs)
     degrees = tuple(g.degree for g in gs)
-    entries: dict = {}
     for slots in insertion_patterns(N - n, n + 1):
         parity = beta_parity(N, arities, degrees, slots)
-        compose_into(entries, -1 if parity else 1, f, gs, slots)
-    return MultiMap(f.space, sum(arities) + N - n, f.degree + sum(degrees), entries)
+        compose_into(acc, -sign if parity else sign, f, gs, slots)
 
 
 def symmetrize_brace(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     """eps-signed sum of plain braces f{g_sigma} over all orderings of the
-    g's, in brace parities."""
+    g's, in brace parities, accumulated into one table."""
     gs = tuple(gs)
-    n = len(gs)
-    if n > f.arity:
-        raise InputError(f"cannot insert {n} maps into a map of arity {f.arity}")
-    if n == 0:
+    if len(gs) > f.arity:
+        raise InputError(f"cannot insert {len(gs)} maps into a map of arity {f.arity}")
+    if not gs:
         return f
     parities = [g.brace_parity for g in gs]
     entries: dict = {}
-    for sigma in enumerate_permutations(n):
-        sign = koszul_sign(sigma, parities)
-        add_into(entries, sign, brace_eval(f, sigma.apply(gs)))
-    out_arity = sum(g.arity for g in gs) + f.arity - n
-    return MultiMap(f.space, out_arity, f.degree + sum(g.degree for g in gs), entries)
+    for sigma in enumerate_permutations(len(gs)):
+        _brace_into(entries, koszul_sign(sigma, parities), f, sigma.apply(gs))
+    return MultiMap(f.space, *_signature(f, gs), entries)
 
 
 def _bracket_or_zero(bracket, f: MultiMap, args: Sequence[MultiMap]):
@@ -114,9 +125,7 @@ def _bracket_or_zero(bracket, f: MultiMap, args: Sequence[MultiMap]):
     args = tuple(args)
     if len(args) <= f.arity:
         return bracket(f, args)
-    out_arity = sum(m.arity for m in args) + f.arity - len(args)
-    out_degree = f.degree + sum(m.degree for m in args)
-    return MultiMap.zero(f.space, out_arity, out_degree)
+    return MultiMap.zero(f.space, *_signature(f, args))
 
 
 def _nestings(n: int, r: int):
@@ -147,24 +156,23 @@ def brace_axiom_sides(x: MultiMap, xs: Sequence[MultiMap], ys: Sequence[MultiMap
     lhs = brace_eval(inner, ys)
 
     bx = [m.brace_parity for m in xs]
-    by = [m.brace_parity for m in ys]
-    by_prefix = [0] * (r + 1)
-    for i, p in enumerate(by):
-        by_prefix[i + 1] = by_prefix[i] ^ p
+    by_prefix = [0] + list(itertools.accumulate(m.brace_parity for m in ys))
 
     rhs: dict = {}
+    inner_cache: dict = {}
     for pairs in _nestings(n, r):
-        outer_args = []
-        sign = 0
-        prev = 0
+        outer_args, sign, prev = [], 0, 0
         for t, (i, j) in enumerate(pairs):
             outer_args.extend(ys[prev:i])
-            outer_args.append(_bracket_or_zero(brace_eval, xs[t], ys[i:j]))
-            sign ^= bx[t] & by_prefix[i]
+            if (t, i, j) not in inner_cache:
+                inner_cache[t, i, j] = _bracket_or_zero(brace_eval, xs[t], ys[i:j])
+            outer_args.append(inner_cache[t, i, j])
+            sign ^= bx[t] & by_prefix[i] & 1
             prev = j
         outer_args.extend(ys[prev:])
-        term = _bracket_or_zero(brace_eval, x, outer_args)
-        add_into(rhs, -1 if sign else 1, term)
+        # arity overflow leaves no insertion pattern: the term is zero
+        if len(outer_args) <= x.arity:
+            _brace_into(rhs, -1 if sign else 1, x, tuple(outer_args))
     return lhs, MultiMap(x.space, lhs.arity, lhs.degree, rhs)
 
 
@@ -195,5 +203,5 @@ def braced_symmetrization_sides(
     parities = [g.brace_parity for g in ys + zs]
     staged: dict = {}
     for sign, seq in staged_rearrangements(ys + zs, parities, n, False):
-        add_into(staged, sign, brace_eval(f, seq))
+        _brace_into(staged, sign, f, seq)
     return MultiMap(f.space, direct.arity, direct.degree, staged), direct

@@ -81,8 +81,7 @@ class Permutation:
         return Permutation(inv)
 
     def sign(self) -> int:
-        swaps, _ = _swap_and_cross_parities(self.images, (0,) * len(self.images))
-        return -1 if swaps else 1
+        return -1 if len(inverted_pairs(self.images)) & 1 else 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -94,33 +93,25 @@ class Permutation:
         return f"Permutation({self.images})"
 
 
-def _swap_and_cross_parities(images: Sequence[int], parities: Sequence[int]):
-    """Bubble-sort the one-line word back to the identity.
+def inverted_pairs(word: Sequence[int]) -> list:
+    """The pairs (a, b) of entries of word with a before b and a > b.
 
-    Returns (swap parity, crossing parity): each adjacent swap exchanges two
-    of the rearranged objects, so it counts once toward sgn and contributes
-    the product of the two objects' degree parities toward the Koszul sign.
+    Read as a one-line word, a permutation puts exactly these pairs of
+    objects out of order: sgn is -1 to their number, and eps multiplies
+    (-1)^{|a||b|} over them.
     """
-    word = list(images)
-    swaps = 0
-    crossings = 0
-    n = len(word)
-    for top in range(n, 1, -1):
-        for j in range(top - 1):
-            a, b = word[j], word[j + 1]
-            if a > b:
-                word[j], word[j + 1] = b, a
-                swaps += 1
-                crossings += parities[a - 1] & parities[b - 1]
-    return swaps & 1, crossings & 1
+    return [(a, b) for i, a in enumerate(word) for b in word[i + 1 :] if a > b]
 
 
-def _checked_parities(perm: Permutation, degrees: Sequence[int]) -> tuple:
+def _sign_parities(perm: Permutation, degrees: Sequence[int]) -> tuple:
+    """(sgn, eps) of perm as parities, for objects whose degrees are listed
+    in original order."""
     if len(degrees) != len(perm):
         raise InputError(
             f"got {len(degrees)} degrees for a permutation of size {len(perm)}"
         )
-    return tuple(d & 1 for d in degrees)
+    inv = inverted_pairs(perm.images)
+    return len(inv) & 1, sum(degrees[a - 1] & degrees[b - 1] for a, b in inv) & 1
 
 
 def koszul_sign(perm: Permutation, degrees: Sequence[int]) -> int:
@@ -133,9 +124,7 @@ def koszul_sign(perm: Permutation, degrees: Sequence[int]) -> int:
     >>> koszul_sign(Permutation((2, 1)), (1, 2))
     1
     """
-    parities = _checked_parities(perm, degrees)
-    _, crossings = _swap_and_cross_parities(perm.images, parities)
-    return -1 if crossings else 1
+    return -1 if _sign_parities(perm, degrees)[1] else 1
 
 
 def antisym_koszul_sign(perm: Permutation, degrees: Sequence[int]) -> int:
@@ -146,8 +135,7 @@ def antisym_koszul_sign(perm: Permutation, degrees: Sequence[int]) -> int:
     >>> antisym_koszul_sign(Permutation((2, 1)), (0, 0))
     -1
     """
-    parities = _checked_parities(perm, degrees)
-    swaps, crossings = _swap_and_cross_parities(perm.images, parities)
+    swaps, crossings = _sign_parities(perm, degrees)
     return -1 if swaps ^ crossings else 1
 
 
@@ -331,15 +319,11 @@ def interleave_block_permutation(
         images.extend(block_vals[sigma(i) - 1])
         images.extend(free_vals[i])
 
-    alpha1 = 0
-    alpha2 = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if sigma(i) > sigma(j):
-                alpha1 += block_par[sigma(i) - 1] * block_par[sigma(j) - 1]
-                alpha2 += blocks[sigma(i) - 1] * blocks[sigma(j) - 1]
-    free_prefix = 0
-    slot_prefix = 0
+    alpha1 = alpha2 = 0
+    for a, b in inverted_pairs(sigma.images):
+        alpha1 += block_par[a - 1] * block_par[b - 1]
+        alpha2 += blocks[a - 1] * blocks[b - 1]
+    free_prefix = slot_prefix = 0
     for i in range(1, n + 1):
         free_prefix += free_par[i - 1]
         slot_prefix += slots[i - 1]
@@ -436,22 +420,15 @@ def inversion_parity_check(
         return w[i - 1]
 
     s = sigma
-    first = 0
+    inv = inverted_pairs(s.images)  # the (s(i), s(j)) with i < j, s(i) > s(j)
+    first = sum(W(a) * V(b) + V(a) * W(b) for a, b in inv)
     for i in range(1, n + 1):
         for j in range(1, i):
             first += V(i) * W(j) + V(s(i)) * W(s(j))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if s(i) > s(j):
-                first += W(s(i)) * V(s(j)) + V(s(i)) * W(s(j))
     if first & 1:
         return False
 
-    second = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if s(i) > s(j):
-                second += V(s(i)) + V(s(j))
+    second = sum(V(a) + V(b) for a, b in inv)
     for i in range(1, n + 1):
         second -= (i - 1) * (V(i) + V(s(i)))
     return second & 1 == 0

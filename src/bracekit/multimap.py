@@ -15,12 +15,12 @@ own inputs.  compose_into, the sparse composition the braces are built
 from, applies it to whole tables; symbrace.symbrace_eval applies it to the
 blocks one word deals to the inserted maps.  Both are differential-tested
 against the point-by-point oracle _tensor_core in the tests' helpers.
-Signed sums of whole maps accumulate into one entry table with add_into and
-are validated once, as a MultiMap, at the end.  A chi-antisymmetric table
-is fixed by its rows on sorted words; expand_orbits writes each nonzero
-sorted word once to its whole orbit.  It is the one orbit writer, shared by
-antisymmetrize, which folds f's rows onto sorted words, and by
-symbrace.symbrace_eval, which evaluates only on sorted words.
+Signed sums of whole maps (add_into) and of brace summands (compose_into)
+accumulate into one entry table, validated once, as a MultiMap.  A
+chi-antisymmetric table is fixed by its rows on sorted words; expand_orbits
+writes each nonzero sorted word once to its whole orbit.  It is the one
+orbit writer, shared by antisymmetrize, which folds f's rows onto sorted
+words, and by symbrace.symbrace_eval, which evaluates only on sorted words.
 """
 
 from __future__ import annotations
@@ -31,7 +31,12 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ResourceLimitError
-from .graded import ENUMERATION_CAP, adjacent_swap_order, staged_rearrangements
+from .graded import (
+    ENUMERATION_CAP,
+    adjacent_swap_order,
+    inverted_pairs,
+    staged_rearrangements,
+)
 
 Scalar = int | Fraction
 
@@ -177,26 +182,25 @@ class MultiMap:
         if arity < 1:
             raise InputError(f"map arity must be at least 1, got {arity}")
         degree = int(degree)
+        dim, degrees = space.dim, space.degrees
         clean = {}
         for key, out in entries.items():
-            key = tuple(int(i) for i in key)
+            key = tuple(map(int, key))
             if len(key) != arity:
                 raise InputError(f"entry {key}: expected {arity} inputs")
-            in_degree = 0
-            for i in key:
-                if not 0 <= i < space.dim:
-                    raise InputError(f"entry {key}: basis index {i} out of range")
-                in_degree += space.degrees[i]
-            target = degree + in_degree
+            if min(key) < 0 or max(key) >= dim:
+                i = next(i for i in key if not 0 <= i < dim)
+                raise InputError(f"entry {key}: basis index {i} out of range")
+            target = degree + sum(map(degrees.__getitem__, key))
             if isinstance(out, GradedVector):
                 out = out.coeffs
             pruned = {}
             for j, c in out.items():
                 if not c:
                     continue
-                if not 0 <= j < space.dim:
+                if not 0 <= j < dim:
                     raise InputError(f"entry {key}: output index {j} out of range")
-                if space.degrees[j] != target:
+                if degrees[j] != target:
                     names = tuple(space.names[i] for i in key)
                     raise InputError(
                         f"entry {names} -> {space.names[j]} violates homogeneity: "
@@ -225,25 +229,30 @@ class MultiMap:
     def __call__(self, args: Sequence[GradedVector]) -> GradedVector:
         if len(args) != self.arity:
             raise InputError(f"expected {self.arity} arguments, got {len(args)}")
-        supports = []
+        space = self.space
+        coeffs = []
         for a in args:
-            if not isinstance(a, GradedVector) or a.space != self.space:
+            if not isinstance(a, GradedVector) or (
+                a.space is not space and a.space != space
+            ):
                 raise InputError("arguments must be vectors in the map's space")
             if not a.coeffs:
-                return self.space.zero_vector()
-            supports.append(tuple(a.coeffs.items()))
+                return space.zero_vector()
+            coeffs.append(a.coeffs)
+        first, rest = coeffs[0], coeffs[1:]
         out: dict = {}
-        for combo in itertools.product(*supports):
-            key = tuple(i for i, _ in combo)
+        # coefficients are multiplied on table rows only, skipping factors of 1
+        for key in itertools.product(*coeffs):
             val = self.entries.get(key)
             if val is None:
                 continue
-            c = 1
-            for _, ci in combo:
-                c = c * ci
+            c = first[key[0]]
+            for cs, i in zip(rest, key[1:]):
+                if cs[i] != 1:
+                    c *= cs[i]
             for j, cj in val.items():
-                out[j] = out.get(j, 0) + c * cj
-        return GradedVector(self.space, out)
+                out[j] = out[j] + c * cj if j in out else c * cj
+        return GradedVector(space, out)
 
     def value(self, key: Sequence[int]) -> GradedVector:
         """Table lookup on a basis index tuple."""
@@ -311,8 +320,11 @@ def compose_into(
     entries on the slot g fills.  The Koszul sign is the module's
     convention, as the tests' point-by-point oracle _tensor_core applies
     it; a block's degree parity is its g's output parity plus |g|, so the
-    sign depends on f's entry alone.
+    sign depends on f's entry alone.  sign is +1 or -1; it joins the Koszul
+    parity, so each f entry is negated at most once, not multiplied by it.
     """
+    if not gs:
+        return add_into(acc, sign, f)
     par = f.space.parities
     by_out = []
     for g in gs:
@@ -327,21 +339,27 @@ def compose_into(
         hits = [index.get(key[p]) for (index, _), p in zip(by_out, pos)]
         if None in hits:
             continue
-        sign_exp = prefix = 0
+        neg, prefix = sign < 0, 0
         for start, p, (_, q) in zip(starts, pos, by_out):
             for x in key[start:p]:
                 prefix ^= par[x]
-            sign_exp ^= q & prefix
+            neg ^= q & prefix
             prefix ^= par[key[p]] ^ q
-        segments = [key[start:p] for start, p in zip(starts, pos)]
-        for combo in itertools.product(*hits):
-            composed, c = (), -sign if sign_exp else sign
-            for segment, (block, cg) in zip(segments, combo):
-                composed += segment + block
+        # each slot's free segment joined to each of its g's blocks, once
+        parts = [
+            [(key[start:p] + block, cg) for block, cg in hit]
+            for start, p, hit in zip(starts, pos, hits)
+        ]
+        tail = key[starts[-1] :]
+        outs = [(j, -cf) for j, cf in fout.items()] if neg else fout.items()
+        for combo in itertools.product(*parts):
+            composed, c = combo[0]
+            for part, cg in combo[1:]:
+                composed += part
                 c *= cg
-            row = acc.setdefault(composed + key[starts[-1] :], {})
-            for j, cf in fout.items():
-                row[j] = row.get(j, 0) + c * cf
+            row = acc.setdefault(composed + tail, {})
+            for j, cf in outs:
+                row[j] = row[j] + c * cf if j in row else c * cf
 
 
 def add_into(acc: dict, sign: int, m: MultiMap) -> None:
@@ -403,7 +421,7 @@ def antisymmetrize(f: MultiMap) -> MultiMap:
     par = f.space.parities
     folded: dict = {}
     for key, out in f.entries.items():
-        inv = [(a, b) for i, a in enumerate(key) for b in key[i + 1 :] if a > b]
+        inv = inverted_pairs(key)
         sign = -1 if sum(not par[a] & par[b] for a, b in inv) & 1 else 1
         row = folded.setdefault(tuple(sorted(key)), {})
         for j, c in out.items():

@@ -10,11 +10,11 @@ Two brackets satisfy the symmetric-brace axiom here:
         delta = sum_i (N - i) q_i + sum_{j<i} q_i a_j
               + sum_{j<i} a_i a_j + sum_i (n - i) a_i.
 
-    Its output is antisymmetric, so only terms on sorted input words that
-    can be nonzero are evaluated, and multimap.expand_orbits (antisymmetrize's
-    orbit writer) writes each nonzero one once to its orbit.  A term reads
-    each g_i's value from its table row and evaluates f once, with the
-    Koszul sign of multimap's convention taken on the dealt blocks.
+    Its output is antisymmetric: only terms on sorted words that can be
+    nonzero are evaluated, and multimap.expand_orbits writes each nonzero
+    one to its orbit.  A term reads each g_i's value from its table row and
+    evaluates f once, signed by parities: chi over the unshuffle's inverted
+    pairs, and multimap's Koszul convention on the dealt blocks.
 
   * symmetrize_brace (defined in brace, re-exported here): the eps-signed
     sum of plain braces f{g_sigma} over all orderings of the inserted maps,
@@ -31,12 +31,7 @@ import itertools
 from typing import Sequence
 
 from .errors import InputError
-from .graded import (
-    antisym_koszul_sign,
-    enumerate_unshuffles,
-    insertion_patterns,
-    koszul_sign,
-)
+from .graded import enumerate_unshuffles, insertion_patterns, inverted_pairs
 from .multimap import (
     MultiMap,
     add_into,
@@ -45,7 +40,7 @@ from .multimap import (
     is_antisymmetric,
 )
 # brace_eval and symmetrize_brace stay importable from this module
-from .brace import _bracket_or_zero, brace_eval, symmetrize_brace
+from .brace import _bracket_or_zero, _signature, brace_eval, symmetrize_brace
 
 FLAVOR_UNSHUFFLE = "example33"
 FLAVOR_SYMMETRIZED = "symmetrized"
@@ -64,6 +59,13 @@ def delta_parity(N: int, a: Sequence[int], q: Sequence[int]) -> int:
     return total & 1
 
 
+def _unshuffle_table(blocks: Sequence[int]) -> list:
+    """The unshuffles of the block sizes as 0-based index tuples, each with
+    its inverted pairs of positions (graded.inverted_pairs)."""
+    idxs = [tuple(v - 1 for v in g.images) for g in enumerate_unshuffles(blocks)]
+    return [(idx, inverted_pairs(idx)) for idx in idxs]
+
+
 def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     """The unshuffle bracket f<g_1, ..., g_n> on antisymmetric maps.
 
@@ -78,8 +80,7 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     fills the orbits.
     """
     gs = tuple(gs)
-    n = len(gs)
-    N = f.arity
+    n, N = len(gs), f.arity
     if n > N:
         raise InputError(f"cannot insert {n} maps into a map of arity {N}")
     for m in (f, *gs):
@@ -91,11 +92,9 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
         return f
     arities = tuple(g.arity for g in gs)
     degrees = tuple(g.degree for g in gs)
-    free = N - n
-    out_arity = sum(arities) + free
-    out_degree = f.degree + sum(degrees)
-    base = -1 if delta_parity(N, arities, degrees) else 1
-    gammas = list(enumerate_unshuffles(arities + (free,)))
+    out_arity, out_degree = _signature(f, gs)
+    base_neg = delta_parity(N, arities, degrees)
+    gammas = _unshuffle_table(arities + (N - n,))
     cuts = list(itertools.accumulate((0,) + arities))
 
     space = f.space
@@ -113,25 +112,26 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     for t in itertools.combinations_with_replacement(range(space.dim), out_arity):
         if any(a == b and not par[a] for a, b in zip(t, t[1:])):
             continue
-        degs = [space.degrees[i] for i in t]
-        if out_degree + sum(degs) not in space.degrees:
+        if out_degree + sum(space.degrees[i] for i in t) not in space.degrees:
             continue
+        tpar = [par[i] for i in t]
         acc: dict = {}
-        for gamma in gammas:
-            dealt = gamma.apply(t)
+        for idx, inv in gammas:
+            dealt = tuple([t[i] for i in idx])
             hits = [v.get(dealt[a:b]) for v, a, b in zip(values, cuts, cuts[1:])]
             if None in hits:
                 continue
-            # the Koszul sign of each g_i crossing the letters dealt before it
-            sign_exp = prefix = 0
+            # chi of gamma, then each g_i crossing the letters dealt before it
+            neg = len(inv) + sum(tpar[a] & tpar[b] for a, b in inv)
+            prefix = 0
             for q, (_, p) in zip(degrees, hits):
-                sign_exp ^= q & prefix
+                neg += q & prefix
                 prefix ^= p
-            sign = antisym_koszul_sign(gamma, degs)
             outer = [v for v, _ in hits] + [basis[i] for i in dealt[cuts[-1] :]]
             for j, c in f(outer).coeffs.items():
-                acc[j] = acc.get(j, 0) + (-sign if sign_exp else sign) * c
-        reps[t] = {j: base * c for j, c in acc.items() if c}
+                c = -c if neg & 1 else c
+                acc[j] = acc[j] + c if j in acc else c
+        reps[t] = {j: -c if base_neg else c for j, c in acc.items() if c}
     return MultiMap(space, out_arity, out_degree, expand_orbits(reps, out_arity, par))
 
 
@@ -170,27 +170,24 @@ def symbrace_axiom_sides(
     rhs: dict = {}
     block_cache: dict = {}
     for sizes in insertion_patterns(r, n + 1):
-        for gamma in enumerate_unshuffles(sizes):
-            dealt = gamma.apply(xs)
-            sign_exp = 0
-            prefix = 0
-            pos = 0
+        for idx, inv in _unshuffle_table(sizes):
+            # eps of the unshuffle, then each g_i crossing earlier blocks
+            neg = sum(bx[a] & bx[b] for a, b in inv)
+            prefix = pos = 0
             outer_args = []
             for b in range(n):
-                size = sizes[b]
-                block = dealt[pos : pos + size]
-                key = (b, gamma.images[pos : pos + size])
+                key = (b, idx[pos : pos + sizes[b]])
                 if key not in block_cache:
+                    block = [xs[i] for i in key[1]]
                     block_cache[key] = _bracket_or_zero(bracket, gs[b], block)
                 outer_args.append(block_cache[key])
-                sign_exp ^= bg[b] & prefix
-                for x in block:
-                    prefix ^= x.brace_parity
-                pos += size
-            outer_args.extend(dealt[pos:])
+                neg += bg[b] & prefix
+                for i in key[1]:
+                    prefix ^= bx[i]
+                pos += sizes[b]
+            outer_args.extend(xs[i] for i in idx[pos:])
             term = _bracket_or_zero(bracket, f, outer_args)
-            sign = koszul_sign(gamma, bx) * (-1 if sign_exp else 1)
-            add_into(rhs, sign, term)
+            add_into(rhs, -1 if neg & 1 else 1, term)
     return lhs, MultiMap(f.space, lhs.arity, lhs.degree, rhs)
 
 

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +21,7 @@ from bracekit.multimap import (
     antisymmetrize,
     is_antisymmetric,
 )
-from helpers import random_map, tensor_block_eval
+from helpers import eta_without_parity_crossing, random_map, tensor_block_eval
 
 
 MIXED = GradedSpace([("a", 0), ("b", 1)])
@@ -111,6 +113,62 @@ class TestMultiMap:
         assert MultiMap.zero(EVEN, 2, 0).brace_parity == 1
         assert MultiMap.zero(EVEN, 2, 1).brace_parity == 0
         assert MultiMap.zero(EVEN, 1, 0).brace_parity == 0
+
+
+def pointwise_call(f, args):
+    """f on vectors by multilinear expansion over every basis tuple."""
+    total = f.space.zero_vector()
+    for t in f.space.tuples(f.arity):
+        c = math.prod(a.coeffs.get(i, 0) for a, i in zip(args, t))
+        if c:
+            total = total + f.value(t).scale(c)
+    return total
+
+
+class TestCall:
+    F = MultiMap(MIXED, 2, 0, {(0, 0): {0: 3}, (0, 1): {1: -1}, (1, 0): {1: 2}})
+
+    def test_equal_but_distinct_space_is_accepted(self):
+        twin = GradedSpace(MIXED.basis)
+        assert twin is not MIXED and twin == MIXED
+        args = [GradedVector(twin, {0: 2, 1: 1}), twin.basis_vector(1)]
+        assert self.F(args) == self.F([MIXED.vector(a.coeffs) for a in args])
+
+    def test_other_space_is_refused(self):
+        other = GradedSpace([("a", 0), ("c", 1)])
+        with pytest.raises(InputError):
+            self.F([other.basis_vector(0), other.basis_vector(1)])
+        with pytest.raises(InputError):
+            self.F([MIXED.basis_vector(0), {0: 1}])
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (1, -1, 2, -3),
+            (Fraction(1, 2), Fraction(-2, 3), Fraction(1)),
+            (1, Fraction(1, 2), -2),
+        ],
+        ids=["int", "fraction", "mixed"],
+    )
+    def test_values_match_pointwise_expansion(self, coeffs):
+        rng = random.Random(len(coeffs))
+        space = GradedSpace([("a", 0), ("b", 1), ("c", 1)])
+        for arity in (1, 2, 3):
+            for _ in range(10):
+                m = random_map(rng, space, arity)
+                entries = {
+                    k: {j: c * rng.choice(coeffs) for j, c in out.items()}
+                    for k, out in m.entries.items()
+                }
+                f = MultiMap(space, arity, m.degree, entries)
+                args = []
+                for _ in range(arity):
+                    hits = [i for i in range(space.dim) if rng.random() < 0.6]
+                    args.append(space.vector({i: rng.choice(coeffs) for i in hits}))
+                got = f(args)
+                assert got == pointwise_call(f, args)
+                if all(isinstance(c, int) for c in coeffs):
+                    assert all(isinstance(c, int) for c in got.coeffs.values())
 
 
 class TestTensorBlockEval:
@@ -238,6 +296,26 @@ class TestIsAntisymmetric:
         assert is_antisymmetric(MultiMap.zero(MIXED, 3, 0))
 
 
+def staged_sign_failures(staged, max_k=4):
+    """The (k, parities, n, chi) with k <= max_k for which the (sign, word)
+    multiset of staged(range(k), parities, n, chi) is not the chi- or
+    eps-signed S_k, {(sign(s, parities), s)}: all parity patterns, all
+    splits, both forms."""
+    failures = []
+    for k in range(max_k + 1):
+        for parities in itertools.product((0, 1), repeat=k):
+            for chi, sign_fn in ((True, antisym_koszul_sign), (False, koszul_sign)):
+                expected = Counter(
+                    (s.apply(range(k)), sign_fn(s, parities))
+                    for s in enumerate_permutations(k)
+                )
+                for n in range(k + 1):
+                    got = Counter((w, s) for s, w in staged(range(k), parities, n, chi))
+                    if got != expected:
+                        failures.append((k, parities, n, chi))
+    return failures
+
+
 class TestPermutationTerms:
     # words of basis indices; letter i has degree parity PAR[i]
     PAR = MIXED.parities
@@ -285,17 +363,11 @@ class TestPermutationTerms:
         assert terms == {("y", "z"): 1, ("z", "y"): -1}
 
     def test_each_rearrangement_once_with_its_sign(self):
-        rng = random.Random(4)
-        for size in range(5):
-            parities = [rng.randint(0, 1) for _ in range(size)]
-            for chi, sign_fn in ((True, antisym_koszul_sign), (False, koszul_sign)):
-                expected = sorted(
-                    (p.images, sign_fn(p, parities))
-                    for p in enumerate_permutations(size)
-                )
-                for n in range(size + 1):
-                    got = staged_rearrangements(range(1, size + 1), parities, n, chi)
-                    assert sorted((w, s) for s, w in got) == expected
+        assert staged_sign_failures(staged_rearrangements) == []
+
+    def test_eta_mutant_fails_in_both_forms(self):
+        failures = staged_sign_failures(eta_without_parity_crossing)
+        assert {chi for *_, chi in failures} == {True, False}
 
     def test_bad_splits(self):
         with pytest.raises(InputError):
