@@ -1,9 +1,11 @@
 """Shared test helpers: small homogeneous random tables, point-by-point
 reference evaluators built on the tensor-block oracle _tensor_core, wrong
-brace, unshuffle-bracket and riffle signs, and the environment of a CLI
-subprocess."""
+brace, unshuffle-bracket and riffle signs, and the environment and runner
+of a CLI subprocess."""
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -289,3 +291,15 @@ def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def run_cli(*args, cwd, timeout=300):
+    """`python -m bracekit *args` in ``cwd``, with its output captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "bracekit", *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=cli_env(),
+        timeout=timeout,
+    )

@@ -7,8 +7,6 @@ carries the same label.
 """
 
 import json
-import subprocess
-import sys
 
 from bracekit import brace
 from bracekit.brace import braced_symmetrization_sides
@@ -35,7 +33,7 @@ from bracekit.multimap import (
     _decomposition_first_defect,
     antisymmetrize,
 )
-from helpers import beta_without_leading_slot_term, cli_env
+from helpers import beta_without_leading_slot_term, run_cli
 
 SEED = 20260815
 CAPS = FuzzCaps()  # dim <= 3, arities <= 3, n <= 2, degrees in [-2, 2]
@@ -321,21 +319,10 @@ def test_leading_slot_sign_convention_is_pinned(monkeypatch):
     )
 
 
-def _run_cli(*args, cwd):
-    return subprocess.run(
-        [sys.executable, "-m", "bracekit", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=cli_env(),
-        timeout=300,
-    )
-
-
 def test_cli_reports_byte_deterministic_and_fmt_stable(tmp_path):
     args = ("fuzz", "--seed", "424242", "--cases", "2")
-    first = _run_cli(*args, cwd=tmp_path)
-    second = _run_cli(*args, cwd=tmp_path)
+    first = run_cli(*args, cwd=tmp_path)
+    second = run_cli(*args, cwd=tmp_path)
     deterministic = (
         first.returncode == 0
         and first.stdout == second.stdout
@@ -343,9 +330,9 @@ def test_cli_reports_byte_deterministic_and_fmt_stable(tmp_path):
     )
 
     ws_path = _pipeline_workspace(tmp_path)
-    fmt1 = _run_cli("fmt", "--workspace", str(ws_path), cwd=tmp_path)
+    fmt1 = run_cli("fmt", "--workspace", str(ws_path), cwd=tmp_path)
     once = ws_path.read_bytes()
-    fmt2 = _run_cli("fmt", "--workspace", str(ws_path), cwd=tmp_path)
+    fmt2 = run_cli("fmt", "--workspace", str(ws_path), cwd=tmp_path)
     stable = (
         fmt1.returncode == 0 and fmt2.returncode == 0
         and ws_path.read_bytes() == once

@@ -8,7 +8,7 @@ import pytest
 
 from bracekit.multimap import is_antisymmetric
 from bracekit.workspace import Workspace
-from helpers import cli_env
+from helpers import cli_env, run_cli
 
 WS = {
     "space": {"basis": [{"name": "a", "degree": 0}, {"name": "b", "degree": 0}]},
@@ -33,17 +33,6 @@ WS = {
         },
     ],
 }
-
-
-def run_cli(*args, cwd, timeout=300):
-    return subprocess.run(
-        [sys.executable, "-m", "bracekit", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=cli_env(),
-        timeout=timeout,
-    )
 
 
 @pytest.fixture

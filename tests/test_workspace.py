@@ -1,5 +1,6 @@
 """Workspace JSON loading, validation, and canonical serialization."""
 
+import copy
 import json
 from fractions import Fraction
 
@@ -269,3 +270,243 @@ class TestMapToObj:
         m = MultiMap(other, 1, 0, {})
         with pytest.raises(WorkspaceError, match="workspace space"):
             Workspace(space, [("f", m)])
+
+
+# ------------------------------------------------------------ error texts
+
+# One malformed workspace per WorkspaceError branch of from_obj, _parse_map
+# and parse_coeff, with the exact message each raises.  The messages were
+# recorded from the validator before the single-pass parser replaced it.
+BASE = {
+    "space": {"basis": [{"name": "a", "degree": 0}, {"name": "b", "degree": 1}]},
+    "maps": [
+        {
+            "name": "f",
+            "arity": 2,
+            "degree": 0,
+            "entries": [{"in": ["a", "b"], "out": [{"basis": "b", "coeff": "3/2"}]}],
+        }
+    ],
+}
+DROP = object()  # an edit value that deletes the key
+E = ("maps", 0, "entries", 0)
+T = E + ("out", 0)
+DIGIT_LIMIT = (
+    "bad coefficient: Exceeds the limit (4300 digits) for integer string "
+    "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to "
+    "increase the limit"
+)
+HOMOGENEITY = (
+    "map 'f': entry ('a', 'b') -> a violates homogeneity: output degree 0, expected 1"
+)
+
+# (id, edits of BASE as (path, value) pairs, message or None when it loads)
+ERROR_TEXTS = [
+    ("workspace-not-object", [((), [])],
+     'workspace: expected an object, got list'),
+    ("workspace-unknown-key", [(("extra",), 1)],
+     "workspace: unknown keys ['extra']"),
+    ("space-missing", [(("space",), DROP)],
+     "workspace: missing 'space'"),
+    ("space-not-object", [(("space",), [])],
+     'space: expected an object, got list'),
+    ("space-unknown-key", [(("space", "dims"), 2)],
+     "space: unknown keys ['dims']"),
+    ("basis-missing", [(("space", "basis"), DROP)],
+     'space.basis: expected a list, got NoneType'),
+    ("basis-not-list", [(("space", "basis"), "a")],
+     'space.basis: expected a list, got str'),
+    ("basis-empty", [(("space", "basis"), [])],
+     'space: a graded space needs at least one basis element'),
+    ("basis-item-not-object", [(("space", "basis", 0), "a")],
+     'space.basis[0]: expected an object, got str'),
+    ("basis-item-unknown-key", [(("space", "basis", 0, "weight"), 1)],
+     "space.basis[0]: unknown keys ['weight']"),
+    ("basis-name-not-string", [(("space", "basis", 0, "name"), 7)],
+     'space.basis[0].name: expected a nonempty string, got 7'),
+    ("basis-name-empty", [(("space", "basis", 0, "name"), "")],
+     "space.basis[0].name: expected a nonempty string, got ''"),
+    ("basis-degree-bool", [(("space", "basis", 0, "degree"), True)],
+     'space.basis[0].degree: expected an integer, got True'),
+    ("basis-degree-float", [(("space", "basis", 1, "degree"), 1.0)],
+     'space.basis[1].degree: expected an integer, got 1.0'),
+    ("basis-duplicate-name", [(("space", "basis", 1, "name"), "a")],
+     'space: basis names must be distinct'),
+    ("maps-not-list", [(("maps",), {"f": {}})],
+     'maps: expected a list, got dict'),
+    ("map-not-object", [(("maps", 0), "f")],
+     'maps[0]: expected an object, got str'),
+    ("map-unknown-key", [(("maps", 0, "color"), "red")],
+     "maps[0]: unknown keys ['color']"),
+    ("map-name-missing", [(("maps", 0, "name"), DROP)],
+     'maps[0].name: expected a nonempty string, got None'),
+    ("map-name-empty", [(("maps", 0, "name"), "")],
+     "maps[0].name: expected a nonempty string, got ''"),
+    ("map-duplicate-name",
+     [(("maps", 1), {"name": "f", "arity": 1, "degree": 0, "entries": []})],
+     "duplicate map name 'f'"),
+    ("map-arity-bool", [(("maps", 0, "arity"), True)],
+     "map 'f'.arity: expected an integer, got True"),
+    ("map-arity-missing", [(("maps", 0, "arity"), DROP)],
+     "map 'f'.arity: expected an integer, got None"),
+    ("map-degree-string", [(("maps", 0, "degree"), "0")],
+     "map 'f'.degree: expected an integer, got '0'"),
+    ("map-arity-zero", [(("maps", 0, "arity"), 0), (("maps", 0, "entries"), [])],
+     "map 'f': map arity must be at least 1, got 0"),
+    ("map-arity-zero-with-entry", [(("maps", 0, "arity"), 0), (E + ("in",), [])],
+     "map 'f': map arity must be at least 1, got 0"),
+    ("map-arity-negative", [(("maps", 0, "arity"), -1), (E + ("in",), [])],
+     "map 'f'.entries[0]: 'in' lists 0 names, arity is -1"),
+    ("entries-empty", [(("maps", 0, "entries"), [])],
+     None),
+    ("out-empty", [(E + ("out",), [])],
+     None),
+    ("entries-missing", [(("maps", 0, "entries"), DROP)],
+     "map 'f'.entries: expected a list, got NoneType"),
+    ("entries-not-list", [(("maps", 0, "entries"), {})],
+     "map 'f'.entries: expected a list, got dict"),
+    ("entry-not-object", [(E, ["a", "b"])],
+     "map 'f'.entries[0]: expected an object, got list"),
+    ("entry-unknown-key", [(E + ("weight",), 1)],
+     "map 'f'.entries[0]: unknown keys ['weight']"),
+    ("in-missing", [(E + ("in",), DROP)],
+     "map 'f'.entries[0].in: expected a list, got NoneType"),
+    ("in-not-list", [(E + ("in",), "ab")],
+     "map 'f'.entries[0].in: expected a list, got str"),
+    ("in-name-not-string", [(E + ("in", 1), 1)],
+     "map 'f'.entries[0].in: expected a nonempty string, got 1"),
+    ("in-name-empty", [(E + ("in", 0), "")],
+     "map 'f'.entries[0].in: expected a nonempty string, got ''"),
+    ("in-name-unhashable", [(E + ("in", 0), ["a"])],
+     "map 'f'.entries[0].in: expected a nonempty string, got ['a']"),
+    ("in-too-short", [(E + ("in",), ["a"])],
+     "map 'f'.entries[0]: 'in' lists 1 names, arity is 2"),
+    ("in-too-long", [(E + ("in",), ["a", "b", "a"])],
+     "map 'f'.entries[0]: 'in' lists 3 names, arity is 2"),
+    ("in-unknown-name", [(E + ("in", 1), "q")],
+     "map 'f': entry ['a', 'q']: unknown basis element 'q'"),
+    ("in-unknown-before-bad-name", [(E + ("in",), ["q", 3])],
+     "map 'f'.entries[0].in: expected a nonempty string, got 3"),
+    ("out-missing", [(E + ("out",), DROP)],
+     "map 'f': entry ['a', 'b']: out: expected a list, got NoneType"),
+    ("out-not-list", [(E + ("out",), {"b": "1"})],
+     "map 'f': entry ['a', 'b']: out: expected a list, got dict"),
+    ("out-term-not-object", [(T, "b")],
+     "map 'f': entry ['a', 'b']: out term: expected an object, got str"),
+    ("out-term-unknown-key", [(T + ("weight",), 1)],
+     "map 'f': entry ['a', 'b']: out term: unknown keys ['weight']"),
+    ("out-basis-missing", [(T + ("basis",), DROP)],
+     "map 'f': entry ['a', 'b']: out basis: expected a nonempty string, got None"),
+    ("out-basis-not-string", [(T + ("basis",), 1)],
+     "map 'f': entry ['a', 'b']: out basis: expected a nonempty string, got 1"),
+    ("out-basis-unhashable", [(T + ("basis",), ["b"])],
+     "map 'f': entry ['a', 'b']: out basis: expected a nonempty string, got ['b']"),
+    ("out-basis-unknown", [(T + ("basis",), "q")],
+     "map 'f': entry ['a', 'b']: unknown basis element 'q'"),
+    ("coeff-missing", [(T + ("coeff",), DROP)],
+     "bad coefficient None (expected 'p' or 'p/q')"),
+    ("coeff-not-string", [(T + ("coeff",), 3)],
+     "bad coefficient 3 (expected 'p' or 'p/q')"),
+    ("coeff-decimal", [(T + ("coeff",), "1.5")],
+     "bad coefficient '1.5' (expected 'p' or 'p/q')"),
+    ("coeff-underscore", [(T + ("coeff",), "1_000")],
+     "bad coefficient '1_000' (expected 'p' or 'p/q')"),
+    ("coeff-spaces", [(T + ("coeff",), " 2")],
+     "bad coefficient ' 2' (expected 'p' or 'p/q')"),
+    ("coeff-negative-denominator", [(T + ("coeff",), "3/-2")],
+     "bad coefficient '3/-2' (expected 'p' or 'p/q')"),
+    ("coeff-zero-denominator", [(T + ("coeff",), "1/0")],
+     "bad coefficient '1/0' (zero denominator)"),
+    ("coeff-over-digit-limit", [(T + ("coeff",), "-" + "1" * 5000)],
+     DIGIT_LIMIT),
+    ("coeff-denominator-over-digit-limit", [(T + ("coeff",), "1/" + "1" * 5000)],
+     DIGIT_LIMIT),
+    ("second-entry-not-object", [(("maps", 0, "entries", 1), 5)],
+     "map 'f'.entries[1]: expected an object, got int"),
+    ("second-term-basis-unknown", [(E + ("out", 1), {"basis": "q", "coeff": "1"})],
+     "map 'f': entry ['a', 'b']: unknown basis element 'q'"),
+    ("second-map-in-unknown",
+     [(("maps", 1), {"name": "g", "arity": 1, "degree": 0,
+                     "entries": [{"in": ["z"], "out": []}]})],
+     "map 'g': entry ['z']: unknown basis element 'z'"),
+    ("homogeneity", [(T + ("basis",), "a")],
+     HOMOGENEITY),
+    ("duplicate-entries-leave-a-violation",
+     [(("maps", 0, "entries", 1),
+       {"in": ["a", "b"], "out": [{"basis": "a", "coeff": "1"}]})],
+     HOMOGENEITY),
+    ("duplicate-entries-cancel",
+     [(T + ("basis",), "a"),
+      (("maps", 0, "entries", 1),
+       {"in": ["a", "b"], "out": [{"basis": "a", "coeff": "-3/2"}]})],
+     None),
+]
+
+
+def edited(edits):
+    obj = copy.deepcopy(BASE)
+    for path, value in edits:
+        if not path:
+            obj = value
+            continue
+        *head, last = path
+        target = obj
+        for step in head:
+            target = target[step]
+        if value is DROP:
+            del target[last]
+        elif isinstance(target, list) and last == len(target):
+            target.append(value)
+        else:
+            target[last] = value
+    return obj
+
+
+class TestErrorTexts:
+    @pytest.mark.parametrize(
+        "edits, message", [c[1:] for c in ERROR_TEXTS], ids=[c[0] for c in ERROR_TEXTS]
+    )
+    def test_message_is_exact(self, edits, message):
+        obj = edited(edits)
+        if message is None:
+            Workspace.from_obj(obj)
+            return
+        with pytest.raises(WorkspaceError) as exc:
+            Workspace.from_obj(obj)
+        assert str(exc.value) == message
+
+    def test_table_covers_each_branch_once(self):
+        ids = [c[0] for c in ERROR_TEXTS]
+        assert len(ids) == len(set(ids))
+        assert len({c[2] for c in ERROR_TEXTS}) >= 50
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "{not json",
+                "invalid JSON: Expecting property name enclosed in double quotes: "
+                "line 1 column 2 (char 1)",
+            ),
+            (
+                '{"space": {"basis": [{"name": "a", "degree": ' + "1" * 5000 + "}]}}",
+                "invalid JSON: " + DIGIT_LIMIT.removeprefix("bad coefficient: "),
+            ),
+            (
+                '{"space": {"basis": [{"name": "a", "degree": 0}]}, "maps": 3}',
+                "maps: expected a list, got int",
+            ),
+        ],
+        ids=["syntax", "digit-limit", "schema"],
+    )
+    def test_loads_message_is_exact(self, text, message):
+        with pytest.raises(WorkspaceError) as exc:
+            Workspace.loads(text)
+        assert str(exc.value) == message
+
+    def test_load_prefixes_the_path(self, tmp_path):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(edited(ERROR_TEXTS[0][1])), encoding="utf-8")
+        with pytest.raises(WorkspaceError) as exc:
+            Workspace.load(path)
+        assert str(exc.value) == f"{path}: {ERROR_TEXTS[0][2]}"
