@@ -33,10 +33,10 @@ from typing import Sequence
 
 from .errors import InputError
 from .graded import (
-    enumerate_permutations,
     insertion_patterns,
-    koszul_sign,
+    permutation_words,
     staged_rearrangements,
+    word_parity,
 )
 from .multimap import MultiMap, add_into, compose_into
 
@@ -113,8 +113,9 @@ def symmetrize_brace(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
         return f
     parities = [g.brace_parity for g in gs]
     entries: dict = {}
-    for sigma in enumerate_permutations(len(gs)):
-        _brace_into(entries, koszul_sign(sigma, parities), f, sigma.apply(gs))
+    for word, inv in permutation_words(len(gs)):
+        sign = -1 if word_parity(inv, parities, False) else 1
+        _brace_into(entries, sign, f, tuple(gs[i] for i in word))
     return MultiMap(f.space, *_signature(f, gs), entries)
 
 

@@ -1,15 +1,16 @@
 """Permutations, unshuffles and Koszul signs for graded objects.
 
-Permutations live in one-line notation with 1-based values: ``s`` sends
-position ``i`` to the value ``s(i)``, and applying ``s`` to a sequence
-``(x_1, ..., x_n)`` yields ``(x_{s(1)}, ..., x_{s(n)})``.
+Inside the library a rearrangement is a 0-based word ``w``, putting the
+objects ``x_{w[0]}, ..., x_{w[n-1]}`` in a row.  unshuffle_words is the one
+enumerator (S_n is the unshuffles of n singleton blocks: permutation_words)
+and word_parity the one sign: eps is (-1)^{|x||y|} for each pair x, y the
+word puts out of order, chi = sgn * eps, and only degree parities enter.
+staged_rearrangements, shared by Lemmas 4.1 (chi) and 5.1 (eps), is the one
+place the riffle sign is computed.
 
-Two signs govern everything downstream.  Rearranging homogeneous objects
-``x_1, ..., x_n`` into ``x_{s(1)}, ..., x_{s(n)}`` costs the Koszul sign
-``eps(s)``, accumulated one adjacent swap at a time at ``(-1)^{|x||y|}``
-per swap, and the antisymmetric variant is ``chi(s) = sgn(s) * eps(s)``.
-Only degree parities enter either sign.  staged_rearrangements, shared by
-Lemmas 4.1 (chi) and 5.1 (eps), is the one place the riffle sign is computed.
+At the API edge, a Permutation is a word in one-line notation with 1-based
+values: ``s`` sends position ``i`` to the value ``s(i)``, and applying ``s``
+to ``(x_1, ..., x_n)`` yields ``(x_{s(1)}, ..., x_{s(n)})``.
 
 Enumerating all of S_n, or all unshuffles of n elements, grows like n!;
 both enumerators refuse n above the fixed ENUMERATION_CAP with
@@ -81,7 +82,7 @@ class Permutation:
         return Permutation(inv)
 
     def sign(self) -> int:
-        return -1 if len(inverted_pairs(self.images)) & 1 else 1
+        return antisym_koszul_sign(self, (0,) * len(self))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -94,24 +95,31 @@ class Permutation:
 
 
 def inverted_pairs(word: Sequence[int]) -> list:
-    """The pairs (a, b) of entries of word with a before b and a > b.
-
-    Read as a one-line word, a permutation puts exactly these pairs of
-    objects out of order: sgn is -1 to their number, and eps multiplies
-    (-1)^{|a||b|} over them.
-    """
+    """The pairs (a, b) of entries of word with a before b and a > b: the
+    pairs of objects the word puts out of order, which word_parity signs."""
     return [(a, b) for i, a in enumerate(word) for b in word[i + 1 :] if a > b]
 
 
-def _sign_parities(perm: Permutation, degrees: Sequence[int]) -> tuple:
-    """(sgn, eps) of perm as parities, for objects whose degrees are listed
-    in original order."""
+def word_parity(pairs: Sequence[tuple], parities: Sequence[int], chi: bool) -> int:
+    """The sign of a rearrangement as a parity, from its inverted pairs
+    (a, b) of 0-based object indexes: eps adds |x_a||x_b| per pair, read
+    from parities (or degrees), and chi adds 1 more per pair.
+
+    >>> inv = inverted_pairs((1, 0))
+    >>> word_parity(inv, (1, 1), False), word_parity(inv, (1, 1), True)
+    (1, 0)
+    """
+    crossings = sum(parities[a] & parities[b] for a, b in pairs)
+    return (crossings + len(pairs) if chi else crossings) & 1
+
+
+def _sign(perm: Permutation, degrees: Sequence[int], chi: bool) -> int:
     if len(degrees) != len(perm):
         raise InputError(
             f"got {len(degrees)} degrees for a permutation of size {len(perm)}"
         )
-    inv = inverted_pairs(perm.images)
-    return len(inv) & 1, sum(degrees[a - 1] & degrees[b - 1] for a, b in inv) & 1
+    word = [v - 1 for v in perm.images]
+    return -1 if word_parity(inverted_pairs(word), degrees, chi) else 1
 
 
 def koszul_sign(perm: Permutation, degrees: Sequence[int]) -> int:
@@ -124,7 +132,7 @@ def koszul_sign(perm: Permutation, degrees: Sequence[int]) -> int:
     >>> koszul_sign(Permutation((2, 1)), (1, 2))
     1
     """
-    return -1 if _sign_parities(perm, degrees)[1] else 1
+    return _sign(perm, degrees, False)
 
 
 def antisym_koszul_sign(perm: Permutation, degrees: Sequence[int]) -> int:
@@ -135,8 +143,7 @@ def antisym_koszul_sign(perm: Permutation, degrees: Sequence[int]) -> int:
     >>> antisym_koszul_sign(Permutation((2, 1)), (0, 0))
     -1
     """
-    swaps, crossings = _sign_parities(perm, degrees)
-    return -1 if swaps ^ crossings else 1
+    return _sign(perm, degrees, True)
 
 
 def _check_cap(n: int, what: str) -> None:
@@ -148,13 +155,6 @@ def _check_cap(n: int, what: str) -> None:
         )
 
 
-def enumerate_permutations(n: int) -> Iterator[Permutation]:
-    """All of S_n in lexicographic order of one-line words."""
-    _check_cap(n, "permutation enumeration")
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
-
-
 def _block_sizes(blocks: Sequence[int]) -> tuple:
     blocks = tuple(int(b) for b in blocks)
     if any(b < 0 for b in blocks):
@@ -162,32 +162,48 @@ def _block_sizes(blocks: Sequence[int]) -> tuple:
     return blocks
 
 
-def enumerate_unshuffles(blocks: Sequence[int]) -> Iterator[Permutation]:
-    """Permutations increasing within each consecutive block of positions.
+def unshuffle_words(blocks: Sequence[int]) -> Iterator[tuple]:
+    """(word, inverted pairs) of every unshuffle, words lexicographic.
 
-    The block sizes, which may be 0, partition the positions 1..N in order;
-    an unshuffle deals the values 1..N into the blocks so that each block
-    reads increasingly.
+    The block sizes, which may be 0, partition the positions 0..N-1 in
+    order; an unshuffle deals the values 0..N-1 into the blocks so that
+    each block reads increasingly.
 
-    >>> [u.images for u in enumerate_unshuffles((1, 1))]
-    [(1, 2), (2, 1)]
-    >>> sum(1 for _ in enumerate_unshuffles((2, 1)))
-    3
+    >>> [w for w, _ in unshuffle_words((1, 2))]
+    [(0, 1, 2), (1, 0, 2), (2, 0, 1)]
     """
     blocks = _block_sizes(blocks)
     _check_cap(sum(blocks), "unshuffle enumeration")
+    deals = [((), tuple(range(sum(blocks))))]
+    for size in blocks:
+        deals = [
+            (word + hand, tuple(v for v in rest if v not in hand))
+            for word, rest in deals
+            for hand in itertools.combinations(rest, size)
+        ]
+    return ((word, inverted_pairs(word)) for word, _ in deals)
 
-    def deal(values: tuple, blocks: tuple) -> Iterator[tuple]:
-        if not blocks:
-            yield ()
-            return
-        for picked in itertools.combinations(values, blocks[0]):
-            rest = tuple(v for v in values if v not in picked)
-            for tail in deal(rest, blocks[1:]):
-                yield picked + tail
 
-    for images in deal(tuple(range(1, sum(blocks) + 1)), blocks):
-        yield Permutation(images)
+def permutation_words(n: int) -> Iterator[tuple]:
+    """S_n, lexicographic, as the unshuffle_words of n singleton blocks."""
+    _check_cap(n, "permutation enumeration")
+    return unshuffle_words((1,) * n)
+
+
+def enumerate_permutations(n: int) -> Iterator[Permutation]:
+    """All of S_n in lexicographic order of one-line words."""
+    for word, _ in permutation_words(n):
+        yield Permutation(v + 1 for v in word)
+
+
+def enumerate_unshuffles(blocks: Sequence[int]) -> Iterator[Permutation]:
+    """The unshuffles of unshuffle_words as 1-based Permutations.
+
+    >>> [u.images for u in enumerate_unshuffles((2, 1))]
+    [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
+    """
+    for word, _ in unshuffle_words(blocks):
+        yield Permutation(v + 1 for v in word)
 
 
 def insertion_patterns(total: int, parts: int) -> Iterator[tuple]:
@@ -217,9 +233,8 @@ def staged_rearrangements(
     then every permutation of the y's, then every riffle of the permuted z's
     among the permuted y's: an insertion pattern (k_0, ..., k_n) deals the
     z's in order, k_0 before y_1 and k_i after y_i.  Block permutations are
-    signed by chi (antisym_koszul_sign) when chi is set and by eps
-    (koszul_sign) otherwise, over the items' degree parities; the riffle by
-    (-1)^eta with
+    signed by word_parity over the items' degree parities, chi when chi is
+    set and eps otherwise; the riffle by (-1)^eta with
 
         eta = sum_i |y_i| * (parities of the z's placed before y_i)
             + sum_{i=0..n} (n - i) k_i        (this term only when chi is set)
@@ -235,19 +250,19 @@ def staged_rearrangements(
         raise InputError(
             f"cannot split {len(items)} items ({len(parities)} parities) at {n}"
         )
-    sign_of = antisym_koszul_sign if chi else koszul_sign
     hpar, tpar = parities[:n], parities[n:]
     head_perms = [
-        (sign_of(s, hpar), s.apply(items[:n]), s.apply(hpar))
-        for s in enumerate_permutations(n)
+        (word_parity(inv, hpar, chi), [items[i] for i in w], [hpar[i] for i in w])
+        for w, inv in permutation_words(n)
     ]
     riffles = [
         (slots, sum((n - i) * k for i, k in enumerate(slots)) if chi else 0)
         for slots in insertion_patterns(m, n + 1)
     ]
-    for pi in enumerate_permutations(m):
-        zsign, zs, zpar = sign_of(pi, tpar), pi.apply(items[n:]), pi.apply(tpar)
-        for ysign, ys, ypar in head_perms:
+    for w, inv in permutation_words(m):
+        zneg, zpar = word_parity(inv, tpar, chi), [tpar[i] for i in w]
+        zs = tuple(items[n + i] for i in w)
+        for yneg, ys, ypar in head_perms:
             for slots, eta in riffles:
                 pos = slots[0]
                 seq, zprefix = zs[:pos], sum(zpar[:pos])
@@ -256,7 +271,7 @@ def staged_rearrangements(
                     seq += (y,) + zs[pos : pos + k]
                     zprefix += sum(zpar[pos : pos + k])
                     pos += k
-                yield (-1 if eta & 1 else 1) * zsign * ysign, seq
+                yield -1 if (eta + yneg + zneg) & 1 else 1, seq
 
 
 def interleave_block_permutation(
@@ -319,10 +334,8 @@ def interleave_block_permutation(
         images.extend(block_vals[sigma(i) - 1])
         images.extend(free_vals[i])
 
-    alpha1 = alpha2 = 0
-    for a, b in inverted_pairs(sigma.images):
-        alpha1 += block_par[a - 1] * block_par[b - 1]
-        alpha2 += blocks[a - 1] * blocks[b - 1]
+    inv = inverted_pairs([v - 1 for v in sigma.images])
+    alpha1, alpha2 = word_parity(inv, block_par, False), word_parity(inv, blocks, False)
     free_prefix = slot_prefix = 0
     for i in range(1, n + 1):
         free_prefix += free_par[i - 1]
@@ -368,29 +381,21 @@ def unshuffle_decomposition_check(
     n_total = sum(blocks)
     if len(degrees) != n_total:
         raise InputError(f"expected {n_total} degrees, got {len(degrees)}")
-    offs = [0] * len(blocks)
-    for i in range(1, len(blocks)):
-        offs[i] = offs[i - 1] + blocks[i - 1]
-    hand_perms = [list(enumerate_permutations(b)) for b in blocks]
-    for sign_fn in (antisym_koszul_sign, koszul_sign):
+    cuts = list(itertools.accumulate((0,) + blocks))
+    hand_perms = [list(permutation_words(b)) for b in blocks]
+    for chi in (True, False):
         expected = Counter(
-            (p.images, sign_fn(p, degrees))
-            for p in enumerate_permutations(n_total)
+            (w, word_parity(inv, degrees, chi)) for w, inv in permutation_words(n_total)
         )
         got: Counter = Counter()
-        for gamma in enumerate_unshuffles(blocks):
-            base = sign_fn(gamma, degrees)
-            hand_degrees = [
-                [degrees[gamma(offs[b] + l) - 1] for l in range(1, size + 1)]
-                for b, size in enumerate(blocks)
-            ]
+        for gamma, inv in unshuffle_words(blocks):
+            hands = [gamma[a:b] for a, b in zip(cuts, cuts[1:])]
             for pis in itertools.product(*hand_perms):
-                images = []
-                sign = base
-                for b, pb in enumerate(pis):
-                    images.extend(gamma(offs[b] + pb(l)) for l in range(1, len(pb) + 1))
-                    sign *= sign_fn(pb, hand_degrees[b])
-                got[(tuple(images), sign)] += 1
+                images, neg = (), word_parity(inv, degrees, chi)
+                for hand, (pw, pinv) in zip(hands, pis):
+                    images += tuple(hand[i] for i in pw)
+                    neg ^= word_parity(pinv, [degrees[v] for v in hand], chi)
+                got[images, neg] += 1
         if got != expected:
             return False
     return True

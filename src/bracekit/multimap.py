@@ -36,6 +36,7 @@ from .graded import (
     adjacent_swap_order,
     inverted_pairs,
     staged_rearrangements,
+    word_parity,
 )
 
 Scalar = int | Fraction
@@ -421,8 +422,7 @@ def antisymmetrize(f: MultiMap) -> MultiMap:
     par = f.space.parities
     folded: dict = {}
     for key, out in f.entries.items():
-        inv = inverted_pairs(key)
-        sign = -1 if sum(not par[a] & par[b] for a, b in inv) & 1 else 1
+        sign = -1 if word_parity(inverted_pairs(key), par, True) else 1
         row = folded.setdefault(tuple(sorted(key)), {})
         for j, c in out.items():
             row[j] = row.get(j, 0) + sign * c

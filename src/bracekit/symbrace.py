@@ -12,9 +12,9 @@ Two brackets satisfy the symmetric-brace axiom here:
 
     Its output is antisymmetric: only terms on sorted words that can be
     nonzero are evaluated, and multimap.expand_orbits writes each nonzero
-    one to its orbit.  A term reads each g_i's value from its table row and
-    evaluates f once, signed by parities: chi over the unshuffle's inverted
-    pairs, and multimap's Koszul convention on the dealt blocks.
+    one to its orbit.  Each term, one of graded.unshuffle_words, reads each
+    g_i's value from its table row and evaluates f once, signed by the chi
+    of graded.word_parity and multimap's Koszul sign on the dealt blocks.
 
   * symmetrize_brace (defined in brace, re-exported here): the eps-signed
     sum of plain braces f{g_sigma} over all orderings of the inserted maps,
@@ -31,7 +31,7 @@ import itertools
 from typing import Sequence
 
 from .errors import InputError
-from .graded import enumerate_unshuffles, insertion_patterns, inverted_pairs
+from .graded import insertion_patterns, unshuffle_words, word_parity
 from .multimap import (
     MultiMap,
     add_into,
@@ -57,13 +57,6 @@ def delta_parity(N: int, a: Sequence[int], q: Sequence[int]) -> int:
         for j in range(1, i):
             total += q[i - 1] * a[j - 1] + a[i - 1] * a[j - 1]
     return total & 1
-
-
-def _unshuffle_table(blocks: Sequence[int]) -> list:
-    """The unshuffles of the block sizes as 0-based index tuples, each with
-    its inverted pairs of positions (graded.inverted_pairs)."""
-    idxs = [tuple(v - 1 for v in g.images) for g in enumerate_unshuffles(blocks)]
-    return [(idx, inverted_pairs(idx)) for idx in idxs]
 
 
 def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
@@ -94,7 +87,7 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     degrees = tuple(g.degree for g in gs)
     out_arity, out_degree = _signature(f, gs)
     base_neg = delta_parity(N, arities, degrees)
-    gammas = _unshuffle_table(arities + (N - n,))
+    gammas = list(unshuffle_words(arities + (N - n,)))
     cuts = list(itertools.accumulate((0,) + arities))
 
     space = f.space
@@ -122,7 +115,7 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
             if None in hits:
                 continue
             # chi of gamma, then each g_i crossing the letters dealt before it
-            neg = len(inv) + sum(tpar[a] & tpar[b] for a, b in inv)
+            neg = word_parity(inv, tpar, True)
             prefix = 0
             for q, (_, p) in zip(degrees, hits):
                 neg += q & prefix
@@ -170,9 +163,9 @@ def symbrace_axiom_sides(
     rhs: dict = {}
     block_cache: dict = {}
     for sizes in insertion_patterns(r, n + 1):
-        for idx, inv in _unshuffle_table(sizes):
+        for idx, inv in unshuffle_words(sizes):
             # eps of the unshuffle, then each g_i crossing earlier blocks
-            neg = sum(bx[a] & bx[b] for a, b in inv)
+            neg = word_parity(inv, bx, False)
             prefix = pos = 0
             outer_args = []
             for b in range(n):

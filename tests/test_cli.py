@@ -108,6 +108,18 @@ class TestCheckVerb:
         assert result.stdout == ""
         assert result.stderr == "error: block sizes must be nonnegative: (-1, 2)\n"
 
+    def test_oversized_blocks_name_the_permutation_cap(self, tmp_path):
+        # the one block's hands are all of S_9, refused before any is dealt
+        result = run_cli(
+            "check", "lemma42", "--blocks", "9", "--degrees", ",".join("0" * 9),
+            cwd=tmp_path,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: permutation enumeration over 9 elements exceeds cap 8\n"
+        )
+
     def test_corollary_refuses_a_non_associative_family(self, tmp_path, ws_path):
         result = run_cli(
             "check", "corollary", "--workspace", str(ws_path), "--maps", "bad",

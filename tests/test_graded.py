@@ -1,10 +1,13 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bracekit.checks import fuzz_outcomes
 from bracekit.errors import InputError, ResourceLimitError
+from bracekit.fuzz import FuzzCaps
 from bracekit.graded import (
     ENUMERATION_CAP,
     Permutation,
@@ -18,7 +21,11 @@ from bracekit.graded import (
     inversion_parity_check,
     koszul_sign,
     unshuffle_decomposition_check,
+    unshuffle_words,
+    word_parity,
 )
+from bracekit.multimap import GradedSpace, MultiMap
+from bracekit.symbrace import symmetrize_brace
 
 
 def eps_oracle(perm, degrees):
@@ -186,10 +193,17 @@ class TestEnumeration:
     def test_cap_enforced(self):
         assert ENUMERATION_CAP == 8
         assert next(enumerate_permutations(8)) == Permutation.identity(8)
-        with pytest.raises(ResourceLimitError, match="exceeds cap 8"):
+        permutations = re.escape("permutation enumeration over 9 elements exceeds cap 8")
+        with pytest.raises(ResourceLimitError, match=f"^{permutations}$"):
             list(enumerate_permutations(9))
-        with pytest.raises(ResourceLimitError, match="exceeds cap 8"):
+        unshuffles = re.escape("unshuffle enumeration over 9 elements exceeds cap 8")
+        with pytest.raises(ResourceLimitError, match=f"^{unshuffles}$"):
             list(enumerate_unshuffles((5, 4)))
+        point = GradedSpace([("e", 0)])
+        f = MultiMap(point, 9, 0, {(0,) * 9: {0: 1}})
+        g = MultiMap(point, 1, 0, {(0,): {0: 1}})
+        with pytest.raises(ResourceLimitError, match=f"^{permutations}$"):
+            symmetrize_brace(f, [g] * 9)
 
     def test_unshuffle_counts(self):
         def multinomial(blocks):
@@ -322,3 +336,82 @@ class TestUnshuffleDecomposition:
 
     def test_mixed_degrees(self):
         assert unshuffle_decomposition_check((2, 1), (-2, 1, 3))
+
+
+def unshuffle_oracle(blocks):
+    """The unshuffles of the block sizes by brute force: the 0-based words
+    of S_N, lexicographic, that increase within every block."""
+    cuts = list(itertools.accumulate((0,) + tuple(blocks)))
+    return [
+        w
+        for w in itertools.permutations(range(cuts[-1]))
+        if all(list(w[a:b]) == sorted(w[a:b]) for a, b in zip(cuts, cuts[1:]))
+    ]
+
+
+class TestSignedWords:
+    """The library's one enumerator and one sign, against independent
+    oracles and the 1-based public API, exhaustively on small sizes."""
+
+    BLOCK_TUPLES = [
+        blocks
+        for length in range(5)
+        for blocks in itertools.product(range(4), repeat=length)
+        if sum(blocks) <= 6
+    ]
+
+    def test_unshuffle_words_match_the_public_enumerator(self):
+        assert len(self.BLOCK_TUPLES) == 225
+        for blocks in self.BLOCK_TUPLES:
+            terms = list(unshuffle_words(blocks))
+            words = [w for w, _ in terms]
+            public = [tuple(v - 1 for v in u.images) for u in enumerate_unshuffles(blocks)]
+            assert words == public == unshuffle_oracle(blocks), blocks
+            for w, pairs in terms:
+                assert pairs == [
+                    (w[i], w[j])
+                    for i in range(len(w))
+                    for j in range(i + 1, len(w))
+                    if w[i] > w[j]
+                ]
+
+    def test_word_parity_matches_the_sign_oracles(self):
+        for n in range(6):
+            words = [w for w, _ in unshuffle_words((1,) * n)]
+            assert words == list(itertools.permutations(range(n)))
+            for w, pairs in unshuffle_words((1,) * n):
+                perm = Permutation(v + 1 for v in w)
+                for parities in itertools.product((0, 1), repeat=n):
+                    eps = eps_oracle(perm, parities)
+                    assert (-1) ** word_parity(pairs, parities, False) == eps
+                    chi = sgn_oracle(perm) * eps
+                    assert (-1) ** word_parity(pairs, parities, True) == chi
+
+    def test_fuzzing_builds_no_permutation(self, monkeypatch):
+        # Permutation is the public and CLI type only: the map checks sign
+        # and enumerate plain 0-based words
+        built = []
+        init = Permutation.__init__
+
+        def counting_init(self, images):
+            built.append(1)
+            init(self, images)
+
+        monkeypatch.setattr(Permutation, "__init__", counting_init)
+        names = [
+            "brace-axiom",
+            "symbrace-axiom-ex33",
+            "thm1",
+            "thm2",
+            "lemma41",
+            "lemma51",
+            "ainfty",
+            "linfty",
+            "corollary",
+        ]
+        outcomes = list(fuzz_outcomes(7, 20, names, FuzzCaps()))
+        assert len(outcomes) == 180
+        assert all(outcome.passed for _, _, outcome in outcomes)
+        assert built == []
+        Permutation((2, 1))
+        assert built == [1]

@@ -137,3 +137,48 @@ def test_package_defines_nothing_it_never_uses():
     }
     dead = dead_definitions(modules)
     assert not dead, f"defined but never used in src/bracekit: {dead}"
+
+
+# graded alone enumerates and signs rearrangements, on plain 0-based words;
+# these names hold or take the 1-based Permutation of the public API
+PERMUTATION_API = {
+    "Permutation",
+    "enumerate_permutations",
+    "enumerate_unshuffles",
+    "koszul_sign",
+    "antisym_koszul_sign",
+}
+# __init__ exports them; checks parses the Permutation inputs of Lemmas 4.3
+# and 4.4 from the command line
+PERMUTATION_EDGE = {"graded", "checks", "__init__"}
+
+
+def permutation_api_reads(tree: ast.Module) -> set:
+    """The names of PERMUTATION_API the module imports or reads."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names & PERMUTATION_API
+
+
+def test_finds_a_permutation_api_read():
+    tree = ast.parse(
+        "from .graded import koszul_sign as ks, word_parity\n"
+        "from . import graded\n"
+        "x = graded.enumerate_unshuffles((1, 1))\n"
+    )
+    assert permutation_api_reads(tree) == {"koszul_sign", "enumerate_unshuffles"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_the_api_edge_uses_permutations(path):
+    if path.stem in PERMUTATION_EDGE:
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = permutation_api_reads(tree)
+    assert not used, f"{path.name} uses the Permutation API: {sorted(used)}"
