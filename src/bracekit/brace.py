@@ -23,7 +23,9 @@ over those parities.  symmetrize_brace is the one eps-signed sum of braces
 over orderings of the inserted maps; Lemma 5.1's two-stage symmetrization,
 from Lemma 4.1's staged rearrangements, is checked against it.  Each sum of
 braces adds every summand straight into one table (_brace_into), which is
-validated once, as a MultiMap.
+validated once, as a MultiMap.  The nesting identity deals the y's to the
+x's by the weak compositions of insertion_patterns; a composition that
+gives some map more inputs than its arity has no term and is skipped.
 """
 
 from __future__ import annotations
@@ -119,30 +121,16 @@ def symmetrize_brace(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     return MultiMap(f.space, *_signature(f, gs), entries)
 
 
-def _bracket_or_zero(bracket, f: MultiMap, args: Sequence[MultiMap]):
-    """Apply a bracket; arity overflow leaves no insertion pattern, so the
-    term is the zero map of the signature the shapes dictate, which keeps
-    sums over nestings well typed."""
-    args = tuple(args)
-    if len(args) <= f.arity:
-        return bracket(f, args)
-    return MultiMap.zero(f.space, *_signature(f, args))
-
-
-def _nestings(n: int, r: int):
-    """All ways to hand the maps y_1..y_r to x_1..x_n in order: sequences
-    0 <= i_1 <= j_1 <= ... <= i_n <= j_n <= r, as ((i_t, j_t)) pairs."""
-    for seq in itertools.combinations_with_replacement(range(r + 1), 2 * n):
-        yield tuple((seq[2 * t], seq[2 * t + 1]) for t in range(n))
-
-
 def brace_axiom_sides(x: MultiMap, xs: Sequence[MultiMap], ys: Sequence[MultiMap]):
     """Both sides of the nesting identity for x{x_1..x_n}{y_1..y_r}.
 
-    The right side redistributes the y's: each x_t swallows a consecutive
-    run y_{i_t+1..j_t}, the rest feed the outer brace directly, and the
-    term carries the Koszul sign of moving each x_t past the y's standing
-    before its run, in brace parities.
+    The right side redistributes the y's by the weak compositions
+    (k_0, l_1, k_1, ..., l_n, k_n) of r (insertion_patterns): each x_t
+    swallows the next run of l_t y's, the k's feed the outer brace directly,
+    and the term carries the Koszul sign of moving each x_t past the y's
+    standing before its run, in brace parities.  A composition with some
+    l_t above x_t's arity, or n + sum k_t above x's, has no insertion
+    pattern and is skipped.
     """
     xs = tuple(xs)
     ys = tuple(ys)
@@ -161,19 +149,22 @@ def brace_axiom_sides(x: MultiMap, xs: Sequence[MultiMap], ys: Sequence[MultiMap
 
     rhs: dict = {}
     inner_cache: dict = {}
-    for pairs in _nestings(n, r):
-        outer_args, sign, prev = [], 0, 0
-        for t, (i, j) in enumerate(pairs):
-            outer_args.extend(ys[prev:i])
-            if (t, i, j) not in inner_cache:
-                inner_cache[t, i, j] = _bracket_or_zero(brace_eval, xs[t], ys[i:j])
-            outer_args.append(inner_cache[t, i, j])
-            sign ^= bx[t] & by_prefix[i] & 1
-            prev = j
-        outer_args.extend(ys[prev:])
-        # arity overflow leaves no insertion pattern: the term is zero
-        if len(outer_args) <= x.arity:
-            _brace_into(rhs, -1 if sign else 1, x, tuple(outer_args))
+    for runs in insertion_patterns(r, 2 * n + 1):
+        lengths = runs[1::2]
+        if n + sum(runs[::2]) > x.arity or any(
+            length > m.arity for length, m in zip(lengths, xs)
+        ):
+            continue
+        cuts = list(itertools.accumulate((0,) + runs))
+        outer_args, sign = list(ys[: cuts[1]]), 0
+        for t, (start, length) in enumerate(zip(cuts[1::2], lengths)):
+            key = (t, start, length)
+            if key not in inner_cache:
+                inner_cache[key] = brace_eval(xs[t], ys[start : start + length])
+            outer_args.append(inner_cache[key])
+            outer_args.extend(ys[start + length : cuts[2 * t + 3]])
+            sign ^= bx[t] & by_prefix[start] & 1
+        _brace_into(rhs, -1 if sign else 1, x, tuple(outer_args))
     return lhs, MultiMap(x.space, lhs.arity, lhs.degree, rhs)
 
 

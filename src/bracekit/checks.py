@@ -23,10 +23,12 @@ counterexample ``args``:
   structure family.
 
 Random map shapes come from a staged sampler: after an outer arity, stage
-s inserts at most ``max_n + s`` maps into the previous result.  A cost
-predicate per check redraws shapes that would blow its work budget; the
-caps are honest upper bounds, not a promise that the most expensive corner
-of the cap box is sampled.
+s inserts at most ``max_n + s`` maps into the previous result, so a second
+stage may insert one more than ``max_n``.  lemma41 (k <= min(4, max_arity
++ 1)) and lemma51 (up to min(4, N) maps, whatever ``max_n``) have samplers
+of their own; FuzzCaps lists what each cap bounds.  A cost predicate per
+check redraws shapes that would blow its work budget, so the most
+expensive corner of the caps need not be drawn.
 
 Verifiers and random builders are called through lambdas, so they are
 looked up as module globals when a check runs; rebinding a global (as a

@@ -100,23 +100,28 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma-separated check names, or 'all' (default)",
     )
-    fuzz.add_argument("--max-dim", type=int, default=3, help="largest space dimension")
-    fuzz.add_argument("--max-arity", type=int, default=3, help="largest map arity")
-    fuzz.add_argument(
-        "--max-n", type=int, default=2, help="largest insertion count per stage"
-    )
+    caps = FuzzCaps()
+    for flag, field, text in (
+        ("--max-dim", "max_dim", "largest dimension of a random space; the "
+         "curated families of ainfty, linfty and corollary keep theirs, up to 3"),
+        ("--max-arity", "max_arity", "largest map arity; lemma41's map may have "
+         "one more, up to 4"),
+        ("--max-n", "max_n", "most maps the first stage inserts; the second "
+         "stage may insert one more, and lemma51 up to 4 maps in all"),
+    ):
+        fuzz.add_argument(flag, type=int, default=getattr(caps, field), help=text)
     fuzz.add_argument(
         "--degree-range",
         type=_degree_range,
-        default=(-2, 2),
+        default=(caps.degree_lo, caps.degree_hi),
         metavar="LO..HI",
-        help="basis degree range (default -2..2)",
+        help=f"basis degree range (default {caps.degree_lo}..{caps.degree_hi})",
     )
     fuzz.add_argument(
         "--max-arity-out",
         type=int,
-        default=6,
-        help="largest composed output arity",
+        default=caps.max_out_arity,
+        help="largest composed output arity; lemma41's map ignores it",
     )
 
     anti = sub.add_parser(

@@ -63,7 +63,17 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class FuzzCaps:
-    """Size bounds for generated instances (all inclusive)."""
+    """Caps on generated instances, not all of them bounds on every check.
+
+    max_dim and degree_lo..degree_hi bound random spaces; the curated
+    families of ainfty, linfty and corollary keep their own dimensions (up
+    to 3) and some fixed degrees.  max_arity bounds map arities, except
+    lemma41's k <= min(4, max_arity + 1).  Stage s of a staged sampler
+    inserts up to max_n + s maps, so the second stage of brace-axiom, ex33
+    and thm1 takes up to max_n + 1; lemma51 ignores max_n and inserts up to
+    min(4, N) maps in all.  max_out_arity bounds the output arity of every
+    map check but lemma41.
+    """
 
     max_dim: int = 3
     max_arity: int = 3

@@ -304,8 +304,7 @@ def interleave_block_permutation(
         raise InputError(f"expected {n + 1} slot counts, got {len(slots)}")
     if any(b < 0 for b in blocks) or any(k < 0 for k in slots):
         raise InputError("block and slot sizes must be nonnegative")
-    total_blocks = sum(blocks)
-    r = total_blocks + sum(slots)
+    r = sum(blocks) + sum(slots)
     if len(pi) != r:
         raise InputError(f"pi must permute {r} elements, got {len(pi)}")
     if len(sigma) != n:
@@ -313,35 +312,22 @@ def interleave_block_permutation(
     if len(degrees) != r:
         raise InputError(f"expected {r} degrees, got {len(degrees)}")
 
-    par = [d & 1 for d in degrees]
-    block_off = [0] * n
-    for i in range(1, n):
-        block_off[i] = block_off[i - 1] + blocks[i - 1]
-    block_vals = [
-        [pi(block_off[i] + l) for l in range(1, blocks[i] + 1)] for i in range(n)
-    ]
-    free_vals = []
-    pos = total_blocks
-    for k in slots:
-        free_vals.append([pi(pos + l) for l in range(1, k + 1)])
-        pos += k
+    # pi's images cut into the n blocks, then the n + 1 free chunks
+    cuts = list(itertools.accumulate((0,) + blocks + slots))
+    chunks = [pi.images[a:b] for a, b in zip(cuts, cuts[1:])]
+    chunk_par = [sum(degrees[v - 1] & 1 for v in vals) & 1 for vals in chunks]
+    block_par, free_par = chunk_par[:n], chunk_par[n:]
 
-    block_par = [sum(par[v - 1] for v in vals) & 1 for vals in block_vals]
-    free_par = [sum(par[v - 1] for v in vals) & 1 for vals in free_vals]
-
-    images = list(free_vals[0])
-    for i in range(1, n + 1):
-        images.extend(block_vals[sigma(i) - 1])
-        images.extend(free_vals[i])
-
+    images = list(chunks[n])
     inv = inverted_pairs([v - 1 for v in sigma.images])
     alpha1, alpha2 = word_parity(inv, block_par, False), word_parity(inv, blocks, False)
     free_prefix = slot_prefix = 0
-    for i in range(1, n + 1):
-        free_prefix += free_par[i - 1]
-        slot_prefix += slots[i - 1]
-        alpha1 += block_par[sigma(i) - 1] * (free_prefix & 1)
-        alpha2 += blocks[sigma(i) - 1] * slot_prefix
+    for i, s in enumerate(sigma.images):
+        images += chunks[s - 1] + chunks[n + 1 + i]
+        free_prefix += free_par[i]
+        slot_prefix += slots[i]
+        alpha1 += block_par[s - 1] * (free_prefix & 1)
+        alpha2 += blocks[s - 1] * slot_prefix
     alpha2 += alpha1
     return Permutation(images), alpha1 & 1, alpha2 & 1
 
@@ -357,13 +343,10 @@ def block_permutation_sign_check(
     flat, alpha1, alpha2 = interleave_block_permutation(
         pi, sigma, blocks, slots, degrees
     )
-    eps_ok = koszul_sign(flat, degrees) == koszul_sign(pi, degrees) * (
-        -1 if alpha1 else 1
+    return all(
+        _sign(flat, degrees, chi) == _sign(pi, degrees, chi) * (-1 if alpha else 1)
+        for chi, alpha in ((False, alpha1), (True, alpha2))
     )
-    chi_ok = antisym_koszul_sign(flat, degrees) == antisym_koszul_sign(
-        pi, degrees
-    ) * (-1 if alpha2 else 1)
-    return eps_ok and chi_ok
 
 
 def unshuffle_decomposition_check(

@@ -20,6 +20,8 @@ Two brackets satisfy the symmetric-brace axiom here:
     sum of plain braces f{g_sigma} over all orderings of the inserted maps,
     defined for any maps.
 
+symbrace_axiom_sides reads each dealt block off a size composition's cuts
+and skips a composition that gives some map more inputs than its arity.
 antisymmetrized_brace_sides states the bridge: antisymmetrizing the
 symmetrized brace of f equals the unshuffle bracket of the
 antisymmetrizations.
@@ -40,7 +42,7 @@ from .multimap import (
     is_antisymmetric,
 )
 # brace_eval and symmetrize_brace stay importable from this module
-from .brace import _bracket_or_zero, _signature, brace_eval, symmetrize_brace
+from .brace import _signature, brace_eval, symmetrize_brace
 
 FLAVOR_UNSHUFFLE = "example33"
 FLAVOR_SYMMETRIZED = "symmetrized"
@@ -141,7 +143,9 @@ def symbrace_axiom_sides(
     (by size compositions and unshuffles): each g_i swallows a block, the
     last block feeds the outer bracket directly.  Signs: eps of the
     unshuffle on x brace parities, times each g_i crossing the x's dealt to
-    earlier blocks.
+    earlier blocks.  A size composition with a block longer than its g_i's
+    arity, or n + (last block) above f's arity, has no term and is skipped
+    before its unshuffles are enumerated.
     """
     if flavor not in _FLAVORS:
         raise InputError(f"unknown bracket flavor {flavor!r}")
@@ -163,24 +167,24 @@ def symbrace_axiom_sides(
     rhs: dict = {}
     block_cache: dict = {}
     for sizes in insertion_patterns(r, n + 1):
+        if n + sizes[-1] > f.arity or any(s > g.arity for s, g in zip(sizes, gs)):
+            continue
+        cuts = list(itertools.accumulate((0,) + sizes))
         for idx, inv in unshuffle_words(sizes):
             # eps of the unshuffle, then each g_i crossing earlier blocks
             neg = word_parity(inv, bx, False)
-            prefix = pos = 0
+            prefix = 0
             outer_args = []
-            for b in range(n):
-                key = (b, idx[pos : pos + sizes[b]])
+            for b, lo, hi in zip(range(n), cuts, cuts[1:]):
+                key = (b, idx[lo:hi])
                 if key not in block_cache:
-                    block = [xs[i] for i in key[1]]
-                    block_cache[key] = _bracket_or_zero(bracket, gs[b], block)
+                    block_cache[key] = bracket(gs[b], [xs[i] for i in key[1]])
                 outer_args.append(block_cache[key])
                 neg += bg[b] & prefix
                 for i in key[1]:
                     prefix ^= bx[i]
-                pos += sizes[b]
-            outer_args.extend(xs[i] for i in idx[pos:])
-            term = _bracket_or_zero(bracket, f, outer_args)
-            add_into(rhs, -1 if neg & 1 else 1, term)
+            outer_args.extend(xs[i] for i in idx[cuts[n] :])
+            add_into(rhs, -1 if neg & 1 else 1, bracket(f, outer_args))
     return lhs, MultiMap(f.space, lhs.arity, lhs.degree, rhs)
 
 

@@ -9,20 +9,27 @@ each summand as a validated MultiMap, sum the summands with add_into and
 sign each unshuffle with koszul_sign on its Permutation.  Instances mix
 both parities and int and Fraction coefficients, and include empty
 insertions, whose summand is the outer map itself.
+
+The identity sides skip every term that deals a map more inputs than its
+arity; the oracles keep the padded design instead, walking every nesting
+and dealing and putting a zero map in place of each such bracket.
 """
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from bracekit import brace
 from bracekit.brace import (
-    _nestings,
     beta_parity,
     brace_axiom_sides,
     brace_eval,
     braced_symmetrization_sides,
     symmetrize_brace,
 )
+from bracekit.checks import fuzz_outcomes
+from bracekit.fuzz import FuzzCaps
 from bracekit.graded import (
     enumerate_permutations,
     enumerate_unshuffles,
@@ -108,14 +115,25 @@ def summed_symmetrize(f, gs):
     return MultiMap(f.space, *_signature(f, gs), total)
 
 
-def _or_zero(bracket, f, args):
+def _or_zero(bracket, f, args, pads, role):
+    """The bracket, or the zero map of its signature when there are more
+    args than f has inputs, counted in pads[role]: a term that the library
+    skips instead of padding."""
     args = tuple(args)
     if len(args) <= f.arity:
         return bracket(f, args)
+    pads[role] += 1
     return MultiMap.zero(f.space, *_signature(f, args))
 
 
-def summed_brace_axiom_rhs(x, xs, ys, arity, degree):
+def _nestings(n, r):
+    """All ways to hand the maps y_1..y_r to x_1..x_n in order: sequences
+    0 <= i_1 <= j_1 <= ... <= i_n <= j_n <= r, as ((i_t, j_t)) pairs."""
+    for seq in itertools.combinations_with_replacement(range(r + 1), 2 * n):
+        yield tuple((seq[2 * t], seq[2 * t + 1]) for t in range(n))
+
+
+def summed_brace_axiom_rhs(x, xs, ys, arity, degree, pads):
     bx = [m.brace_parity for m in xs]
     by = [m.brace_parity for m in ys]
     total = {}
@@ -123,11 +141,12 @@ def summed_brace_axiom_rhs(x, xs, ys, arity, degree):
         outer, sign, prev = [], 0, 0
         for t, (i, j) in enumerate(pairs):
             outer.extend(ys[prev:i])
-            outer.append(_or_zero(summed_brace, xs[t], ys[i:j]))
+            outer.append(_or_zero(summed_brace, xs[t], ys[i:j], pads, "inner"))
             sign ^= bx[t] & (sum(by[:i]) & 1)
             prev = j
         outer.extend(ys[prev:])
-        add_into(total, -1 if sign else 1, _or_zero(summed_brace, x, outer))
+        term = _or_zero(summed_brace, x, outer, pads, "outer")
+        add_into(total, -1 if sign else 1, term)
     return MultiMap(x.space, arity, degree, total)
 
 
@@ -140,7 +159,7 @@ def summed_staged(f, ys, zs, arity, degree):
     return MultiMap(f.space, arity, degree, total)
 
 
-def summed_symbrace_axiom_rhs(bracket, f, gs, xs, arity, degree, eps=True):
+def summed_symbrace_axiom_rhs(bracket, f, gs, xs, arity, degree, pads, eps=True):
     """eps=False drops the Koszul sign of the unshuffles, a wrong sign the
     comparison must be able to see."""
     n, r = len(gs), len(xs)
@@ -153,13 +172,13 @@ def summed_symbrace_axiom_rhs(bracket, f, gs, xs, arity, degree, eps=True):
             outer, prefix, pos = [], 0, 0
             for b in range(n):
                 block = dealt[pos : pos + sizes[b]]
-                outer.append(_or_zero(bracket, gs[b], block))
+                outer.append(_or_zero(bracket, gs[b], block, pads, "inner"))
                 if gs[b].brace_parity & prefix:
                     sign = -sign
                 prefix ^= sum(x.brace_parity for x in block) & 1
                 pos += sizes[b]
             outer.extend(dealt[pos:])
-            add_into(total, sign, _or_zero(bracket, f, outer))
+            add_into(total, sign, _or_zero(bracket, f, outer, pads, "outer"))
     return MultiMap(f.space, arity, degree, total)
 
 
@@ -186,6 +205,7 @@ def test_brace_and_symmetrize_match_summed_summands():
 def test_brace_axiom_right_side_matches_summed_summands():
     rng = random.Random(SEED + 1)
     empty = nonzero = 0
+    pads = Counter()
     for _ in range(CASES):
         space = rng.choice(SPACES)
         N = rng.randint(1, 3)
@@ -197,10 +217,13 @@ def test_brace_axiom_right_side_matches_summed_summands():
         empty += n == 0 or r == 0
         lhs, rhs = brace_axiom_sides(x, xs, ys)
         assert lhs == summed_brace(summed_brace(x, xs), ys)
-        assert rhs == summed_brace_axiom_rhs(x, xs, ys, lhs.arity, lhs.degree)
+        assert rhs == summed_brace_axiom_rhs(x, xs, ys, lhs.arity, lhs.degree, pads)
         nonzero += not rhs.is_zero()
     assert empty >= 10
     assert nonzero >= 20
+    # the skipped terms were compared against zero padding: runs too long
+    # for an inner x_t and too many outer inputs both occur
+    assert pads["inner"] >= 1 and pads["outer"] >= 1
 
 
 def test_staged_symmetrization_matches_summed_summands():
@@ -227,6 +250,7 @@ def test_symbrace_axiom_right_side_matches_summed_summands():
     empty = 0
     nonzero = {FLAVOR_UNSHUFFLE: 0, FLAVOR_SYMMETRIZED: 0}
     eps_shows = 0
+    pads = {FLAVOR_UNSHUFFLE: Counter(), FLAVOR_SYMMETRIZED: Counter()}
     for case in range(2 * CASES):
         flavor = (FLAVOR_UNSHUFFLE, FLAVOR_SYMMETRIZED)[case % 2]
         antisym = flavor == FLAVOR_UNSHUFFLE
@@ -243,14 +267,18 @@ def test_symbrace_axiom_right_side_matches_summed_summands():
         empty += n == 0 or r == 0
         lhs, rhs = symbrace_axiom_sides(f, gs, xs, flavor)
         assert lhs == bracket(bracket(f, gs), xs)
-        oracle = summed_symbrace_axiom_rhs(bracket, f, gs, xs, lhs.arity, lhs.degree)
+        oracle = summed_symbrace_axiom_rhs(
+            bracket, f, gs, xs, lhs.arity, lhs.degree, pads[flavor]
+        )
         assert rhs == oracle, (case, flavor)
         nonzero[flavor] += not rhs.is_zero()
-        shapes = (bracket, f, gs, xs, lhs.arity, lhs.degree)
+        shapes = (bracket, f, gs, xs, lhs.arity, lhs.degree, Counter())
         eps_shows += summed_symbrace_axiom_rhs(*shapes, eps=False) != oracle
     assert empty >= 10
     assert min(nonzero.values()) >= 10
     assert eps_shows >= 3
+    for counts in pads.values():
+        assert counts["inner"] >= 1 and counts["outer"] >= 1
 
 
 def test_empty_insertion_carries_no_beta_sign(monkeypatch):
@@ -268,3 +296,24 @@ def test_empty_insertion_carries_no_beta_sign(monkeypatch):
     assert brace_eval(f, []) == f
     assert symmetrize_brace(f, []) == f
     assert braced_symmetrization_sides(f, [], []) == (f, f)
+
+
+def test_identity_sides_build_no_zero_map(monkeypatch):
+    """A term that deals some map more inputs than it has is skipped before
+    anything is evaluated, so no identity side builds a zero map for it."""
+    built = []
+    original = MultiMap.zero
+
+    def counting_zero(cls, *args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(MultiMap, "zero", classmethod(counting_zero))
+    names = ("brace-axiom", "symbrace-axiom-ex33", "thm1")
+    zeros = {}
+    for name in names:
+        built.clear()
+        outcomes = list(fuzz_outcomes(7, 20, [name], FuzzCaps()))
+        assert all(outcome.passed for _, _, outcome in outcomes)
+        zeros[name] = len(built)
+    assert zeros == dict.fromkeys(names, 0)

@@ -1,11 +1,14 @@
 """Command-line interface: verbs, exit codes, byte determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from bracekit import cli
+from bracekit.fuzz import FuzzCaps
 from bracekit.multimap import is_antisymmetric
 from bracekit.workspace import Workspace
 from helpers import cli_env, run_cli
@@ -273,6 +276,31 @@ class TestFuzzVerb:
         assert result.returncode == 0
         for line in result.stdout.splitlines():
             assert "dim=1" in line
+
+    @staticmethod
+    def _flag_caps(ns):
+        lo, hi = ns.degree_range
+        return {
+            "max_dim": ns.max_dim,
+            "max_arity": ns.max_arity,
+            "max_n": ns.max_n,
+            "degree_lo": lo,
+            "degree_hi": hi,
+            "max_out_arity": ns.max_arity_out,
+        }
+
+    def test_flag_defaults_are_the_caps_defaults(self):
+        ns = cli.build_parser().parse_args(["fuzz"])
+        assert self._flag_caps(ns) == dataclasses.asdict(FuzzCaps())
+
+    def test_flag_defaults_and_help_follow_the_caps(self, monkeypatch, capsys):
+        other = FuzzCaps(4, 5, 1, -1, 3, 7)
+        monkeypatch.setattr(cli, "FuzzCaps", lambda: other)
+        ns = cli.build_parser().parse_args(["fuzz"])
+        assert self._flag_caps(ns) == dataclasses.asdict(other)
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["fuzz", "--help"])
+        assert "(default -1..3)" in capsys.readouterr().out
 
 
 class TestAntisymmetrizeVerb:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from bracekit.checks import CHECKS
 from bracekit.errors import InputError
 from bracekit.fuzz import (
     COEFFS,
@@ -155,3 +156,78 @@ class TestCuratedFamilies:
         for seed in range(40):
             _, fam = random_a_infinity_family(SplitMix64(seed), caps)
             assert a_infinity_check(fam, 4)
+
+
+class TestStatedCaps:
+    """The README, FuzzCaps, the checks docstring and `fuzz --help` state
+    what each cap bounds; over seeds 0-99 each stated bound holds and is
+    reached."""
+
+    STAGED = ("brace-axiom", "symbrace-axiom-ex33", "thm1", "thm2")
+    MAP_CHECKS = STAGED + ("lemma41", "lemma51")
+    FAMILIES = ("ainfty", "linfty", "corollary")
+
+    @staticmethod
+    def _draws(caps, name):
+        """One record per seed 0-99: the space, and for a map check the
+        outer arity N, the inserted maps per stage and the output arity."""
+        records = []
+        for seed in range(100):
+            kwargs = CHECKS[name].gen(SplitMix64(seed), caps).kwargs
+            if "family" in kwargs:
+                records.append({"space": kwargs["family"].space})
+                continue
+            head, *stages = [v for v in kwargs.values() if not isinstance(v, str)]
+            inserted = [m for stage in stages for m in stage]
+            records.append({
+                "space": head.space,
+                "N": head.arity,
+                "stages": [len(stage) for stage in stages],
+                "arities": [head.arity] + [m.arity for m in inserted],
+                "out": head.arity + sum(m.arity - 1 for m in inserted),
+            })
+        return records
+
+    @staticmethod
+    def _top(records, key):
+        return max(rec[key] for rec in records)
+
+    def test_default_caps_hold_and_are_reached(self):
+        caps = FuzzCaps()
+        draws = {name: self._draws(caps, name) for name in self.MAP_CHECKS}
+        for name, records in draws.items():
+            dims = {rec["space"].dim for rec in records}
+            degrees = {d for rec in records for d in rec["space"].degrees}
+            assert dims == {1, 2, 3}, name
+            assert degrees == {-2, -1, 0, 1, 2}, name
+        for name in self.STAGED + ("lemma51",):
+            arities = {a for rec in draws[name] for a in rec["arities"]}
+            assert arities == {1, 2, 3}, name
+            assert self._top(draws[name], "out") == caps.max_out_arity, name
+        # lemma41's k goes one past max_arity, up to 4
+        assert self._top(draws["lemma41"], "N") == 4
+        # stage s inserts up to min(max_n + s, the arity it inserts into)
+        for name in self.STAGED:
+            stages = list(zip(*(rec["stages"] for rec in draws[name])))
+            reach = [caps.max_n + s for s in range(len(stages))]
+            assert [max(sizes) for sizes in stages] == reach, name
+        # lemma51 ignores max_n: n + m <= min(4, N), and N <= max_arity
+        totals = [(sum(rec["stages"]), rec["N"]) for rec in draws["lemma51"]]
+        assert all(total <= min(4, N) for total, N in totals)
+        assert max(total for total, _ in totals) == 3 > caps.max_n
+        assert max(rec["stages"][0] for rec in draws["lemma51"]) == 3
+
+    def test_lemma41_and_lemma51_follow_max_arity(self):
+        small = FuzzCaps(max_arity=1)
+        assert self._top(self._draws(small, "lemma41"), "N") == 2
+        assert {a for rec in self._draws(small, "thm1") for a in rec["arities"]} == {1}
+        wide = FuzzCaps(max_arity=4)
+        assert self._top(self._draws(wide, "lemma41"), "N") == 4
+        totals = [sum(rec["stages"]) for rec in self._draws(wide, "lemma51")]
+        assert max(totals) == 4
+
+    def test_curated_families_keep_their_dimension(self):
+        for caps in (FuzzCaps(), FuzzCaps(max_dim=1)):
+            for name in self.FAMILIES:
+                dims = {rec["space"].dim for rec in self._draws(caps, name)}
+                assert dims == {1, 2, 3}, (name, caps)
