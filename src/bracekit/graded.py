@@ -431,19 +431,15 @@ def adjacent_swap_order(n: int) -> list:
     """
     if n < 0:
         raise InputError("n must be nonnegative")
-    if n <= 1:
-        return []
-    inner = adjacent_swap_order(n - 1)
-    down = list(range(n - 2, -1, -1))
-    up = list(range(n - 1))
-    seq = list(down)
-    at_left = True
-    for j in inner:
-        seq.append(j + 1 if at_left else j)
-        if at_left:
-            seq.extend(up)
-            at_left = False
-        else:
-            seq.extend(down)
-            at_left = True
+    seq: list = []
+    for m in range(2, n + 1):
+        # object m sweeps right to left and back between the swaps of the
+        # walk on the other m - 1, shifted by one while it stands leftmost
+        down, up = list(range(m - 2, -1, -1)), list(range(m - 1))
+        walk, at_left = list(down), True
+        for j in seq:
+            walk.append(j + 1 if at_left else j)
+            walk.extend(up if at_left else down)
+            at_left = not at_left
+        seq = walk
     return seq

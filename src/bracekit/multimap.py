@@ -6,7 +6,8 @@ coefficients; arithmetic never leaves exact rationals.
 
 A MultiMap is a multilinear map V^k -> V of fixed internal degree p,
 stored as a table on basis tuples.  Construction enforces homogeneity:
-every tabulated output lives in degree p + sum of the input degrees.
+every tabulated output lives in degree p + sum of the input degrees; it
+checks whole tables first, and key by key only where that fails.
 
 The sign convention for evaluating a tensor product of maps on a tensor
 product of arguments is fixed here once: a map of degree q picks up
@@ -45,7 +46,9 @@ Scalar = int | Fraction
 class GradedSpace:
     """Finite ordered basis with integer degrees."""
 
-    __slots__ = ("basis", "names", "degrees", "parities", "_index")
+    __slots__ = (
+        "basis", "names", "degrees", "parities", "_index", "_degree_of", "_by_degree"
+    )
 
     def __init__(self, basis: Iterable[tuple]):
         basis = tuple((str(name), int(deg)) for name, deg in basis)
@@ -58,9 +61,13 @@ class GradedSpace:
             raise InputError("basis names must be nonempty")
         self.basis = basis
         self.names = names
-        self.degrees = tuple(deg for _, deg in basis)
-        self.parities = tuple(deg & 1 for deg in self.degrees)
+        self.degrees = degs = tuple(deg for _, deg in basis)
+        self.parities = tuple(deg & 1 for deg in degs)
         self._index = {name: i for i, name in enumerate(names)}
+        # index -> degree, degree -> indices: what MultiMap checks tables on
+        self._degree_of, self._by_degree = dict(enumerate(degs)), {}
+        for i, d in enumerate(degs):
+            self._by_degree.setdefault(d, set()).add(i)
 
     @property
     def dim(self) -> int:
@@ -166,8 +173,11 @@ class MultiMap:
     """A degree-p multilinear map V^k -> V as a sparse basis table.
 
     entries maps input index tuples to sparse output coefficient dicts;
-    missing tuples are zero.  Homogeneity is checked at construction:
-    an entry on inputs of total degree d may only output degree p + d.
+    missing tuples are zero.  Construction copies the rows without zeros
+    and checks homogeneity: an entry on inputs of total degree d may only
+    output degree p + d.  A table of several keys is checked whole first
+    (_key_degrees); a one-key table, keys to convert to tuples of ints and
+    rows with a zero or a wrong output take the per-key loop instead.
     """
 
     __slots__ = ("space", "arity", "degree", "entries")
@@ -183,16 +193,26 @@ class MultiMap:
         if arity < 1:
             raise InputError(f"map arity must be at least 1, got {arity}")
         degree = int(degree)
-        dim, degrees = space.dim, space.degrees
-        clean = {}
-        for key, out in entries.items():
-            key = tuple(map(int, key))
-            if len(key) != arity:
-                raise InputError(f"entry {key}: expected {arity} inputs")
-            if min(key) < 0 or max(key) >= dim:
-                i = next(i for i in key if not 0 <= i < dim)
-                raise InputError(f"entry {key}: basis index {i} out of range")
-            target = degree + sum(map(degrees.__getitem__, key))
+        degrees, dim = space.degrees, len(space.degrees)
+        clean, items = {}, entries.items()
+        # a one-key table is its own whole table: it takes the per-key loop
+        key_degrees = len(entries) > 1 and _key_degrees(entries, arity, space)
+        if key_degrees:
+            sums, outputs, empty = iter(key_degrees), space._by_degree.get, frozenset()
+        for key, out in items:
+            if key_degrees:
+                target = degree + next(sums)
+                if out and all(out.values()) and out.keys() <= outputs(target, empty):
+                    clean[key] = out.copy()
+                    continue
+            else:
+                key = tuple(map(int, key))
+                if len(key) != arity:
+                    raise InputError(f"entry {key}: expected {arity} inputs")
+                if min(key) < 0 or max(key) >= dim:
+                    i = next(i for i in key if not 0 <= i < dim)
+                    raise InputError(f"entry {key}: basis index {i} out of range")
+                target = degree + sum(map(degrees.__getitem__, key))
             if isinstance(out, GradedVector):
                 out = out.coeffs
             pruned = {}
@@ -311,6 +331,24 @@ class MultiMap:
             f"MultiMap(arity={self.arity}, degree={self.degree}, "
             f"{len(self.entries)} entries)"
         )
+
+
+def _key_degrees(entries: Mapping, arity: int, space: GradedSpace) -> list | None:
+    """The degree of each key if all keys are tuples of `arity` ints in
+    range(dim) and all rows dicts on ints, of exact types, else None."""
+    keys, rows, flat = entries.keys(), entries.values(), itertools.chain.from_iterable
+    plain = (
+        {*map(type, keys)} <= {tuple}
+        and {*map(len, keys)} <= {arity}
+        and {*map(type, flat(keys))} <= {int}
+        and {*map(type, rows)} <= {dict}
+        and {*map(type, flat(rows))} <= {int}
+    )
+    degree_of = itertools.repeat(space._degree_of.__getitem__)
+    try:  # a letter outside range(dim) has no degree
+        return list(map(sum, map(map, degree_of, keys))) if plain else None
+    except KeyError:
+        return None
 
 
 def compose_into(
@@ -434,21 +472,19 @@ def antisymmetrize(f: MultiMap) -> MultiMap:
 
 
 def is_antisymmetric(f: MultiMap) -> bool:
-    """Does f pick up chi under every adjacent argument swap?"""
-    par = f.space.parities
-    for key, out in f.entries.items():
+    """Does f pick up chi under every adjacent argument swap?  Rows are pruned
+    at construction, so a swapped row equals the row or its negation exactly."""
+    par, entries = f.space.parities, f.entries
+    for key, out in entries.items():
+        negated = None
         for s in range(f.arity - 1):
             a, b = key[s], key[s + 1]
-            swapped = key[:s] + (b, a) + key[s + 2 :]
-            flip = not (par[a] & par[b])
-            other = f.entries.get(swapped, {})
-            for j in set(out) | set(other):
-                lhs = other.get(j, 0)
-                rhs = out.get(j, 0)
-                if flip:
-                    rhs = -rhs
-                if lhs != rhs:
-                    return False
+            if par[a] & par[b]:
+                want = out
+            else:
+                want = negated = negated or {j: -c for j, c in out.items()}
+            if entries.get(key[:s] + (b, a) + key[s + 2 :]) != want:
+                return False
     return True
 
 

@@ -295,13 +295,20 @@ def _array(items: list, depth: int) -> str:
 
 
 def map_to_obj(m: MultiMap, name: str | None = None) -> dict:
-    """Serialize one map in canonical order (entries sorted by "in" names)."""
-    names = m.space.names
+    """Serialize one map in canonical order: entries sorted by their "in"
+    names, output terms by basis name."""
+    names, tables = m.space.names, m.entries
+    if list(names) == sorted(names):  # index order is name order
+        keys, rank = sorted(tables), None
+    else:  # rank[i] is the place of names[i] in name order
+        order = sorted(range(len(names)), key=names.__getitem__)
+        rank = sorted(range(len(names)), key=order.__getitem__).__getitem__
+        keys = [key for _, key in sorted((tuple(map(rank, k)), k) for k in tables)]
     entries = []
-    items = sorted(m.entries.items(), key=lambda kv: [names[i] for i in kv[0]])
-    for key, table in items:
-        out = sorted(table.items(), key=lambda ic: names[ic[0]])
-        out = [{"basis": names[i], "coeff": format_coeff(c)} for i, c in out]
+    for key in keys:
+        table = tables[key]
+        out = [{"basis": names[i], "coeff": format_coeff(table[i])}
+               for i in sorted(table, key=rank)]
         entries.append({"in": [names[i] for i in key], "out": out})
     head = {} if name is None else {"name": name}
     return {**head, "arity": m.arity, "degree": m.degree, "entries": entries}

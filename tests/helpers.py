@@ -1,7 +1,8 @@
-"""Shared test helpers: small homogeneous random tables, point-by-point
-reference evaluators built on the tensor-block oracle _tensor_core, wrong
-brace, unshuffle-bracket and riffle signs, and the environment and runner
-of a CLI subprocess."""
+"""Shared test helpers: small homogeneous random tables, the per-key
+validation loop of the MultiMap constructor, point-by-point reference
+evaluators built on the tensor-block oracle _tensor_core, wrong brace,
+unshuffle-bracket and riffle signs, and the environment and runner of a
+CLI subprocess."""
 
 import os
 import subprocess
@@ -48,6 +49,46 @@ def random_map(rng, space, arity, density=0.6):
 
 def random_antisym_map(rng, space, arity, density=0.6):
     return antisymmetrize(random_map(rng, space, arity, density))
+
+
+def per_key_entries(space, arity, degree, entries):
+    """The entry table MultiMap(space, arity, degree, entries) stores, by
+    the loop the constructor ran on every table before it checked whole
+    tables first: each key is normalized to a tuple of ints and checked for
+    length and range, each row is pruned of zeros and checked for range and
+    homogeneity, in table order; the first fault raises."""
+    arity = int(arity)
+    if arity < 1:
+        raise InputError(f"map arity must be at least 1, got {arity}")
+    degree = int(degree)
+    dim, degrees = space.dim, space.degrees
+    clean = {}
+    for key, out in entries.items():
+        key = tuple(map(int, key))
+        if len(key) != arity:
+            raise InputError(f"entry {key}: expected {arity} inputs")
+        if min(key) < 0 or max(key) >= dim:
+            i = next(i for i in key if not 0 <= i < dim)
+            raise InputError(f"entry {key}: basis index {i} out of range")
+        target = degree + sum(map(degrees.__getitem__, key))
+        if isinstance(out, GradedVector):
+            out = out.coeffs
+        pruned = {}
+        for j, c in out.items():
+            if not c:
+                continue
+            if not 0 <= j < dim:
+                raise InputError(f"entry {key}: output index {j} out of range")
+            if degrees[j] != target:
+                names = tuple(space.names[i] for i in key)
+                raise InputError(
+                    f"entry {names} -> {space.names[j]} violates homogeneity: "
+                    f"output degree {space.degrees[j]}, expected {target}"
+                )
+            pruned[j] = c
+        if pruned:
+            clean[key] = pruned
+    return clean
 
 
 def _arg_parities(args: Sequence[GradedVector]):

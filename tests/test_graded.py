@@ -243,7 +243,36 @@ class TestEnumeration:
             list(insertion_patterns(-1, 2))
 
 
+def recursive_adjacent_swap_order(n: int) -> list:
+    """The recursive walk adjacent_swap_order used to rebuild on every
+    call, kept as the oracle of its iterative form."""
+    if n <= 1:
+        return []
+    inner = recursive_adjacent_swap_order(n - 1)
+    down = list(range(n - 2, -1, -1))
+    up = list(range(n - 1))
+    seq = list(down)
+    at_left = True
+    for j in inner:
+        seq.append(j + 1 if at_left else j)
+        if at_left:
+            seq.extend(up)
+            at_left = False
+        else:
+            seq.extend(down)
+            at_left = True
+    return seq
+
+
 class TestAdjacentSwapOrder:
+    def test_same_swaps_as_the_recursive_walk(self):
+        for n in range(8):
+            assert adjacent_swap_order(n) == recursive_adjacent_swap_order(n)
+
+    def test_negative_size_is_refused(self):
+        with pytest.raises(InputError, match="n must be nonnegative"):
+            adjacent_swap_order(-1)
+
     def test_visits_every_arrangement_once(self):
         for n in range(1, 6):
             word = list(range(n))

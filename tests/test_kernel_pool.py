@@ -4,7 +4,9 @@ bench/kernel_pool.json records, for each of the 25 kernel specs and each
 of its 8 variants, the accepted random draw and the digest of the result.
 The benchmark's own tests replay only its first round; this replays all
 200 instances through bench/kernel.py, which it imports without changing,
-and checks each digest and the identity each call states.
+and checks each digest and the identity each call states.  It also checks
+that every table the kernels and the fuzzer build passes MultiMap's
+whole-table checks, so none of them needs the per-key loop.
 """
 
 import sys
@@ -13,6 +15,9 @@ from pathlib import Path
 import pytest
 
 import bracekit
+from bracekit.checks import CHECK_NAMES, fuzz_outcomes
+from bracekit.fuzz import FuzzCaps
+from bracekit.multimap import MultiMap, _key_degrees
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -32,3 +37,29 @@ def test_every_variant_matches_its_recorded_digest(spec):
         assert kernel.digest(bracekit, result) == record["digest"], variant
         assert kernel.verdict(spec, result), variant
         assert kernel.nnz(kernel.result_maps(result)) == record["out_nnz"], variant
+
+
+def test_kernels_and_fuzzing_build_only_plain_tables(monkeypatch):
+    """No table handed to MultiMap needs its keys or output indices
+    normalized: each passes the whole-table checks."""
+    tables, refused = [], []
+    init = MultiMap.__init__
+
+    def spy(self, space, arity, degree, entries):
+        tables.append(len(entries))
+        if _key_degrees(entries, arity, space) is None:
+            refused.append((arity, list(entries)[:3]))
+        init(self, space, arity, degree, entries)
+
+    monkeypatch.setattr(MultiMap, "__init__", spy)
+    for spec in kernel.SPECS:
+        for variant, record in enumerate(POOL[spec.name]):
+            op, _ = kernel.build(bracekit, spec, variant, record["attempt"])
+            op()
+    list(fuzz_outcomes(7, 20, CHECK_NAMES, FuzzCaps()))
+    assert not refused
+    assert len(tables) > 2000 and sum(n > 1 for n in tables) > 1000
+    # the spy sees a table whose keys need normalizing
+    space = bracekit.GradedSpace([("e1", 0), ("e2", 0)])
+    MultiMap(space, 1, 0, {(True,): {1: 1}, (0,): {0: 1}})
+    assert refused == [(1, [(True,), (0,)])]

@@ -295,6 +295,43 @@ class TestIsAntisymmetric:
     def test_zero_map(self):
         assert is_antisymmetric(MultiMap.zero(MIXED, 3, 0))
 
+    def test_missing_swapped_row(self):
+        assert not is_antisymmetric(MultiMap(MIXED, 2, 0, {(0, 1): {1: 1}}))
+        both = {(0, 1): {1: 1}, (1, 0): {1: -1}}
+        assert is_antisymmetric(MultiMap(MIXED, 2, 0, both))
+
+    def test_odd_odd_pair_keeps_its_sign(self):
+        space = GradedSpace([("u", 1), ("v", 1), ("w", 2)])
+        same = {(0, 1): {2: 3}, (1, 0): {2: 3}}
+        assert is_antisymmetric(MultiMap(space, 2, 0, same))
+        flipped = {(0, 1): {2: 3}, (1, 0): {2: -3}}
+        assert not is_antisymmetric(MultiMap(space, 2, 0, flipped))
+
+    def test_matches_the_termwise_comparison(self):
+        def termwise(f):
+            par = f.space.parities
+            for key, out in f.entries.items():
+                for s in range(f.arity - 1):
+                    a, b = key[s], key[s + 1]
+                    other = f.entries.get(key[:s] + (b, a) + key[s + 2 :], {})
+                    sign = 1 if par[a] & par[b] else -1
+                    for j in {*out, *other}:
+                        if other.get(j, 0) != sign * out.get(j, 0):
+                            return False
+            return True
+
+        rng = random.Random(4)
+        verdicts = set()
+        for _ in range(200):
+            dim = rng.randint(1, 3)
+            space = GradedSpace((f"x{i}", rng.randint(-1, 2)) for i in range(dim))
+            f = random_map(rng, space, rng.randint(1, 3))
+            g = antisymmetrize(f)
+            for m in (f, g, g + f.scale(rng.choice((0, 1)))):
+                verdicts.add(is_antisymmetric(m))
+                assert is_antisymmetric(m) == termwise(m)
+        assert verdicts == {True, False}
+
 
 def staged_sign_failures(staged, max_k=4):
     """The (k, parities, n, chi) with k <= max_k for which the (sign, word)

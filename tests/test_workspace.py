@@ -264,6 +264,22 @@ class TestMapToObj:
             {"in": ["a"], "out": [{"basis": "a", "coeff": "1/2"}]}
         ]
 
+    def test_names_out_of_index_order_sort_by_name(self):
+        # index order b, a, B, 10, 9; name order 10, 9, B, a, b
+        space = GradedSpace([(n, 0) for n in ("b", "a", "B", "10", "9")])
+        rows = {(a, b): {a: 1, (a + 1 + b % 4) % 5: b - 2} for a, b in space.tuples(2)}
+        m = MultiMap(space, 2, 0, rows)
+        ws = Workspace(space, [("f", m), ("F", m.scale(2))])
+        names = space.names
+        by_name = sorted(m.entries.items(), key=lambda kv: [names[i] for i in kv[0]])
+        entries = ws.to_obj()["maps"][1]["entries"]
+        assert [e["in"] for e in entries] == [[names[i] for i in k] for k, _ in by_name]
+        assert entries[0]["in"] == ["10", "10"] and entries[-1]["in"] == ["b", "b"]
+        for e, (_, table) in zip(entries, by_name):
+            terms = sorted((names[i], format_coeff(c)) for i, c in table.items())
+            assert [(t["basis"], t["coeff"]) for t in e["out"]] == terms
+        assert ws.canonical_text() == json.dumps(ws.to_obj(), indent=2) + "\n"
+
     def test_workspace_constructor_rejects_foreign_maps(self):
         space = GradedSpace([("a", 0)])
         other = GradedSpace([("z", 0)])
