@@ -23,9 +23,11 @@ over those parities.  symmetrize_brace is the one eps-signed sum of braces
 over orderings of the inserted maps; Lemma 5.1's two-stage symmetrization,
 from Lemma 4.1's staged rearrangements, is checked against it.  Each sum of
 braces adds every summand straight into one table (_brace_into), which is
-validated once, as a MultiMap.  The nesting identity deals the y's to the
-x's by the weak compositions of insertion_patterns; a composition that
-gives some map more inputs than its arity has no term and is skipped.
+validated once, as a MultiMap; the one evaluator bracket_sum sums the signed
+bracket terms of the identities so, each shared inner bracket evaluated
+once.  The nesting identity deals the y's to the x's by the weak
+compositions of insertion_patterns; a composition that gives some map more
+inputs than its arity has no term and is skipped.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .graded import (
     staged_rearrangements,
     word_parity,
 )
-from .multimap import MultiMap, add_into, compose_into
+from .multimap import GradedSpace, MultiMap, add_into, compose_into
 
 
 def beta_parity(
@@ -121,6 +123,34 @@ def symmetrize_brace(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     return MultiMap(f.space, *_signature(f, gs), entries)
 
 
+def bracket_sum(space: GradedSpace, signature: tuple, terms) -> MultiMap:
+    """The MultiMap of signature (arity, degree) summing sign * value(expr)
+    over the (sign, expr) terms.  An expression is a map or (bracket, outer,
+    inner expressions), the bracket brace_eval, symmetrize_brace or
+    symbrace_eval; one shared by several terms is evaluated once.  A
+    top-level brace adds its summands straight into the one table."""
+    memo, acc = {}, {}
+    for sign, (bracket, outer, inner) in terms:
+        f, gs = _value(outer, memo), tuple([_value(e, memo) for e in inner])
+        if bracket is brace_eval:
+            _brace_into(acc, sign, f, gs)
+        else:
+            add_into(acc, sign, bracket(f, gs))
+    return MultiMap(space, *signature, acc)
+
+
+def _value(expr, memo: dict) -> MultiMap:
+    # memo: id -> (node, value); holding the node keeps its id from reuse
+    if isinstance(expr, MultiMap):
+        return expr
+    hit = memo.get(id(expr))
+    if hit is None:
+        bracket, outer, inner = expr
+        value = bracket(_value(outer, memo), [_value(e, memo) for e in inner])
+        hit = memo[id(expr)] = expr, value
+    return hit[1]
+
+
 def brace_axiom_sides(x: MultiMap, xs: Sequence[MultiMap], ys: Sequence[MultiMap]):
     """Both sides of the nesting identity for x{x_1..x_n}{y_1..y_r}.
 
@@ -130,25 +160,18 @@ def brace_axiom_sides(x: MultiMap, xs: Sequence[MultiMap], ys: Sequence[MultiMap
     and the term carries the Koszul sign of moving each x_t past the y's
     standing before its run, in brace parities.  A composition with some
     l_t above x_t's arity, or n + sum k_t above x's, has no insertion
-    pattern and is skipped.
+    pattern and is skipped.  Each run's inner brace is one shared node.
     """
-    xs = tuple(xs)
-    ys = tuple(ys)
+    xs, ys = tuple(xs), tuple(ys)
     n, r = len(xs), len(ys)
-    if n > x.arity:
-        raise InputError(f"cannot insert {n} maps into arity {x.arity}")
-    inner = brace_eval(x, xs)
-    if r > inner.arity:
-        raise InputError(
-            f"cannot insert {r} maps into the arity-{inner.arity} first brace"
-        )
-    lhs = brace_eval(inner, ys)
-
+    lhs = brace_eval(brace_eval(x, xs), ys)
     bx = [m.brace_parity for m in xs]
     by_prefix = [0] + list(itertools.accumulate(m.brace_parity for m in ys))
-
-    rhs: dict = {}
-    inner_cache: dict = {}
+    inner = {
+        (t, i, j): (brace_eval, m, ys[i:j]) if j > i else m
+        for t, m in enumerate(xs) for i in range(r + 1) for j in range(i, r + 1)
+    }
+    terms = []
     for runs in insertion_patterns(r, 2 * n + 1):
         lengths = runs[1::2]
         if n + sum(runs[::2]) > x.arity or any(
@@ -158,14 +181,11 @@ def brace_axiom_sides(x: MultiMap, xs: Sequence[MultiMap], ys: Sequence[MultiMap
         cuts = list(itertools.accumulate((0,) + runs))
         outer_args, sign = list(ys[: cuts[1]]), 0
         for t, (start, length) in enumerate(zip(cuts[1::2], lengths)):
-            key = (t, start, length)
-            if key not in inner_cache:
-                inner_cache[key] = brace_eval(xs[t], ys[start : start + length])
-            outer_args.append(inner_cache[key])
+            outer_args.append(inner[t, start, start + length])
             outer_args.extend(ys[start + length : cuts[2 * t + 3]])
             sign ^= bx[t] & by_prefix[start] & 1
-        _brace_into(rhs, -1 if sign else 1, x, tuple(outer_args))
-    return lhs, MultiMap(x.space, lhs.arity, lhs.degree, rhs)
+        terms.append((-1 if sign else 1, (brace_eval, x, outer_args)))
+    return lhs, bracket_sum(x.space, (lhs.arity, lhs.degree), terms)
 
 
 def brace_axiom_check(
@@ -183,17 +203,12 @@ def braced_symmetrization_sides(
     Left: brace f with every eps-signed staged rearrangement of ys + zs
     (graded.staged_rearrangements in brace parities): the z's permuted, the
     y's permuted, the z's riffled among the y's.  Right: the symmetrized
-    brace of f with all n+m maps.
+    brace of f with all n+m maps, evaluated first to refuse too many maps.
     """
     ys = tuple(ys)
-    zs = tuple(zs)
-    n, m = len(ys), len(zs)
-    if n + m > f.arity:
-        raise InputError(f"cannot insert {n + m} maps into arity {f.arity}")
-    direct = symmetrize_brace(f, ys + zs)
-
-    parities = [g.brace_parity for g in ys + zs]
-    staged: dict = {}
-    for sign, seq in staged_rearrangements(ys + zs, parities, n, False):
-        _brace_into(staged, sign, f, seq)
-    return MultiMap(f.space, direct.arity, direct.degree, staged), direct
+    maps = ys + tuple(zs)
+    direct = symmetrize_brace(f, maps)
+    parities = [g.brace_parity for g in maps]
+    staged = staged_rearrangements(maps, parities, len(ys), False)
+    terms = [(sign, (brace_eval, f, seq)) for sign, seq in staged]
+    return bracket_sum(f.space, (direct.arity, direct.degree), terms), direct

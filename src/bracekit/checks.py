@@ -54,6 +54,7 @@ from .fuzz import (
     random_space,
 )
 from .graded import (
+    ENUMERATION_CAP,
     Permutation,
     block_permutation_sign_check,
     inversion_parity_check,
@@ -295,9 +296,10 @@ def _point_cost(dim, after, shape) -> bool:
 
 
 def _unshuffle_cost(dim, after, shape) -> bool:
-    # unshuffles run over each bracket's output arguments
+    # unshuffles run over each bracket's output arguments, up to graded's cap
     unshuffles = sum(_multinomial(a, ars) for a, ars in zip(after, shape))
-    return dim ** after[-1] * unshuffles <= _UNSHUFFLE_BUDGET
+    fits = dim ** after[-1] * unshuffles <= _UNSHUFFLE_BUDGET
+    return fits and after[-1] <= ENUMERATION_CAP
 
 
 def _antisym_cost(dim, after, shape) -> bool:

@@ -4,7 +4,8 @@ A StructureFamily collects components m_k of arity k and internal degree
 k - 2.  The associative flavor requires the braced squares to vanish:
 for every output arity r, the sum of m_i{m_j} over i + j = r + 1 is zero.
 The antisymmetric flavor requires the same with the unshuffle bracket
-m_i<m_j> and antisymmetric components.
+m_i<m_j> and antisymmetric components.  Each relation is one
+brace.bracket_sum of its terms m_i{m_j} or m_i<m_j>.
 
 Checks are truncations: arities above max_arity are not inspected, so a
 pass certifies the relations only up to that arity.  A max_arity above
@@ -19,14 +20,8 @@ from typing import Sequence
 
 from .errors import InputError, ResourceLimitError
 from .graded import ENUMERATION_CAP
-from .multimap import (
-    GradedSpace,
-    MultiMap,
-    add_into,
-    antisymmetrize,
-    is_antisymmetric,
-)
-from .brace import brace_eval
+from .multimap import GradedSpace, MultiMap, antisymmetrize, is_antisymmetric
+from .brace import brace_eval, bracket_sum
 from .symbrace import symbrace_eval
 
 A_INFINITY = "a_infinity"
@@ -84,16 +79,12 @@ def _relation_defects(fam: StructureFamily, max_arity: int, bracket) -> dict:
     cap = max(ENUMERATION_CAP, 2 * fam.max_component_arity - 1)
     if max_arity > cap:
         raise ResourceLimitError(f"max_arity {max_arity} exceeds cap {cap}")
+    by_arity = fam._by_arity
     defects = {}
     for r in range(1, max_arity + 1):
-        total: dict = {}
-        for i in range(1, r + 1):
-            j = r + 1 - i
-            mi = fam.component(i)
-            mj = fam.component(j)
-            if mi is not None and mj is not None:
-                add_into(total, 1, bracket(mi, [mj]))
-        defects[r] = MultiMap(fam.space, r, r - 3, total)
+        pairs = [(i, r + 1 - i) for i in sorted(by_arity) if r + 1 - i in by_arity]
+        terms = [(1, (bracket, by_arity[i], [by_arity[j]])) for i, j in pairs]
+        defects[r] = bracket_sum(fam.space, (r, r - 3), terms)
     return defects
 
 

@@ -305,11 +305,9 @@ class MultiMap:
                 f"(arity {self.arity}, degree {self.degree}) vs "
                 f"(arity {other.arity}, degree {other.degree})"
             )
-        merged = {k: dict(v) for k, v in self.entries.items()}
-        for k, out in other.entries.items():
-            tgt = merged.setdefault(k, {})
-            for j, c in out.items():
-                tgt[j] = tgt.get(j, 0) + c
+        merged: dict = {}
+        add_into(merged, 1, self)
+        add_into(merged, 1, other)
         return MultiMap(self.space, self.arity, self.degree, merged)
 
     def __sub__(self, other: "MultiMap") -> "MultiMap":
@@ -403,11 +401,13 @@ def compose_into(
 
 def add_into(acc: dict, sign: int, m: MultiMap) -> None:
     """Add sign * m to the entry table acc: compose_into's counterpart for
-    a map already tabulated."""
+    a map already tabulated; a row new to acc is its copy, scaled once."""
     for key, out in m.entries.items():
-        row = acc.setdefault(key, {})
-        for j, c in out.items():
-            row[j] = row.get(j, 0) + sign * c
+        out = out.copy() if sign == 1 else {j: sign * c for j, c in out.items()}
+        row = acc.setdefault(key, out)
+        if row is not out:
+            for j, c in out.items():
+                row[j] = row[j] + c if j in row else c
 
 
 def expand_orbits(reps: Mapping[tuple, dict], arity: int, parities) -> dict:

@@ -22,6 +22,7 @@ Two brackets satisfy the symmetric-brace axiom here:
 
 symbrace_axiom_sides reads each dealt block off a size composition's cuts
 and skips a composition that gives some map more inputs than its arity.
+Its right side is one brace.bracket_sum, each g_i<block> one shared node.
 antisymmetrized_brace_sides states the bridge: antisymmetrizing the
 symmetrized brace of f equals the unshuffle bracket of the
 antisymmetrizations.
@@ -36,13 +37,12 @@ from .errors import InputError
 from .graded import insertion_patterns, unshuffle_words, word_parity
 from .multimap import (
     MultiMap,
-    add_into,
     antisymmetrize,
     expand_orbits,
     is_antisymmetric,
 )
 # brace_eval and symmetrize_brace stay importable from this module
-from .brace import _signature, brace_eval, symmetrize_brace
+from .brace import _signature, brace_eval, bracket_sum, symmetrize_brace
 
 FLAVOR_UNSHUFFLE = "example33"
 FLAVOR_SYMMETRIZED = "symmetrized"
@@ -150,22 +150,17 @@ def symbrace_axiom_sides(
     if flavor not in _FLAVORS:
         raise InputError(f"unknown bracket flavor {flavor!r}")
     bracket = symbrace_eval if flavor == FLAVOR_UNSHUFFLE else symmetrize_brace
-    gs = tuple(gs)
-    xs = tuple(xs)
+    gs, xs = tuple(gs), tuple(xs)
     n, r = len(gs), len(xs)
-    if n > f.arity:
-        raise InputError(f"cannot insert {n} maps into arity {f.arity}")
-    inner = bracket(f, gs)
-    if r > inner.arity:
-        raise InputError(
-            f"cannot insert {r} maps into the arity-{inner.arity} first bracket"
-        )
-    lhs = bracket(inner, xs)
-
+    lhs = bracket(bracket(f, gs), xs)
     bg = [g.brace_parity for g in gs]
     bx = [x.brace_parity for x in xs]
-    rhs: dict = {}
-    block_cache: dict = {}
+    dealt = {
+        (b, block): (bracket, g, [xs[i] for i in block])
+        for b, g in enumerate(gs) for size in range(min(g.arity, r) + 1)
+        for block in itertools.combinations(range(r), size)
+    }
+    terms = []
     for sizes in insertion_patterns(r, n + 1):
         if n + sizes[-1] > f.arity or any(s > g.arity for s, g in zip(sizes, gs)):
             continue
@@ -173,19 +168,15 @@ def symbrace_axiom_sides(
         for idx, inv in unshuffle_words(sizes):
             # eps of the unshuffle, then each g_i crossing earlier blocks
             neg = word_parity(inv, bx, False)
-            prefix = 0
-            outer_args = []
+            prefix, outer_args = 0, []
             for b, lo, hi in zip(range(n), cuts, cuts[1:]):
-                key = (b, idx[lo:hi])
-                if key not in block_cache:
-                    block_cache[key] = bracket(gs[b], [xs[i] for i in key[1]])
-                outer_args.append(block_cache[key])
+                outer_args.append(dealt[b, idx[lo:hi]])
                 neg += bg[b] & prefix
-                for i in key[1]:
+                for i in idx[lo:hi]:
                     prefix ^= bx[i]
             outer_args.extend(xs[i] for i in idx[cuts[n] :])
-            add_into(rhs, -1 if neg & 1 else 1, bracket(f, outer_args))
-    return lhs, MultiMap(f.space, lhs.arity, lhs.degree, rhs)
+            terms.append((-1 if neg & 1 else 1, (bracket, f, outer_args)))
+    return lhs, bracket_sum(f.space, (lhs.arity, lhs.degree), terms)
 
 
 def symbrace_axiom_check(

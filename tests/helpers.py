@@ -1,8 +1,8 @@
 """Shared test helpers: small homogeneous random tables, the per-key
 validation loop of the MultiMap constructor, point-by-point reference
-evaluators built on the tensor-block oracle _tensor_core, wrong brace,
-unshuffle-bracket and riffle signs, and the environment and runner of a
-CLI subprocess."""
+evaluators built on the tensor-block oracle _tensor_core, among them a
+second bracket_sum, wrong brace, unshuffle-bracket and riffle signs, and
+the environment and runner of a CLI subprocess."""
 
 import os
 import subprocess
@@ -11,17 +11,18 @@ from pathlib import Path
 from typing import Sequence
 
 import bracekit
-from bracekit.brace import beta_parity
+from bracekit.brace import beta_parity, brace_eval, symmetrize_brace
 from bracekit.errors import InputError
 from bracekit.graded import (
     antisym_koszul_sign,
     enumerate_permutations,
     enumerate_unshuffles,
     insertion_patterns,
+    koszul_sign,
     staged_rearrangements,
 )
 from bracekit.multimap import GradedVector, MultiMap, antisymmetrize
-from bracekit.symbrace import delta_parity
+from bracekit.symbrace import delta_parity, symbrace_eval
 
 
 def random_map(rng, space, arity, density=0.6):
@@ -322,6 +323,47 @@ def pointwise_symbrace(f, gs):
         if acc:
             entries[t] = {j: base * c for j, c in acc.items() if c}
     return MultiMap(space, out_arity, out_degree, entries)
+
+
+def pointwise_symmetrize(f, gs):
+    """symmetrize_brace as the koszul_sign-signed sum, in brace parities,
+    of pointwise_brace over every Permutation of the g's."""
+    gs = tuple(gs)
+    if not gs:
+        return f
+    parities = [g.brace_parity for g in gs]
+    total = None
+    for sigma in enumerate_permutations(len(gs)):
+        term = pointwise_brace(f, sigma.apply(gs)).scale(koszul_sign(sigma, parities))
+        total = term if total is None else total + term
+    return total
+
+
+# each bracket a bracket_sum expression may name, and its reference
+POINTWISE_BRACKETS = {
+    brace_eval: pointwise_brace,
+    symmetrize_brace: pointwise_symmetrize,
+    symbrace_eval: pointwise_symbrace,
+}
+
+
+def pointwise_value(expr):
+    """The map a bracket_sum expression stands for, every bracket node
+    evaluated by its reference, as often as it occurs."""
+    if isinstance(expr, MultiMap):
+        return expr
+    bracket, outer, inner = expr
+    reference = POINTWISE_BRACKETS[bracket]
+    return reference(pointwise_value(outer), [pointwise_value(e) for e in inner])
+
+
+def pointwise_bracket_sum(space, signature, terms):
+    """The second evaluator of bracket_sum's term lists: sign * value of
+    each term by pointwise_value, summed with MultiMap addition."""
+    total = MultiMap.zero(space, *signature)
+    for sign, expr in terms:
+        total = total + pointwise_value(expr).scale(sign)
+    return total
 
 
 def cli_env():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bracekit.checks import CHECKS
+from bracekit.checks import CHECK_NAMES, CHECKS, fuzz_outcomes
 from bracekit.errors import InputError
 from bracekit.fuzz import (
     COEFFS,
@@ -21,6 +21,7 @@ from bracekit.homotopy import (
     a_infinity_check,
     l_infinity_check,
 )
+from bracekit.graded import ENUMERATION_CAP
 from bracekit.multimap import is_antisymmetric
 
 CAPS = FuzzCaps()
@@ -225,6 +226,16 @@ class TestStatedCaps:
         assert self._top(self._draws(wide, "lemma41"), "N") == 4
         totals = [sum(rec["stages"]) for rec in self._draws(wide, "lemma51")]
         assert max(totals) == 4
+
+    def test_symmetric_checks_stay_within_the_enumeration_cap(self):
+        """At dim 1 every unshuffle count fits the budget, so ex33 and thm1
+        need the enumeration cap itself to keep their output arity below
+        what graded refuses; a fuzz run on such caps reports every case."""
+        caps = FuzzCaps(max_arity=5, max_out_arity=9, max_dim=1)
+        for name in ("symbrace-axiom-ex33", "thm1"):
+            assert self._top(self._draws(caps, name), "out") == ENUMERATION_CAP
+        outcomes = list(fuzz_outcomes(7, 30, CHECK_NAMES, caps))
+        assert len(outcomes) == 30 * len(CHECK_NAMES)
 
     def test_curated_families_keep_their_dimension(self):
         for caps in (FuzzCaps(), FuzzCaps(max_dim=1)):

@@ -10,6 +10,9 @@ package reads its name, as a bare name or as an attribute, or when
 ``__init__`` imports it as public API.  So does a method, other than a
 dunder, of a class ``__init__`` does not export.  Code only the tests call
 belongs in the tests.
+
+Only graded and the API edge use Permutations, and only brace.bracket_sum
+accumulates the sums of the identity sides and homotopy relations.
 """
 
 import ast
@@ -182,3 +185,49 @@ def test_only_the_api_edge_uses_permutations(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = permutation_api_reads(tree)
     assert not used, f"{path.name} uses the Permutation API: {sorted(used)}"
+
+
+# the identity sides and homotopy relations only generate signed bracket
+# terms; brace.bracket_sum alone accumulates and validates their sums
+GENERATORS = {
+    "brace": ("brace_axiom_sides", "braced_symmetrization_sides"),
+    "symbrace": ("symbrace_axiom_sides",),
+    "homotopy": ("_relation_defects",),
+}
+ACCUMULATORS = {"add_into", "_brace_into", "compose_into", "MultiMap"}
+
+
+def accumulator_calls(func: ast.FunctionDef) -> set:
+    """The names of ACCUMULATORS the function calls, as a bare name or as
+    the last attribute of a chain."""
+    called = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            target = node.func
+            if isinstance(target, ast.Name):
+                called.add(target.id)
+            elif isinstance(target, ast.Attribute):
+                called.add(target.attr)
+    return called & ACCUMULATORS
+
+
+def test_finds_an_accumulator_call():
+    tree = ast.parse(
+        "def sides(f, gs):\n"
+        "    acc = {}\n"
+        "    multimap.add_into(acc, 1, f)\n"
+        "    return MultiMap(f.space, 1, 0, acc), MultiMap.zero(f.space, 1, 0)\n"
+    )
+    assert accumulator_calls(tree.body[0]) == {"add_into", "MultiMap"}
+
+
+@pytest.mark.parametrize(
+    "stem, name",
+    [(stem, name) for stem, names in GENERATORS.items() for name in names],
+)
+def test_only_the_evaluator_accumulates(stem, name):
+    tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    assert len(funcs) == 1, f"{stem}.{name} not found"
+    calls = accumulator_calls(funcs[0])
+    assert not calls, f"{stem}.{name} accumulates itself: {sorted(calls)}"

@@ -13,6 +13,7 @@ falling back to point-by-point evaluation.
 """
 
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -241,6 +242,50 @@ def test_add_into_accumulates_signed_tables():
     add_into(acc, -1, f)
     add_into(acc, -1, g)
     assert MultiMap(space, 2, f.degree, acc).is_zero()
+
+
+def _add_into_by_formula(acc, sign, m):
+    """add_into as every coefficient's row.get(j, 0) + sign * c."""
+    for key, out in m.entries.items():
+        row = acc.setdefault(key, {})
+        for j, c in out.items():
+            row[j] = row.get(j, 0) + sign * c
+
+
+def test_add_into_keeps_values_order_and_coefficient_types():
+    """add_into copies a row new to the table instead of adding it to 0;
+    values, key and row order, and int or Fraction types stay those of
+    the formula, and the table never shares a row with a map."""
+    rng = SplitMix64(SEED + 11)
+    scales = (1, -1, 3, Fraction(1, 2), Fraction(4, 2), Fraction(-2, 3))
+    fractions = ints = 0
+    for _ in range(60):
+        space = _space(rng, 1 + rng.randint(0, 2))
+        maps = [random_map(rng, space, 2, 60) for _ in range(rng.randint(1, 4))]
+        maps = [
+            MultiMap(space, 2, m.degree, {
+                key: {j: c * rng.choice(scales) for j, c in out.items()}
+                for key, out in m.entries.items()
+            })
+            for m in maps
+            if m.degree == maps[0].degree
+        ]
+        got, want = {}, {}
+        for m in maps:
+            sign = rng.choice((1, -1, 2))
+            add_into(got, sign, m)
+            _add_into_by_formula(want, sign, m)
+        assert got == want
+        assert list(got) == list(want)
+        for key, row in got.items():
+            assert list(row) == list(want[key])
+            assert [type(c) for c in row.values()] == [type(c) for c in want[key].values()]
+            fractions += any(type(c) is Fraction for c in row.values())
+            ints += any(type(c) is int for c in row.values())
+        for row in got.values():
+            row.clear()
+        assert all(all(m.entries.values()) for m in maps)
+    assert fractions >= 20 and ints >= 20
 
 
 def _antisym_map(rng, space, arity):
