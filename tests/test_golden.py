@@ -1,6 +1,6 @@
 """Golden CLI transcripts: output that must stay byte-identical.
 
-The files under tests/golden/ pin three transcripts of in-process
+The files under tests/golden/ pin four transcripts of in-process
 ``bracekit`` runs:
 
 * ``fuzz.txt``: the report of ``fuzz --seed 7 --cases 10``;
@@ -11,7 +11,10 @@ The files under tests/golden/ pin three transcripts of in-process
   ``check`` replay of the first counterexample of every failing check, and
   ``check`` runs on a small workspace: brace-axiom under the test-side
   mutant ``helpers.beta_without_leading_slot_term`` patched over
-  ``brace.beta_parity``, and ainfty and thm2 on a non-associative product.
+  ``brace.beta_parity``, and ainfty and thm2 on a non-associative product;
+* ``fail_reports.txt``: the FAIL report and its ``check`` replay of every
+  check the wrong brace signs never fail (lemma41, lemmas 4.2-4.4, linfty
+  and corollary), each under a mutation of its own (``MUTANT_RUNS``).
 
 ``FUZZ_100_MD5`` below pins the md5 of the report of
 ``fuzz --seed 7 --cases 100``, as ``| md5sum`` prints it.
@@ -35,10 +38,18 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from bracekit import brace, cli, symbrace
+import pytest
+
+from bracekit import brace, checks, cli, multimap, symbrace
 from bracekit.checks import CHECK_NAMES, fuzz_outcomes
 from bracekit.fuzz import FuzzCaps
-from helpers import beta_without_leading_slot_term
+from bracekit.multimap import GradedSpace, MultiMap, antisymmetrize
+from bracekit.workspace import Workspace
+from helpers import (
+    beta_without_leading_slot_term,
+    delta_without_degree_shift_term,
+    eta_without_parity_crossing,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FUZZ_100_MD5 = "b903f17b777743992b547cbdda739197"
@@ -168,10 +179,132 @@ def counterexample_transcript() -> str:
     return "".join(parts)
 
 
+def _dg_matrices() -> dict:
+    """2x2 matrices graded by |E_ij| = i - j, with mu2 the matrix product
+    and mu1 = [E12, -] the graded commutator, and their antisymmetrizations
+    l1 and l2.  mu1, mu2 satisfy the ainfty relations and l1, l2 the linfty
+    ones, while each term mu1{mu2}, mu2{mu1}, l1<l2>, l2<l1> is nonzero, so
+    a sign error in one term shows."""
+    names = [f"E{i}{j}" for i in (1, 2) for j in (1, 2)]
+    space = GradedSpace([(nm, int(nm[1]) - int(nm[2])) for nm in names])
+    e = {nm: space.index(nm) for nm in names}
+    product = {
+        (e[f"E{i}{j}"], e[f"E{j}{k}"]): {e[f"E{i}{k}"]: 1}
+        for i in (1, 2) for j in (1, 2) for k in (1, 2)
+    }
+    differential = {
+        (e["E11"],): {e["E12"]: -1},
+        (e["E21"],): {e["E11"]: 1, e["E22"]: 1},
+        (e["E22"],): {e["E12"]: 1},
+    }
+    mu1 = MultiMap(space, 1, -1, differential)
+    mu2 = MultiMap(space, 2, 0, product)
+    maps = [("mu1", mu1), ("mu2", mu2)]
+    maps += [("l1", antisymmetrize(mu1)), ("l2", antisymmetrize(mu2))]
+    return Workspace(space, maps).to_obj()
+
+
+def _never(**kwargs):
+    return False
+
+
+# check -> (patches as (module, name, replacement), argv, record keys).  The
+# brace-sign flips above fail none of these checks: lemma41 uses no brace
+# sign, and no curated family has a nonzero relation term, so each is
+# failed by a mutation of its own.  A whole negation of delta flips every
+# term of a relation alike, so linfty and corollary drop one of its terms
+# instead, on the dg matrices.
+_FUZZ_KEYS = ["check", "seed", "case"]
+_FAMILY_KEYS = ["workspace", "args", "defect_arity", "defect"]
+_ON_DG = ["--workspace", "dg.json"]
+MUTANT_RUNS = {
+    "lemma41": (
+        [(multimap, "staged_rearrangements", eta_without_parity_crossing)],
+        ["fuzz", "--seed", "9", "--cases", "1", "--checks", "lemma41"],
+        _FUZZ_KEYS + ["workspace", "args", "split", "inputs"],
+    ),
+    "lemma42": (
+        [(checks, "unshuffle_decomposition_check", _never)],
+        ["fuzz", "--seed", "7", "--cases", "1", "--checks", "lemma42"],
+        _FUZZ_KEYS + ["blocks", "degrees"],
+    ),
+    "lemma43": (
+        [(checks, "block_permutation_sign_check", _never)],
+        ["fuzz", "--seed", "7", "--cases", "1", "--checks", "lemma43"],
+        _FUZZ_KEYS + ["sigma", "blocks", "slots", "pi", "degrees"],
+    ),
+    "lemma44": (
+        [(checks, "inversion_parity_check", _never)],
+        ["fuzz", "--seed", "7", "--cases", "1", "--checks", "lemma44"],
+        _FUZZ_KEYS + ["sigma", "v", "w"],
+    ),
+    "linfty": (
+        [(symbrace, "delta_parity", delta_without_degree_shift_term)],
+        ["check", "linfty", *_ON_DG, "--maps", "l1,l2", "--max-arity", "3"],
+        _FAMILY_KEYS,
+    ),
+    "corollary": (
+        [(symbrace, "delta_parity", delta_without_degree_shift_term)],
+        ["check", "corollary", *_ON_DG, "--maps", "mu1,mu2", "--max-arity", "3"],
+        _FAMILY_KEYS + ["antisymmetrized"],
+    ),
+}
+
+
+@contextlib.contextmanager
+def _mutated(patches):
+    with contextlib.ExitStack() as stack:
+        for module, name, replacement in patches:
+            stack.enter_context(mock.patch.object(module, name, replacement))
+        yield
+
+
+def _first_failure(transcript: str):
+    """The first FAIL line of a transcript and the record printed after it."""
+    head, _, rest = transcript.partition("\nFAIL ")
+    line, _, body = rest.partition("\n")
+    record, _ = json.JSONDecoder().raw_decode(body)
+    return "FAIL " + line, record
+
+
+def _replay_record_argv(name, record) -> list:
+    """The `check` command line that reruns a FAIL record: its workspace is
+    written to a file, and its args, or for an integer check its data,
+    become the flags."""
+    if "workspace" not in record:
+        keys = [k for k in record if k not in _FUZZ_KEYS]
+        return ["check", name] + [f"--{k}={_fmt(record[k])}" for k in keys]
+    path = f"{name}-replay.json"
+    Path(path).write_text(json.dumps(record["workspace"]), encoding="utf-8")
+    return _replay_argv(name, record, path)
+
+
+def _fmt(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def _without_seed_and_case(line: str) -> str:
+    return " ".join(t for t in line.split() if not t.startswith(("seed=", "case=")))
+
+
+def fail_report_transcript() -> str:
+    """Run in a scratch working directory: the runs read dg.json, and the
+    replays write workspace files."""
+    Path("dg.json").write_text(json.dumps(_dg_matrices()), encoding="utf-8")
+    parts = []
+    for name, (patches, argv, _) in MUTANT_RUNS.items():
+        with _mutated(patches):
+            parts.append(_run(argv))
+            _, record = _first_failure(parts[-1])
+            parts.append(_run(_replay_record_argv(name, record)))
+    return "".join(parts)
+
+
 TRANSCRIPTS = {
     "fuzz.txt": fuzz_transcript,
     "help.txt": help_transcript,
     "counterexamples.txt": counterexample_transcript,
+    "fail_reports.txt": fail_report_transcript,
 }
 
 
@@ -192,6 +325,25 @@ def test_help_texts_are_unchanged(tmp_path, monkeypatch):
 
 def test_flipped_sign_counterexamples_are_unchanged(tmp_path, monkeypatch):
     _check("counterexamples.txt", tmp_path, monkeypatch)
+
+
+def test_unreached_checks_fail_reports_are_unchanged(tmp_path, monkeypatch):
+    _check("fail_reports.txt", tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", MUTANT_RUNS)
+def test_mutant_fail_record_keys_and_replay(name, tmp_path, monkeypatch):
+    """Each record lists its keys in a fixed order, and the `check` replay
+    of the record prints the same FAIL line."""
+    monkeypatch.chdir(tmp_path)
+    Path("dg.json").write_text(json.dumps(_dg_matrices()), encoding="utf-8")
+    patches, argv, keys = MUTANT_RUNS[name]
+    with _mutated(patches):
+        line, record = _first_failure(_run(argv))
+        replay_line, _ = _first_failure(_run(_replay_record_argv(name, record)))
+    assert line.split()[:2] == ["FAIL", name]
+    assert list(record) == keys
+    assert replay_line == _without_seed_and_case(line)
 
 
 def test_fuzz_100_case_report_is_unchanged():
