@@ -7,10 +7,10 @@ A check is a :class:`Check` of four callables:
 * ``run(instance)`` executes the verification and returns an outcome,
 * ``add_cli_args(parser)`` declares the check's flags.
 
-No check writes these by hand.  Each declares its input roles, and one
-builder per kind of input derives from them the flags, the instance read
-from a workspace or drawn at random, the report ``params`` and the
-counterexample ``args``:
+No check writes these by hand.  Each declares its input roles and one
+verifier, and one builder per kind of input derives from them the flags,
+the instance read from a workspace or drawn at random, the report
+``params`` and the counterexample ``args``:
 
 * map checks (``_map_check``) take one outer map and lists of inserted
   maps.  A role is ``(keyword, report key of its size, help)``, for example
@@ -21,6 +21,15 @@ counterexample ``args``:
   integers per role;
 * family checks (``_family_check``) take the components of a homotopy
   structure family.
+
+A verifier is called on the instance's keywords and returns None on a
+pass, or else the keys its counterexample adds: ``lhs`` and ``rhs`` for an
+identity, ``defect_arity`` and ``defect`` for a family (and
+``antisymmetrized`` for corollary), ``split`` and ``inputs`` for lemma41,
+none for lemmas 4.2-4.4.  ``_outcome`` turns that into the outcome.  A
+failure report starts with the instance context (the workspace and args,
+or the integer lists), which an instance builds only when the case fails,
+so a passing case serializes nothing.
 
 Random map shapes come from a staged sampler: after an outer arity, stage
 s inserts at most ``max_n + s`` maps into the previous result, so a second
@@ -64,6 +73,7 @@ from .homotopy import (
     A_INFINITY,
     L_INFINITY,
     StructureFamily,
+    a_infinity_check,
     a_infinity_defects,
     antisymmetrize_structure,
     l_infinity_defects,
@@ -94,7 +104,7 @@ _DEFAULT_MAX_ARITY = 4
 class CheckInstance:
     params: tuple
     kwargs: dict
-    context: dict
+    context: Callable[[], dict]
 
 
 @dataclass
@@ -166,86 +176,50 @@ def _random_arities(rng, caps, count: int) -> list:
     return [rng.randint(1, caps.max_arity) for _ in range(count)]
 
 
-# ----------------------------------------------------------------- verdicts
-#
-# A verdict maker takes (check name, instance) and returns the outcome.
+# ---------------------------------------------------------------- verifiers
 
 
-def _sides(sides):
-    """Verdict of an identity whose verifier returns both sides."""
-
-    def verdict(name, inst) -> CheckOutcome:
-        lhs, rhs = sides(**inst.kwargs)
-        if lhs == rhs:
-            return CheckOutcome(name, True, inst.params)
-        counterexample = dict(inst.context)
-        counterexample["lhs"] = map_to_obj(lhs)
-        counterexample["rhs"] = map_to_obj(rhs)
-        return CheckOutcome(name, False, inst.params, counterexample)
-
-    return verdict
-
-
-def _holds(test):
-    """Verdict of a predicate; a failure reports the instance data."""
-
-    def verdict(name, inst) -> CheckOutcome:
-        passed = test(**inst.kwargs)
-        return CheckOutcome(
-            name, passed, inst.params, None if passed else dict(inst.context)
-        )
-
-    return verdict
-
-
-def _defect_outcome(check, inst, defects) -> CheckOutcome:
-    bad = {r: d for r, d in defects.items() if not d.is_zero()}
-    if not bad:
-        return CheckOutcome(check, True, inst.params)
-    worst = min(bad)
-    counterexample = dict(inst.context)
-    counterexample["defect_arity"] = worst
-    counterexample["defect"] = map_to_obj(bad[worst])
-    return CheckOutcome(check, False, inst.params, counterexample)
-
-
-def _defects(defects):
-    """Verdict of a family's relations up to the instance's max arity."""
-
-    def verdict(name, inst) -> CheckOutcome:
-        found = defects(inst.kwargs["family"], inst.kwargs["max_arity"])
-        return _defect_outcome(name, inst, found)
-
-    return verdict
-
-
-def _lemma41_verdict(name, inst) -> CheckOutcome:
-    defect = _decomposition_first_defect(inst.kwargs["f"])
-    if defect is None:
+def _outcome(name, inst, failure) -> CheckOutcome:
+    """The outcome of a verifier's result; a failure's record is the
+    instance context, built now, followed by the failure's keys."""
+    if failure is None:
         return CheckOutcome(name, True, inst.params)
-    counterexample = dict(inst.context)
-    names = inst.kwargs["f"].space.names
-    counterexample["split"] = list(defect["split"])
-    counterexample["inputs"] = [names[i] for i in defect["inputs"]]
-    return CheckOutcome(name, False, inst.params, counterexample)
+    return CheckOutcome(name, False, inst.params, {**inst.context(), **failure})
 
 
-def _corollary_verdict(name, inst) -> CheckOutcome:
-    family = inst.kwargs["family"]
-    max_arity = inst.kwargs["max_arity"]
-    source = a_infinity_defects(family, max_arity)
-    if any(not d.is_zero() for d in source.values()):
+def _runner(name, verify):
+    """``Check.run``: the outcome of ``verify`` on an instance's keywords."""
+    return lambda inst: _outcome(name, inst, verify(**inst.kwargs))
+
+
+def _unequal(lhs, rhs) -> dict | None:
+    """An identity's failure: both sides, unless they agree."""
+    return None if lhs == rhs else {"lhs": map_to_obj(lhs), "rhs": map_to_obj(rhs)}
+
+
+def _lowest_defect(defects: dict) -> dict | None:
+    """A family's failure: the lowest arity whose relation does not vanish."""
+    for arity, defect in sorted(defects.items()):
+        if not defect.is_zero():
+            return {"defect_arity": arity, "defect": map_to_obj(defect)}
+    return None
+
+
+def _shadow_defect(family, max_arity) -> dict | None:
+    """corollary's failure: the antisymmetrized family's lowest defect, and
+    its components.  A family failing ainfty is refused."""
+    if not a_infinity_check(family, max_arity):
         raise InputError(
             "corollary: the given family does not satisfy the associativity "
             "relations; run ainfty on it first"
         )
     shadow = antisymmetrize_structure(family)
-    outcome = _defect_outcome(name, inst, l_infinity_defects(shadow, max_arity))
-    if outcome.counterexample is not None:
-        outcome.counterexample["antisymmetrized"] = [
+    failure = _lowest_defect(l_infinity_defects(shadow, max_arity))
+    if failure is not None:
+        failure["antisymmetrized"] = [
             map_to_obj(m, name=f"l{m.arity}") for m in shadow.components
         ]
-    return outcome
+    return failure
 
 
 # --------------------------------------------------------------- map checks
@@ -265,8 +239,10 @@ def _map_instance(roles, maps: dict, names: dict, fixed: dict) -> CheckInstance:
     for key, size, _ in roles[1:]:
         params.append((size, len(maps[key])))
         pairs.extend(zip(names[key], maps[key]))
-    context = _maps_context(space, pairs, {**names, **fixed})
-    return CheckInstance(tuple(params), {**maps, **fixed}, context)
+    args = {**names, **fixed}
+    return CheckInstance(
+        tuple(params), {**maps, **fixed}, lambda: _maps_context(space, pairs, args)
+    )
 
 
 def _staged(stages: int, fits):
@@ -330,7 +306,7 @@ def _sample_lemma41(rng, caps, dim):
     return 1, []
 
 
-def _map_check(name, roles, sample, verdict, make=None, fixed=None):
+def _map_check(name, roles, sample, verify, make=None, fixed=None):
     """A check on workspace maps.  ``make(rng, space, arity)`` draws one map
     (random_map by default)."""
     fixed = fixed or {}
@@ -359,15 +335,13 @@ def _map_check(name, roles, sample, verdict, make=None, fixed=None):
         maps.update((key, [ws.get_map(nm) for nm in names[key]]) for key in lists)
         return _map_instance(roles, maps, names, fixed)
 
-    return Check(
-        name, gen, lambda inst: verdict(name, inst), add_cli_args, from_cli, True
-    )
+    return Check(name, gen, _runner(name, verify), add_cli_args, from_cli, True)
 
 
 # --------------------------------------------------------- integer checks
 
 
-def _int_check(name, roles, draw, verdict, order=None):
+def _int_check(name, roles, draw, verify, order=None):
     """A check on integer lists.  A role is ``(keyword, help, convert)``;
     ``draw(rng, caps)`` returns {keyword: integers}, and ``order`` gives the
     report order when it differs from the flag order."""
@@ -377,7 +351,7 @@ def _int_check(name, roles, draw, verdict, order=None):
     def instance(values: dict) -> CheckInstance:
         params = tuple((key, _fmt_seq(values[key])) for key in keys)
         kwargs = {key: convert[key](values[key]) for key in keys}
-        return CheckInstance(params, kwargs, {k: list(values[k]) for k in keys})
+        return CheckInstance(params, kwargs, lambda: {k: list(values[k]) for k in keys})
 
     def add_cli_args(parser) -> None:
         for key, text, _ in roles:
@@ -391,7 +365,7 @@ def _int_check(name, roles, draw, verdict, order=None):
     return Check(
         name,
         lambda rng, caps: instance(draw(rng, caps)),
-        lambda inst: verdict(name, inst),
+        _runner(name, verify),
         add_cli_args,
         from_cli,
         False,
@@ -455,11 +429,14 @@ def _family_instance(family, max_arity, tag=None, names=None) -> CheckInstance:
     params.append(("max_arity", max_arity))
     kwargs = {"family": family, "max_arity": max_arity}
     args = {"maps": names, "max_arity": max_arity}
-    context = _maps_context(family.space, zip(names, family.components), args)
-    return CheckInstance(tuple(params), kwargs, context)
+    return CheckInstance(
+        tuple(params),
+        kwargs,
+        lambda: _maps_context(family.space, zip(names, family.components), args),
+    )
 
 
-def _family_check(name, flavor, draw, verdict):
+def _family_check(name, flavor, draw, verify):
     """A check on a structure family; ``draw(rng, caps)`` returns
     (tag, family)."""
 
@@ -488,9 +465,7 @@ def _family_check(name, flavor, draw, verdict):
         family = StructureFamily(ws.space, maps, flavor)
         return _family_instance(family, ns.max_arity, names=names)
 
-    return Check(
-        name, gen, lambda inst: verdict(name, inst), add_cli_args, from_cli, True
-    )
+    return Check(name, gen, _runner(name, verify), add_cli_args, from_cli, True)
 
 
 # ---------------------------------------------------------------- registry
@@ -501,7 +476,7 @@ _SECOND = "second-stage map names, comma-separated"
 _SYMBRACE_ROLES = (("f", "N", _OUTER), ("gs", "n", _FIRST), ("xs", "r", _SECOND))
 _BLOCKS = ("blocks", "block sizes, comma-separated", tuple)
 _DEGREES = ("degrees", "degrees, comma-separated", list)
-_SYMBRACE_SIDES = _sides(lambda **kw: symbrace_axiom_sides(**kw))
+_SYMBRACE_SIDES = lambda **kw: _unequal(*symbrace_axiom_sides(**kw))
 
 CHECKS: dict = {
     check.name: check
@@ -510,7 +485,7 @@ CHECKS: dict = {
             "brace-axiom",
             (("x", "N", _OUTER), ("xs", "n", _FIRST), ("ys", "r", _SECOND)),
             _staged(2, _point_cost),
-            _sides(lambda **kw: brace_axiom_sides(**kw)),
+            lambda **kw: _unequal(*brace_axiom_sides(**kw)),
         ),
         _map_check(
             "symbrace-axiom-ex33",
@@ -534,19 +509,19 @@ CHECKS: dict = {
                 ("gs", "n", "inserted map names, comma-separated"),
             ),
             _staged(1, _antisym_cost),
-            _sides(lambda **kw: antisymmetrized_brace_sides(**kw)),
+            lambda **kw: _unequal(*antisymmetrized_brace_sides(**kw)),
         ),
         _map_check(
             "lemma41",
             (("f", "k", "map whose splits to verify"),),
             _sample_lemma41,
-            _lemma41_verdict,
+            lambda **kw: _decomposition_first_defect(**kw),
         ),
         _int_check(
             "lemma42",
             (_BLOCKS, _DEGREES),
             _draw_lemma42,
-            _holds(lambda **kw: unshuffle_decomposition_check(**kw)),
+            lambda **kw: None if unshuffle_decomposition_check(**kw) else {},
         ),
         _int_check(
             "lemma43",
@@ -558,7 +533,7 @@ CHECKS: dict = {
                 _DEGREES,
             ),
             _draw_lemma43,
-            _holds(lambda **kw: block_permutation_sign_check(**kw)),
+            lambda **kw: None if block_permutation_sign_check(**kw) else {},
             order=("sigma", "blocks", "slots", "pi", "degrees"),
         ),
         _int_check(
@@ -569,7 +544,7 @@ CHECKS: dict = {
                 ("w", "second weight vector", list),
             ),
             _draw_lemma44,
-            _holds(lambda **kw: inversion_parity_check(**kw)),
+            lambda **kw: None if inversion_parity_check(**kw) else {},
         ),
         _map_check(
             "lemma51",
@@ -579,25 +554,25 @@ CHECKS: dict = {
                 ("zs", "m", "pre-symmetrized map names"),
             ),
             _sample_lemma51,
-            _sides(lambda **kw: braced_symmetrization_sides(**kw)),
+            lambda **kw: _unequal(*braced_symmetrization_sides(**kw)),
         ),
         _family_check(
             "ainfty",
             A_INFINITY,
             lambda rng, caps: random_a_infinity_family(rng, caps),
-            _defects(lambda fam, k: a_infinity_defects(fam, k)),
+            lambda **kw: _lowest_defect(a_infinity_defects(**kw)),
         ),
         _family_check(
             "linfty",
             L_INFINITY,
             lambda rng, caps: random_l_infinity_family(rng, caps),
-            _defects(lambda fam, k: l_infinity_defects(fam, k)),
+            lambda **kw: _lowest_defect(l_infinity_defects(**kw)),
         ),
         _family_check(
             "corollary",
             A_INFINITY,
             lambda rng, caps: random_a_infinity_family(rng, caps),
-            _corollary_verdict,
+            _shadow_defect,
         ),
     )
 }
@@ -615,7 +590,8 @@ def fuzz_outcomes(seed: int, cases: int, names: Sequence[str], caps: FuzzCaps):
     in report order, so each instance depends only on (seed, cases-index,
     check list) and never on how much entropy an earlier case consumed.
     An InputError from a verifier yields a FAIL whose counterexample is the
-    instance context plus the error message.
+    instance context plus the error message.  A case builds its context
+    only when it fails.
     """
     if cases < 0:
         raise InputError("cases must be nonnegative")
@@ -637,6 +613,5 @@ def fuzz_outcomes(seed: int, cases: int, names: Sequence[str], caps: FuzzCaps):
         except InputError as exc:
             # a verifier refusing a generated instance (corollary on a family
             # failing ainfty) fails that case, not the whole run
-            context = {**instance.context, "error": str(exc)}
-            outcome = CheckOutcome(name, False, instance.params, context)
+            outcome = _outcome(name, instance, {"error": str(exc)})
         yield case, name, outcome

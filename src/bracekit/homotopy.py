@@ -73,49 +73,49 @@ class StructureFamily:
         return f"StructureFamily({self.flavor}, arities={arities})"
 
 
-def _relation_defects(fam: StructureFamily, max_arity: int, bracket) -> dict:
+def _relation_defects(family: StructureFamily, max_arity: int, bracket) -> dict:
     if max_arity < 1:
         raise InputError("max_arity must be at least 1")
-    cap = max(ENUMERATION_CAP, 2 * fam.max_component_arity - 1)
+    cap = max(ENUMERATION_CAP, 2 * family.max_component_arity - 1)
     if max_arity > cap:
         raise ResourceLimitError(f"max_arity {max_arity} exceeds cap {cap}")
-    by_arity = fam._by_arity
+    by_arity = family._by_arity
     defects = {}
     for r in range(1, max_arity + 1):
         pairs = [(i, r + 1 - i) for i in sorted(by_arity) if r + 1 - i in by_arity]
         terms = [(1, (bracket, by_arity[i], [by_arity[j]])) for i, j in pairs]
-        defects[r] = bracket_sum(fam.space, (r, r - 3), terms)
+        defects[r] = bracket_sum(family.space, (r, r - 3), terms)
     return defects
 
 
-def a_infinity_defects(fam: StructureFamily, max_arity: int) -> dict:
+def a_infinity_defects(family: StructureFamily, max_arity: int) -> dict:
     """Output arity -> sum of m_i{m_j} with i + j - 1 = that arity."""
-    if fam.flavor != A_INFINITY:
-        raise InputError(f"expected an {A_INFINITY} family, got {fam.flavor}")
-    return _relation_defects(fam, max_arity, brace_eval)
+    if family.flavor != A_INFINITY:
+        raise InputError(f"expected an {A_INFINITY} family, got {family.flavor}")
+    return _relation_defects(family, max_arity, brace_eval)
 
 
-def a_infinity_check(fam: StructureFamily, max_arity: int) -> bool:
-    return all(d.is_zero() for d in a_infinity_defects(fam, max_arity).values())
+def a_infinity_check(family: StructureFamily, max_arity: int) -> bool:
+    return all(d.is_zero() for d in a_infinity_defects(family, max_arity).values())
 
 
-def l_infinity_defects(fam: StructureFamily, max_arity: int) -> dict:
+def l_infinity_defects(family: StructureFamily, max_arity: int) -> dict:
     """Output arity -> sum of m_i<m_j> with i + j - 1 = that arity."""
-    if fam.flavor != L_INFINITY:
-        raise InputError(f"expected an {L_INFINITY} family, got {fam.flavor}")
-    return _relation_defects(fam, max_arity, symbrace_eval)
+    if family.flavor != L_INFINITY:
+        raise InputError(f"expected an {L_INFINITY} family, got {family.flavor}")
+    return _relation_defects(family, max_arity, symbrace_eval)
 
 
-def l_infinity_check(fam: StructureFamily, max_arity: int) -> bool:
-    return all(d.is_zero() for d in l_infinity_defects(fam, max_arity).values())
+def l_infinity_check(family: StructureFamily, max_arity: int) -> bool:
+    return all(d.is_zero() for d in l_infinity_defects(family, max_arity).values())
 
 
-def antisymmetrize_structure(fam: StructureFamily) -> StructureFamily:
+def antisymmetrize_structure(family: StructureFamily) -> StructureFamily:
     """Antisymmetrize every component, reflavoring the family."""
-    if fam.flavor != A_INFINITY:
-        raise InputError(f"expected an {A_INFINITY} family, got {fam.flavor}")
+    if family.flavor != A_INFINITY:
+        raise InputError(f"expected an {A_INFINITY} family, got {family.flavor}")
     return StructureFamily(
-        fam.space,
-        [antisymmetrize(m) for m in fam.components],
+        family.space,
+        [antisymmetrize(m) for m in family.components],
         L_INFINITY,
     )

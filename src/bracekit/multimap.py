@@ -257,8 +257,6 @@ class MultiMap:
                 a.space is not space and a.space != space
             ):
                 raise InputError("arguments must be vectors in the map's space")
-            if not a.coeffs:
-                return space.zero_vector()
             coeffs.append(a.coeffs)
         first, rest = coeffs[0], coeffs[1:]
         out: dict = {}
@@ -352,16 +350,14 @@ def _key_degrees(entries: Mapping, arity: int, space: GradedSpace) -> list | Non
 def compose_into(
     acc: dict, sign: int, f: MultiMap, gs: Sequence[MultiMap], slots: Sequence[int]
 ) -> None:
-    """Add sign * f o (1^{k_0} (x) g_1 (x) ... (x) g_n (x) 1^{k_n}) to the
-    entry table acc, joining each g's entries, indexed by output, to f's
-    entries on the slot g fills.  The Koszul sign is the module's
+    """Add sign * f o (1^{k_0} (x) g_1 (x) ... (x) g_n (x) 1^{k_n}), n >= 1,
+    to the entry table acc, joining each g's entries, indexed by output, to
+    f's entries on the slot g fills.  The Koszul sign is the module's
     convention, as the tests' point-by-point oracle _tensor_core applies
     it; a block's degree parity is its g's output parity plus |g|, so the
     sign depends on f's entry alone.  sign is +1 or -1; it joins the Koszul
     parity, so each f entry is negated at most once, not multiplied by it.
     """
-    if not gs:
-        return add_into(acc, sign, f)
     par = f.space.parities
     by_out = []
     for g in gs:
@@ -489,9 +485,9 @@ def is_antisymmetric(f: MultiMap) -> bool:
 
 
 def _decomposition_first_defect(f: MultiMap):
-    """First (split, tuple) where the chi-signed staged rearrangements of
-    the tuple (Lemma 4.1) disagree with direct antisymmetrization, or None.
-    Each term is a row of f's table."""
+    """First split and input tuple, as basis names, where the chi-signed
+    staged rearrangements of the tuple (Lemma 4.1) disagree with direct
+    antisymmetrization, or None.  Each term is a row of f's table."""
     k = f.arity
     asf = antisymmetrize(f)
     par = f.space.parities
@@ -502,5 +498,5 @@ def _decomposition_first_defect(f: MultiMap):
                 for j, c in f.entries.get(w, {}).items():
                     total[j] = total.get(j, 0) + sign * c
             if {j: c for j, c in total.items() if c} != asf.entries.get(t, {}):
-                return {"split": (n, k - n), "inputs": t}
+                return {"split": [n, k - n], "inputs": [f.space.names[i] for i in t]}
     return None

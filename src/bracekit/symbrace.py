@@ -195,11 +195,9 @@ def antisymmetrized_brace_sides(f: MultiMap, gs: Sequence[MultiMap]):
 
     Left: as(sum over orderings sigma of eps(sigma) f{g_sigma}), which by
     linearity is the sum of the eps-signed as(f{g_sigma}).
-    Right: as(f)<as(g_1), ..., as(g_n)>.
+    Right: as(f)<as(g_1), ..., as(g_n)>.  The left side is evaluated first,
+    so symmetrize_brace refuses too many maps before any antisymmetrization.
     """
     gs = tuple(gs)
-    n = len(gs)
-    if n > f.arity:
-        raise InputError(f"cannot insert {n} maps into arity {f.arity}")
-    rhs = symbrace_eval(antisymmetrize(f), [antisymmetrize(g) for g in gs])
-    return antisymmetrize(symmetrize_brace(f, gs)), rhs
+    lhs = antisymmetrize(symmetrize_brace(f, gs))
+    return lhs, symbrace_eval(antisymmetrize(f), [antisymmetrize(g) for g in gs])

@@ -6,6 +6,7 @@ import math
 import pytest
 
 import bracekit.checks as checks_module
+import bracekit.workspace as workspace_module
 from bracekit import brace, symbrace
 from bracekit.checks import (
     CHECK_NAMES,
@@ -70,13 +71,13 @@ def test_generation_is_deterministic(name):
     a = check.gen(SplitMix64(123), CAPS)
     b = check.gen(SplitMix64(123), CAPS)
     assert a.params == b.params
-    assert a.context == b.context
+    assert a.context() == b.context()
 
 
 def test_map_instances_embed_a_loadable_workspace():
     inst = CHECKS["brace-axiom"].gen(SplitMix64(5), CAPS)
-    ws = Workspace.from_obj(inst.context["workspace"])
-    assert inst.context["args"]["x"] in ws.maps
+    ws = Workspace.from_obj(inst.context()["workspace"])
+    assert inst.context()["args"]["x"] in ws.maps
 
 
 def test_flipped_sign_convention_fails_and_reports(monkeypatch):
@@ -108,6 +109,29 @@ def test_fuzz_outcomes_deterministic_and_ordered():
     assert [(c, n) for c, n, _, _ in run1] == [
         (case, name) for case in range(4) for name in names
     ]
+
+
+def test_passing_cases_serialize_nothing(monkeypatch):
+    """A case builds its counterexample context only when it fails."""
+    calls = []
+
+    def spy(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in (
+        (checks_module, "_maps_context"),
+        (checks_module, "map_to_obj"),
+        (workspace_module, "map_to_obj"),
+    ):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    outcomes = list(fuzz_outcomes(7, 20, CHECK_NAMES, CAPS))
+    assert len(outcomes) == 20 * len(CHECK_NAMES)
+    assert all(outcome.passed for _, _, outcome in outcomes)
+    assert calls == []
 
 
 def test_fuzz_outcomes_zero_cases():
@@ -211,8 +235,8 @@ def _cli_instance(argv):
 def test_cli_args_keep_each_role_when_names_repeat(argv, args, stored):
     """args name each role's own maps; the workspace holds each map once."""
     inst = _cli_instance(argv)
-    assert inst.context["args"] == args
-    assert [m["name"] for m in inst.context["workspace"]["maps"]] == stored
+    assert inst.context()["args"] == args
+    assert [m["name"] for m in inst.context()["workspace"]["maps"]] == stored
 
 
 @pytest.mark.parametrize(

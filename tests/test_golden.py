@@ -118,14 +118,19 @@ def _run(argv) -> str:
     return f"$ bracekit {' '.join(argv)}\n[exit {code}]\n{out.getvalue()}"
 
 
-def _replay_argv(name, record, path) -> list:
-    """The `check` command line a counterexample's workspace and args give."""
-    argv = ["check", name, "--workspace", path]
-    for key, value in record["args"].items():
+def _flags(values: dict) -> list:
+    """One `--key=value` flag per value, lists comma-separated."""
+    argv = []
+    for key, value in values.items():
         if key != "flavor":
-            text = ",".join(value) if isinstance(value, list) else str(value)
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
             argv.append(f"--{key.replace('_', '-')}={text}")
     return argv
+
+
+def _replay_argv(name, record, path) -> list:
+    """The `check` command line a counterexample's workspace and args give."""
+    return ["check", name, "--workspace", path, *_flags(record["args"])]
 
 
 def fuzz_transcript() -> str:
@@ -261,7 +266,7 @@ def _mutated(patches):
 
 def _first_failure(transcript: str):
     """The first FAIL line of a transcript and the record printed after it."""
-    head, _, rest = transcript.partition("\nFAIL ")
+    _, _, rest = transcript.partition("\nFAIL ")
     line, _, body = rest.partition("\n")
     record, _ = json.JSONDecoder().raw_decode(body)
     return "FAIL " + line, record
@@ -272,15 +277,11 @@ def _replay_record_argv(name, record) -> list:
     written to a file, and its args, or for an integer check its data,
     become the flags."""
     if "workspace" not in record:
-        keys = [k for k in record if k not in _FUZZ_KEYS]
-        return ["check", name] + [f"--{k}={_fmt(record[k])}" for k in keys]
+        data = {k: v for k, v in record.items() if k not in _FUZZ_KEYS}
+        return ["check", name, *_flags(data)]
     path = f"{name}-replay.json"
     Path(path).write_text(json.dumps(record["workspace"]), encoding="utf-8")
     return _replay_argv(name, record, path)
-
-
-def _fmt(value) -> str:
-    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 def _without_seed_and_case(line: str) -> str:

@@ -11,8 +11,9 @@ package reads its name, as a bare name or as an attribute, or when
 dunder, of a class ``__init__`` does not export.  Code only the tests call
 belongs in the tests.
 
-Only graded and the API edge use Permutations, and only brace.bracket_sum
-accumulates the sums of the identity sides and homotopy relations.
+Only graded and the API edge use Permutations, only brace.bracket_sum
+accumulates the sums of the identity sides and homotopy relations, and only
+checks._outcome makes a CheckOutcome.
 """
 
 import ast
@@ -197,18 +198,23 @@ GENERATORS = {
 ACCUMULATORS = {"add_into", "_brace_into", "compose_into", "MultiMap"}
 
 
-def accumulator_calls(func: ast.FunctionDef) -> set:
-    """The names of ACCUMULATORS the function calls, as a bare name or as
-    the last attribute of a chain."""
+def called_names(tree: ast.AST) -> set:
+    """The names the code calls, as a bare name or as the last attribute of
+    a chain."""
     called = set()
-    for node in ast.walk(func):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             target = node.func
             if isinstance(target, ast.Name):
                 called.add(target.id)
             elif isinstance(target, ast.Attribute):
                 called.add(target.attr)
-    return called & ACCUMULATORS
+    return called
+
+
+def accumulator_calls(func: ast.FunctionDef) -> set:
+    """The names of ACCUMULATORS the function calls."""
+    return called_names(func) & ACCUMULATORS
 
 
 def test_finds_an_accumulator_call():
@@ -231,3 +237,15 @@ def test_only_the_evaluator_accumulates(stem, name):
     assert len(funcs) == 1, f"{stem}.{name} not found"
     calls = accumulator_calls(funcs[0])
     assert not calls, f"{stem}.{name} accumulates itself: {sorted(calls)}"
+
+
+def test_only_outcome_makes_check_outcomes():
+    """Every verdict, a refused fuzz case's included, is built by
+    checks._outcome; a nested function counts as its top-level one."""
+    makers = {
+        f"{path.stem}.{getattr(node, 'name', '<module>')}"
+        for path in MODULES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if "CheckOutcome" in called_names(node)
+    }
+    assert makers == {"checks._outcome"}

@@ -78,6 +78,13 @@ class TestMultiMap:
         f = MultiMap(EVEN, 2, 0, {(0, 0): {0: 1}})
         assert f([EVEN.zero_vector(), EVEN.basis_vector(0)]).is_zero()
 
+    def test_a_zero_argument_does_not_skip_checking_the_others(self):
+        f = MultiMap(EVEN, 2, 0, {(0, 0): {0: 1}})
+        other = GradedSpace([("e", 1)])
+        for bad in ("junk", other.basis_vector(0), other.zero_vector()):
+            with pytest.raises(InputError, match="vectors in the map's space"):
+                f([EVEN.zero_vector(), bad])
+
     def test_linear_combination_argument(self):
         space = GradedSpace([("x", 0), ("y", 0)])
         f = MultiMap(space, 1, 0, {(0,): {0: 1}, (1,): {1: 7}})

@@ -260,5 +260,5 @@ class TestAntisymmetrizedBrace:
 
     def test_shape_precondition(self):
         f = MultiMap(POINT, 1, 0, {(0,): {0: 1}})
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="2 maps into a map of arity 1"):
             antisymmetrized_brace_sides(f, [f, f])
