@@ -21,13 +21,15 @@ As algebra elements, maps are graded by brace parity (p + k + 1 mod 2);
 the Koszul signs of the nesting identity and the symmetrization are taken
 over those parities.  symmetrize_brace is the one eps-signed sum of braces
 over orderings of the inserted maps; Lemma 5.1's two-stage symmetrization,
-from Lemma 4.1's staged rearrangements, is checked against it.  Each sum of
-braces adds every summand straight into one table (_brace_into), which is
-validated once, as a MultiMap; the one evaluator bracket_sum sums the signed
-bracket terms of the identities so, each shared inner bracket evaluated
-once.  The nesting identity deals the y's to the x's by the weak
-compositions of insertion_patterns; a composition that gives some map more
-inputs than its arity has no term and is skipped.
+from Lemma 4.1's staged rearrangements, is checked against it.  One loop,
+_sum_braces, adds every brace summand straight into one table, validated
+once, as a MultiMap: brace_eval and symmetrize_brace are one-term sums, and
+bracket_sum sums the identities' signed bracket terms so, expanding a
+top-level symmetrized brace in place and evaluating each shared inner
+bracket once.  _signature alone checks a bracket's shape.  The nesting
+identity deals the y's to the x's by the weak compositions of
+insertion_patterns; a composition giving some map more inputs than its
+arity has no term and is skipped.
 """
 
 from __future__ import annotations
@@ -67,76 +69,73 @@ def beta_parity(
 
 
 def brace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
-    """Insert the maps gs into f, summing all patterns with beta signs.
-
-    Each pattern's term is one sparse composition of tables (compose_into),
-    differential-tested against point-by-point evaluation; all of them
-    accumulate into one table, validated once.
-    The result has arity sum(a_i) + N - n and degree p + sum(q_i).
-    With no gs the brace is f itself.
-    """
+    """Insert the maps gs into f, summing all patterns with beta signs: a
+    one-term _sum_braces.  The result has arity sum(a_i) + N - n and degree
+    p + sum(q_i).  With no gs the brace is f itself."""
     gs = tuple(gs)
     if not gs:
         return f
-    entries: dict = {}
-    _brace_into(entries, 1, f, gs)
-    return MultiMap(f.space, *_signature(f, gs), entries)
+    return _sum_braces(f.space, _signature(f, gs), [(1, brace_eval, f, gs)])
 
 
 def _signature(f: MultiMap, gs: Sequence[MultiMap]) -> tuple:
-    """Arity and degree of a bracket of f with the maps gs."""
+    """Arity and degree of a bracket of f with gs, refusing a wrong shape."""
+    if len(gs) > f.arity:
+        raise InputError(f"cannot insert {len(gs)} maps into a map of arity {f.arity}")
+    if any(g.space != f.space for g in gs):
+        raise InputError("all maps in a bracket must share one space")
     arity = sum(g.arity for g in gs) + f.arity - len(gs)
     return arity, f.degree + sum(g.degree for g in gs)
-
-
-def _brace_into(acc: dict, sign: int, f: MultiMap, gs: tuple) -> None:
-    """Add sign * f{gs} to the entry table acc: the beta-signed sum of
-    compose_into over the insertion patterns.  With no gs it adds f
-    itself, which carries no beta sign."""
-    n, N = len(gs), f.arity
-    if n > N:
-        raise InputError(f"cannot insert {n} maps into a map of arity {N}")
-    if any(g.space != f.space for g in gs):
-        raise InputError("all maps in a brace must share one space")
-    if n == 0:
-        return add_into(acc, sign, f)
-    arities = tuple(g.arity for g in gs)
-    degrees = tuple(g.degree for g in gs)
-    for slots in insertion_patterns(N - n, n + 1):
-        parity = beta_parity(N, arities, degrees, slots)
-        compose_into(acc, -sign if parity else sign, f, gs, slots)
 
 
 def symmetrize_brace(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     """eps-signed sum of plain braces f{g_sigma} over all orderings of the
     g's, in brace parities, accumulated into one table."""
     gs = tuple(gs)
-    if len(gs) > f.arity:
-        raise InputError(f"cannot insert {len(gs)} maps into a map of arity {f.arity}")
     if not gs:
         return f
-    parities = [g.brace_parity for g in gs]
-    entries: dict = {}
-    for word, inv in permutation_words(len(gs)):
-        sign = -1 if word_parity(inv, parities, False) else 1
-        _brace_into(entries, sign, f, tuple(gs[i] for i in word))
-    return MultiMap(f.space, *_signature(f, gs), entries)
+    return _sum_braces(f.space, _signature(f, gs), [(1, symmetrize_brace, f, gs)])
+
+
+def _sum_braces(space: GradedSpace, signature: tuple, terms) -> MultiMap:
+    """The MultiMap of signature (arity, degree) summing sign * bracket(f, gs)
+    over the (sign, bracket, f, gs) terms: a brace adds the beta-signed
+    compose_into of each insertion pattern, a symmetrized brace that of each
+    eps-signed ordering of its gs, any other bracket its table."""
+    acc: dict = {}
+    for sign, bracket, f, gs in terms:
+        if bracket is not brace_eval and bracket is not symmetrize_brace:
+            add_into(acc, sign, bracket(f, gs))
+            continue
+        n, N = len(gs), f.arity
+        _signature(f, gs)
+        if n == 0:
+            add_into(acc, sign, f)
+            continue
+        parities = [g.brace_parity for g in gs]
+        in_order = [(range(n), ())]  # a brace's one ordering, with no inversions
+        words = permutation_words(n) if bracket is symmetrize_brace else in_order
+        for word, inv in words:
+            seq = [gs[i] for i in word]
+            arities, degrees = [g.arity for g in seq], [g.degree for g in seq]
+            signed = -sign if word_parity(inv, parities, False) else sign
+            for slots in insertion_patterns(N - n, n + 1):
+                parity = beta_parity(N, arities, degrees, slots)
+                compose_into(acc, -signed if parity else signed, f, seq, slots)
+    return MultiMap(space, *signature, acc)
 
 
 def bracket_sum(space: GradedSpace, signature: tuple, terms) -> MultiMap:
     """The MultiMap of signature (arity, degree) summing sign * value(expr)
     over the (sign, expr) terms.  An expression is a map or (bracket, outer,
     inner expressions), the bracket brace_eval, symmetrize_brace or
-    symbrace_eval; one shared by several terms is evaluated once.  A
-    top-level brace adds its summands straight into the one table."""
-    memo, acc = {}, {}
-    for sign, (bracket, outer, inner) in terms:
-        f, gs = _value(outer, memo), tuple([_value(e, memo) for e in inner])
-        if bracket is brace_eval:
-            _brace_into(acc, sign, f, gs)
-        else:
-            add_into(acc, sign, bracket(f, gs))
-    return MultiMap(space, *signature, acc)
+    symbrace_eval; one shared by several terms is evaluated once, and a
+    top-level brace or symmetrized brace is summed in place (_sum_braces)."""
+    memo: dict = {}
+    return _sum_braces(space, signature, (
+        (sign, bracket, _value(outer, memo), tuple([_value(e, memo) for e in inner]))
+        for sign, (bracket, outer, inner) in terms
+    ))
 
 
 def _value(expr, memo: dict) -> MultiMap:

@@ -20,12 +20,13 @@ Two brackets satisfy the symmetric-brace axiom here:
     sum of plain braces f{g_sigma} over all orderings of the inserted maps,
     defined for any maps.
 
-symbrace_axiom_sides reads each dealt block off a size composition's cuts
-and skips a composition that gives some map more inputs than its arity.
-Its right side is one brace.bracket_sum, each g_i<block> one shared node.
-antisymmetrized_brace_sides states the bridge: antisymmetrizing the
-symmetrized brace of f equals the unshuffle bracket of the
-antisymmetrizations.
+Both check their shape in brace._signature.  symbrace_axiom_sides reads
+each dealt block off a size composition's cuts and skips a composition
+giving some map more inputs than its arity.  Its right side is one
+brace.bracket_sum: each g_i<block> is one shared node, and a top-level
+symmetrized brace is summed in place, like a brace.  The bridge,
+antisymmetrized_brace_sides: antisymmetrizing the symmetrized brace of f
+equals the unshuffle bracket of the antisymmetrizations.
 """
 
 from __future__ import annotations
@@ -76,18 +77,13 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     """
     gs = tuple(gs)
     n, N = len(gs), f.arity
-    if n > N:
-        raise InputError(f"cannot insert {n} maps into a map of arity {N}")
-    for m in (f, *gs):
-        if m.space != f.space:
-            raise InputError("all maps in a bracket must share one space")
-        if not is_antisymmetric(m):
-            raise InputError("the unshuffle bracket needs antisymmetric maps")
+    out_arity, out_degree = _signature(f, gs)
+    if not all(map(is_antisymmetric, (f, *gs))):
+        raise InputError("the unshuffle bracket needs antisymmetric maps")
     if n == 0:
         return f
     arities = tuple(g.arity for g in gs)
     degrees = tuple(g.degree for g in gs)
-    out_arity, out_degree = _signature(f, gs)
     base_neg = delta_parity(N, arities, degrees)
     gammas = list(unshuffle_words(arities + (N - n,)))
     cuts = list(itertools.accumulate((0,) + arities))

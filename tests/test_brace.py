@@ -9,12 +9,15 @@ from bracekit.brace import (
     brace_axiom_sides,
     brace_eval,
     braced_symmetrization_sides,
+    bracket_sum,
+    symmetrize_brace,
 )
 from bracekit.checks import fuzz_outcomes
 from bracekit.errors import InputError
 from bracekit.fuzz import FuzzCaps
 from bracekit.graded import staged_rearrangements
 from bracekit.multimap import GradedSpace, MultiMap
+from bracekit.symbrace import symbrace_eval
 from helpers import (
     beta_without_crossing_term,
     beta_without_degree_shift_term,
@@ -39,6 +42,45 @@ def const_map(space, arity, value_index=0):
     entries = {key: {value_index: 1} for key in space.tuples(arity)}
     degree = space.degrees[value_index] - 0
     return MultiMap(space, arity, degree, entries)
+
+
+def _as_term(bracket):
+    """The bracket as the one top-level term of a bracket_sum."""
+
+    def term(f, gs):
+        return bracket_sum(f.space, (1, 0), [(1, (bracket, f, list(gs)))])
+
+    term.__name__ = f"term-{bracket.__name__}"
+    return term
+
+
+_BRACKETS = (brace_eval, symmetrize_brace, symbrace_eval)
+_TOO_MANY = "^cannot insert {} maps into a map of arity {}$"
+_OTHER_SPACE = "^all maps in a bracket must share one space$"
+
+
+class TestShapeChecks:
+    """Every bracket, called or as a top-level term of a sum, refuses a
+    wrong shape with one text per rule."""
+
+    @pytest.mark.parametrize(
+        "bracket", [*_BRACKETS, *map(_as_term, _BRACKETS)], ids=lambda b: b.__name__
+    )
+    def test_one_text_per_rule(self, bracket):
+        f, g = const_map(POINT, 1), const_map(POINT, 1)
+        with pytest.raises(InputError, match=_TOO_MANY.format(2, 1)):
+            bracket(f, [g, g])
+        with pytest.raises(InputError, match=_OTHER_SPACE):
+            bracket(f, [const_map(PLANE, 1)])
+
+    @pytest.mark.parametrize(
+        "bracket", [symmetrize_brace, _as_term(symmetrize_brace)], ids=["call", "term"]
+    )
+    def test_too_many_maps_are_refused_before_their_orderings(self, bracket):
+        # listing the orderings of 9 maps raises ResourceLimitError (cap 8)
+        f, g = const_map(POINT, 3), const_map(POINT, 1)
+        with pytest.raises(InputError, match=_TOO_MANY.format(9, 3)):
+            bracket(f, [g] * 9)
 
 
 class TestBetaParity:

@@ -235,3 +235,22 @@ def test_a_top_level_brace_skips_the_rebound_kernel(monkeypatch):
     calls, sums = _spy_kernels(monkeypatch)
     list(fuzz_outcomes(7, 20, ["ainfty"], FuzzCaps()))
     assert sums and not calls
+
+
+def test_a_top_level_symmetrized_brace_is_summed_in_place(monkeypatch):
+    """With symmetrize_brace wrapped everywhere, bracket_sum still expands
+    each top-level symmetrized brace into its orderings in the sum's own
+    table: every kernel call inside a sum of thm1's right side evaluates
+    one of that sum's inner nodes."""
+    calls, sums = _spy_kernels(monkeypatch)
+    outcomes = list(fuzz_outcomes(7, 40, ["thm1"], WIDER))
+    assert all(outcome.passed for _, _, outcome in outcomes)
+    inside = [call for call in calls if call[3]]
+    assert inside
+    for kernel, f, gs, tag in inside:
+        nodes = {
+            (id(outer), tuple(map(id, inner)))
+            for _, outer, inner in _inner_nodes(sums[tag - 1])
+        }
+        assert kernel == "symmetrize_brace"
+        assert (id(f), tuple(map(id, gs))) in nodes

@@ -12,8 +12,9 @@ dunder, of a class ``__init__`` does not export.  Code only the tests call
 belongs in the tests.
 
 Only graded and the API edge use Permutations, only brace.bracket_sum
-accumulates the sums of the identity sides and homotopy relations, and only
-checks._outcome makes a CheckOutcome.
+accumulates the sums of the identity sides and homotopy relations, only
+brace._sum_braces builds a table in brace, only brace._signature refuses a
+bracket's shape, and only checks._outcome makes a CheckOutcome.
 """
 
 import ast
@@ -195,7 +196,7 @@ GENERATORS = {
     "symbrace": ("symbrace_axiom_sides",),
     "homotopy": ("_relation_defects",),
 }
-ACCUMULATORS = {"add_into", "_brace_into", "compose_into", "MultiMap"}
+ACCUMULATORS = {"add_into", "_sum_braces", "compose_into", "MultiMap"}
 
 
 def called_names(tree: ast.AST) -> set:
@@ -239,13 +240,63 @@ def test_only_the_evaluator_accumulates(stem, name):
     assert not calls, f"{stem}.{name} accumulates itself: {sorted(calls)}"
 
 
+def _makers(paths, test) -> set:
+    """stem.name of each top-level statement of the modules at paths for
+    which test(node) holds; a nested function counts as its top-level one."""
+    return {
+        f"{path.stem}.{getattr(node, 'name', '<module>')}"
+        for path in paths
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if test(node)
+    }
+
+
 def test_only_outcome_makes_check_outcomes():
     """Every verdict, a refused fuzz case's included, is built by
-    checks._outcome; a nested function counts as its top-level one."""
-    makers = {
-        f"{path.stem}.{getattr(node, 'name', '<module>')}"
-        for path in MODULES
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if "CheckOutcome" in called_names(node)
-    }
+    checks._outcome."""
+    makers = _makers(MODULES, lambda node: "CheckOutcome" in called_names(node))
     assert makers == {"checks._outcome"}
+
+
+def test_only_the_sum_loop_builds_tables_in_brace():
+    """brace_eval, symmetrize_brace and bracket_sum sum their braces
+    through brace._sum_braces, the one function that fills a table."""
+    builders = {"add_into", "compose_into", "MultiMap"}
+    makers = _makers([PACKAGE / "brace.py"], lambda node: called_names(node) & builders)
+    assert makers == {"brace._sum_braces"}
+
+
+# the texts of the two shape rules every bracket obeys
+SHAPE_ERRORS = ("cannot insert", "must share one space")
+
+
+def raised_texts(tree: ast.AST) -> set:
+    """The string constants, f-string parts included, of the raise
+    statements in the code."""
+    return {
+        node.value
+        for stmt in ast.walk(tree)
+        if isinstance(stmt, ast.Raise)
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def raises_shape_error(tree: ast.AST) -> bool:
+    return any(rule in text for text in raised_texts(tree) for rule in SHAPE_ERRORS)
+
+
+def test_finds_a_shape_error():
+    tree = ast.parse(
+        "def check(f, gs):\n"
+        "    if len(gs) > f.arity:\n"
+        "        raise InputError(f'cannot insert {len(gs)} maps')\n"
+        "    message = 'all maps must share one space'\n"
+    )
+    assert raised_texts(tree) == {"cannot insert ", " maps"}
+    assert raises_shape_error(tree)
+    assert not raises_shape_error(ast.parse("message = 'must share one space'"))
+
+
+def test_only_signature_refuses_a_bracket_shape():
+    assert _makers(MODULES, raises_shape_error) == {"brace._signature"}
