@@ -47,6 +47,7 @@ from .graded import (
 from .multimap import GradedSpace, MultiMap, add_into, compose_into
 
 
+# brace_eval must directly follow `return total & 1`: bench/test_bench.py edits it
 def beta_parity(
     N: int,
     a: Sequence[int],

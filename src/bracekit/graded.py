@@ -14,7 +14,7 @@ to ``(x_1, ..., x_n)`` yields ``(x_{s(1)}, ..., x_{s(n)})``.
 
 Enumerating all of S_n, or all unshuffles of n elements, grows like n!;
 both enumerators refuse n above the fixed ENUMERATION_CAP with
-ResourceLimitError, as does antisymmetrize above that arity.
+ResourceLimitError, as do antisymmetrize and symbrace_eval above that arity.
 """
 
 from __future__ import annotations

@@ -13,21 +13,20 @@ The sign convention for evaluating a tensor product of maps on a tensor
 product of arguments is fixed here once: a map of degree q picks up
 (-1)^{q * d} when it moves past arguments of total degree d to reach its
 own inputs.  compose_into, the sparse composition the braces are built
-from, applies it to whole tables; symbrace.symbrace_eval applies it to the
-blocks one word deals to the inserted maps.  Both are differential-tested
-against the point-by-point oracle _tensor_core in the tests' helpers.
-Signed sums of whole maps (add_into) and of brace summands (compose_into)
-accumulate into one entry table, validated once, as a MultiMap.  A
-chi-antisymmetric table is fixed by its rows on sorted words; expand_orbits
-writes each nonzero sorted word once to its whole orbit.  It is the one
-orbit writer, shared by antisymmetrize, which folds f's rows onto sorted
-words, and by symbrace.symbrace_eval, which evaluates only on sorted words.
+from, applies it to whole tables, symbrace.symbrace_eval to the blocks it
+deals to the inserted maps; the tests check both against the oracle
+_tensor_core.  Signed sums (add_into, compose_into) accumulate into one
+entry table, validated once, as a MultiMap.  A chi-antisymmetric table is
+fixed by its rows on sorted words: fold_onto_sorted sums the rows of
+antisymmetrize and of symbrace_eval onto them, and expand_orbits writes
+each nonzero one to its orbit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -433,16 +432,60 @@ def expand_orbits(reps: Mapping[tuple, dict], arity: int, parities) -> dict:
     return table
 
 
+def fold_onto_sorted(terms: Iterable[tuple], blocks: Sequence[int], parities) -> dict:
+    """The rows on sorted words of the chi-antisymmetric sum of terms.
+
+    terms yields (word, neg, row), a row on a word whose blocks of the given
+    sizes each read nondecreasingly, negated if neg is odd.  The row folds
+    onto s = sorted(word) with the chi sign of the sort, times the number of
+    unshuffles dealing s into the blocks as word: prod over letters x of
+    m_x! / (m_x1! ... m_xn!), x occurring m_x times in s and m_xi times in
+    block i (the stabilizer of s for singleton blocks).  An s repeating an
+    even letter is dropped: its unshuffles cancel in pairs.
+
+    >>> terms = [((0, 0, 0), 0, {0: 1}), ((0, 1, 0), 0, {0: 1}), ((1, 1, 0), 0, {0: 1})]
+    >>> fold_onto_sorted(terms, (2, 1), (1, 0))
+    {(0, 0, 0): {0: 3}, (0, 0, 1): {0: -2}}
+    """
+    cuts = list(itertools.accumulate((0, *blocks)))
+    spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1]
+    folded: dict = {}  # sorted word -> (its _stabilizer, its row)
+    for word, neg, row in terms:
+        if not row:
+            continue
+        rep = tuple(sorted(word))
+        if rep not in folded:
+            folded[rep] = (_stabilizer(rep, parities), {})
+        weight, acc = folded[rep]
+        if not weight:
+            continue
+        for a, b in spans if weight > 1 else ():
+            weight //= _stabilizer(word[a:b], parities)
+        neg = (neg + word_parity(inverted_pairs(word), parities, True)) & 1
+        # a weight of 1 multiplies nothing, and a sign negates, not multiplies
+        for j, c in row.items():
+            c = c * weight if weight != 1 else c
+            if j in acc:
+                acc[j] = acc[j] - c if neg else acc[j] + c
+            else:
+                acc[j] = -c if neg else c
+    return {s: {j: c for j, c in r.items() if c} for s, (w, r) in folded.items() if w}
+
+
+def _stabilizer(word: tuple, parities) -> int:
+    """m! per letter of word repeated m times, 0 if an even letter repeats."""
+    counts = Counter(word).items()
+    return math.prod(math.factorial(m) if parities[x] else m == 1 for x, m in counts)
+
+
 def antisymmetrize(f: MultiMap) -> MultiMap:
     """Signed symmetrization: as(f)(v) = sum over s in S_k of chi(s) f(sv).
 
     No averaging factor: an already antisymmetric f comes back as k! * f.
-    as(f) is chi-antisymmetric, so it is fixed by its value on the sorted
-    word s of each orbit.  Each row f(w) folds onto s = sorted(w) with the
-    chi sign of the sort, -1 per inversion of letters not both odd.  Each s
-    gets its stabilizer weight, m! per odd letter repeated m times and 0 if
-    an even letter repeats, and expand_orbits writes each nonzero s once:
-    nnz(f) * k^2 steps plus k! per nonzero orbit.
+    as(f) is chi-antisymmetric, fixed by its rows on sorted words, which
+    fold_onto_sorted sums from f's rows over k singleton blocks and
+    expand_orbits writes to their orbits: nnz(f) * k^2 steps plus k! per
+    nonzero orbit.
 
     >>> V = GradedSpace([("u", 1), ("e", 0)])
     >>> antisymmetrize(MultiMap(V, 3, -1, {(0, 0, 1): {0: 1}})).entries
@@ -454,17 +497,8 @@ def antisymmetrize(f: MultiMap) -> MultiMap:
             f"antisymmetrize over arity {k} exceeds cap {ENUMERATION_CAP}"
         )
     par = f.space.parities
-    folded: dict = {}
-    for key, out in f.entries.items():
-        sign = -1 if word_parity(inverted_pairs(key), par, True) else 1
-        row = folded.setdefault(tuple(sorted(key)), {})
-        for j, c in out.items():
-            row[j] = row.get(j, 0) + sign * c
-    for rep, row in folded.items():
-        counts = [(x, rep.count(x)) for x in set(rep)]
-        weight = math.prod(math.factorial(m) if par[x] else m == 1 for x, m in counts)
-        folded[rep] = {j: weight * c for j, c in row.items() if weight * c}
-    return MultiMap(f.space, k, f.degree, expand_orbits(folded, k, par))
+    reps = fold_onto_sorted(((w, 0, r) for w, r in f.entries.items()), (1,) * k, par)
+    return MultiMap(f.space, k, f.degree, expand_orbits(reps, k, par))
 
 
 def is_antisymmetric(f: MultiMap) -> bool:

@@ -10,11 +10,9 @@ Two brackets satisfy the symmetric-brace axiom here:
         delta = sum_i (N - i) q_i + sum_{j<i} q_i a_j
               + sum_{j<i} a_i a_j + sum_i (n - i) a_i.
 
-    Its output is antisymmetric: only terms on sorted words that can be
-    nonzero are evaluated, and multimap.expand_orbits writes each nonzero
-    one to its orbit.  Each term, one of graded.unshuffle_words, reads each
-    g_i's value from its table row and evaluates f once, signed by the chi
-    of graded.word_parity and multimap's Koszul sign on the dealt blocks.
+    Its output is antisymmetric: multimap.fold_onto_sorted sums it on
+    sorted words from one evaluation of f per choice of the g_i's sorted
+    rows and a sorted tail of f's keys, and expand_orbits fills the orbits.
 
   * symmetrize_brace (defined in brace, re-exported here): the eps-signed
     sum of plain braces f{g_sigma} over all orderings of the inserted maps,
@@ -35,11 +33,12 @@ import itertools
 from typing import Sequence
 
 from .errors import InputError
-from .graded import insertion_patterns, unshuffle_words, word_parity
+from .graded import _check_cap, insertion_patterns, unshuffle_words, word_parity
 from .multimap import (
     MultiMap,
     antisymmetrize,
     expand_orbits,
+    fold_onto_sorted,
     is_antisymmetric,
 )
 # brace_eval and symmetrize_brace stay importable from this module
@@ -69,11 +68,11 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     by every unshuffle, each term signed by chi of the unshuffle and by the
     Koszul sign of each g_i moving past the letters dealt to the g's before
     it; the whole sum is scaled by (-1)^delta.  Inputs must be
-    antisymmetric, and so is the output: it is summed only on sorted words
-    without a repeated even letter whose degree an output can have, over
-    unshuffles dealing each g_i one of its rows (other terms vanish), by
-    evaluating f on those rows' values and the free letters; expand_orbits
-    fills the orbits.
+    antisymmetric, and so is the output.  A nonzero term deals each g_i a
+    rearrangement of one of its sorted rows and f a rearrangement of a
+    sorted tail of its keys, so f is evaluated once per such choice whose
+    degree an output can have, and fold_onto_sorted weighs each by the
+    unshuffles dealing it.
     """
     gs = tuple(gs)
     n, N = len(gs), f.arity
@@ -82,47 +81,38 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
         raise InputError("the unshuffle bracket needs antisymmetric maps")
     if n == 0:
         return f
+    _check_cap(out_arity, "unshuffle enumeration")
     arities = tuple(g.arity for g in gs)
-    degrees = tuple(g.degree for g in gs)
-    base_neg = delta_parity(N, arities, degrees)
-    gammas = list(unshuffle_words(arities + (N - n,)))
-    cuts = list(itertools.accumulate((0,) + arities))
-
+    base_neg = delta_parity(N, arities, tuple(g.degree for g in gs))
     space = f.space
-    par = space.parities
-    basis = [space.basis_vector(i) for i in range(space.dim)]
-    # g_i's value on each of its rows, and the row's degree parity
-    values = [
-        {
-            block: (space.vector(row), sum(par[x] for x in block) & 1)
-            for block, row in g.entries.items()
-        }
+    degree = space.degrees.__getitem__
+    reachable = {d - out_degree for d in space.degrees}
+    # (block, f's arguments from it, its degree, |g_i| mod 2) for the rows of
+    # each g_i on sorted blocks, then for the sorted tails of f's keys
+    choices = [
+        [(b, [space.vector(row)], sum(map(degree, b)), g.degree & 1)
+         for b, row in g.entries.items() if list(b) == sorted(b)]
         for g in gs
     ]
-    reps = {}
-    for t in itertools.combinations_with_replacement(range(space.dim), out_arity):
-        if any(a == b and not par[a] for a, b in zip(t, t[1:])):
-            continue
-        if out_degree + sum(space.degrees[i] for i in t) not in space.degrees:
-            continue
-        tpar = [par[i] for i in t]
-        acc: dict = {}
-        for idx, inv in gammas:
-            dealt = tuple([t[i] for i in idx])
-            hits = [v.get(dealt[a:b]) for v, a, b in zip(values, cuts, cuts[1:])]
-            if None in hits:
+    tails = sorted({tuple(sorted(key[n:])) for key in f.entries})
+    basis = space.basis_vector
+    choices.append([(t, [*map(basis, t)], sum(map(degree, t)), 0) for t in tails])
+
+    def terms():
+        for choice in itertools.product(*choices):
+            if sum(d for _, _, d, _ in choice) not in reachable:
                 continue
-            # chi of gamma, then each g_i crossing the letters dealt before it
-            neg = word_parity(inv, tpar, True)
-            prefix = 0
-            for q, (_, p) in zip(degrees, hits):
+            # delta, then each g_i crossing the letters dealt before it
+            word, args, neg, prefix = (), [], base_neg, 0
+            for block, values, d, q in choice:
+                word += block
+                args += values
                 neg += q & prefix
-                prefix ^= p
-            outer = [v for v, _ in hits] + [basis[i] for i in dealt[cuts[-1] :]]
-            for j, c in f(outer).coeffs.items():
-                c = -c if neg & 1 else c
-                acc[j] = acc[j] + c if j in acc else c
-        reps[t] = {j: -c if base_neg else c for j, c in acc.items() if c}
+                prefix ^= d & 1
+            yield word, neg, f(args).coeffs
+
+    par = space.parities
+    reps = fold_onto_sorted(terms(), arities + (N - n,), par)
     return MultiMap(space, out_arity, out_degree, expand_orbits(reps, out_arity, par))
 
 

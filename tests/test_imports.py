@@ -14,7 +14,8 @@ belongs in the tests.
 Only graded and the API edge use Permutations, only brace.bracket_sum
 accumulates the sums of the identity sides and homotopy relations, only
 brace._sum_braces builds a table in brace, only brace._signature refuses a
-bracket's shape, and only checks._outcome makes a CheckOutcome.
+bracket's shape, only checks._outcome makes a CheckOutcome, and both
+antisymmetric kernels fold their rows through multimap.fold_onto_sorted.
 """
 
 import ast
@@ -228,16 +229,32 @@ def test_finds_an_accumulator_call():
     assert accumulator_calls(tree.body[0]) == {"add_into", "MultiMap"}
 
 
+def _function(stem: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    assert len(funcs) == 1, f"{stem}.{name} not found"
+    return funcs[0]
+
+
 @pytest.mark.parametrize(
     "stem, name",
     [(stem, name) for stem, names in GENERATORS.items() for name in names],
 )
 def test_only_the_evaluator_accumulates(stem, name):
-    tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
-    funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
-    assert len(funcs) == 1, f"{stem}.{name} not found"
-    calls = accumulator_calls(funcs[0])
+    calls = accumulator_calls(_function(stem, name))
     assert not calls, f"{stem}.{name} accumulates itself: {sorted(calls)}"
+
+
+@pytest.mark.parametrize(
+    "stem, name", [("multimap", "antisymmetrize"), ("symbrace", "symbrace_eval")]
+)
+def test_antisymmetric_kernels_fold_onto_sorted_words_in_one_place(stem, name):
+    """Both chi-signed sums over unshuffles sum their rows onto sorted words
+    through multimap.fold_onto_sorted and write the orbits with
+    expand_orbits; the unshuffle bracket lists no unshuffles."""
+    calls = called_names(_function(stem, name))
+    assert {"fold_onto_sorted", "expand_orbits"} <= calls
+    assert "unshuffle_words" not in calls
 
 
 def _makers(paths, test) -> set:

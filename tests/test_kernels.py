@@ -1,17 +1,18 @@
 """The sparse table kernels against point-by-point evaluation.
 
 brace_eval sums partial compositions of tables (multimap.compose_into);
-antisymmetrize folds f's entries onto sorted words, and symbrace_eval
-evaluates only on sorted words, and there only the terms its degree and
-block skips keep, each as one evaluation of f on the inserted maps' rows;
-both write each nonzero orbit once through multimap.expand_orbits.  All
-three are compared, with exact equality of arity, degree and every
+antisymmetrize folds f's entries onto sorted words, and symbrace_eval folds
+there one evaluation of f per choice of the inserted maps' sorted rows and
+a sorted tail of f's keys, both through multimap.fold_onto_sorted, and both
+write each nonzero orbit once through multimap.expand_orbits.  All three
+are compared, with exact equality of arity, degree and every
 coefficient, with the reference evaluators in helpers, which evaluate
 tensor_block_eval, MultiMap.__call__ and the oracle _tensor_core on every
 basis tuple.  Checks built from the kernels alone are guarded against
 falling back to point-by-point evaluation.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -20,6 +21,7 @@ import pytest
 
 from bracekit.brace import brace_eval
 from bracekit.checks import fuzz_outcomes
+from bracekit.errors import ResourceLimitError
 from bracekit.fuzz import FuzzCaps, SplitMix64, random_map
 from bracekit.graded import enumerate_unshuffles, insertion_patterns
 from bracekit.multimap import (
@@ -323,11 +325,11 @@ def _repeats(key, letters):
 
 
 def _symbrace_terms(f, gs):
-    """symbrace_eval's exact work model on the sorted words without a
-    repeated even letter, in word-then-unshuffle order: the dealt words
-    gamma(t) it evaluates, those the degree skip drops (t's degree plus the
-    bracket's is no basis degree), and those the block skip drops (some g_i
-    is zero on the block dealt to it)."""
+    """The terms of the unshuffle sum on the sorted words t without a
+    repeated even letter, in word-then-unshuffle order, as the dealt words
+    gamma(t): those that can be nonzero, those of a degree skip (t's degree
+    plus the bracket's is no basis degree), and those of a block skip (some
+    g_i is zero on the block dealt to it).  The coverage floors count them."""
     space = f.space
     par = space.parities
     n = len(gs)
@@ -395,19 +397,26 @@ def test_symbrace_eval_matches_pointwise_symbrace():
     assert odd_crossing >= 20
 
 
-def _outer_args(f, gs, word):
-    """f's arguments on one dealt word: each g_i's value on its block, then
-    the basis vectors of the free letters."""
-    space, pos, outer = f.space, 0, []
-    for g in gs:
-        outer.append(g.value(word[pos : pos + g.arity]))
-        pos += g.arity
-    return outer + [space.basis_vector(i) for i in word[pos:]]
+def _symbrace_choices(f, gs):
+    """symbrace_eval's exact work model, in product order: each choice of
+    one sorted row of each g_i and one sorted tail of f's entries, split
+    into those whose word has a degree an output can have, on which f is
+    evaluated, and the others, which are skipped."""
+    space, n = f.space, len(gs)
+    out_degree = f.degree + sum(g.degree for g in gs)
+    rows = [[key for key in g.entries if list(key) == sorted(key)] for g in gs]
+    tails = sorted({tuple(sorted(key[n:])) for key in f.entries})
+    kept, skipped = [], []
+    for choice in itertools.product(*rows, tails):
+        degree = out_degree + sum(space.degrees[i] for i in sum(choice, ()))
+        (kept if degree in space.degrees else skipped).append(choice)
+    return kept, skipped
 
 
-def test_symbrace_eval_visits_each_admissible_sorted_word_once(monkeypatch):
-    """f is evaluated exactly on the terms that pass the degree and block
-    skips, in word-then-unshuffle order, and every dropped term is zero."""
+def test_symbrace_eval_evaluates_f_once_per_choice_of_sorted_rows(monkeypatch):
+    """f is evaluated exactly once per reachable choice of sorted g rows
+    and sorted tail, in product order, on the rows' values and the tail's
+    basis vectors; every skipped choice is zero."""
     calls = []
     call = MultiMap.__call__
 
@@ -416,20 +425,25 @@ def test_symbrace_eval_visits_each_admissible_sorted_word_once(monkeypatch):
         return call(self, args)
 
     monkeypatch.setattr(MultiMap, "__call__", record)
-    dropped = 0
+    skipped_total = 0
     for case, f, gs in _symbrace_instances():
         calls.clear()
         symbrace_eval(f, gs)
-        kept, no_degree, no_block = _symbrace_terms(f, gs)
-        got = [args for m, args in calls if m is f]
-        assert got == [_outer_args(f, gs, word) for word in kept], case
+        kept, skipped = _symbrace_choices(f, gs)
         space = f.space
+        want = [
+            [g.value(block) for g, block in zip(gs, choice)]
+            + [space.basis_vector(i) for i in choice[-1]]
+            for choice in kept
+        ]
+        assert [args for m, args in calls if m is f] == want, case
         slots = (0,) * len(gs) + (f.arity - len(gs),)
-        for word in no_degree + no_block:
-            args = [space.basis_vector(i) for i in word]
-            assert _tensor_core(f, gs, slots, args).is_zero(), (case, word)
-        dropped += len(no_degree) + len(no_block)
-    assert dropped >= 10_000
+        for choice in skipped:
+            args = [space.basis_vector(i) for i in sum(choice, ())]
+            assert _tensor_core(f, gs, slots, args).is_zero(), (case, choice)
+        skipped_total += len(skipped)
+    # 624 of the 1,574 choices over the instances are skipped
+    assert skipped_total >= 500
 
 
 def test_symbrace_eval_skips_every_word_of_an_unreachable_degree(monkeypatch):
@@ -445,6 +459,61 @@ def test_symbrace_eval_skips_every_word_of_an_unreachable_degree(monkeypatch):
     monkeypatch.setattr(MultiMap, "__call__", refuse)
     got = symbrace_eval(f, [g])
     assert (got.arity, got.degree) == (3, -4) and got.is_zero()
+
+
+# U_E's u is odd and e even; each f<g> below is zero off one sorted word's orbit
+@pytest.mark.parametrize(
+    "f, g, expected",
+    [
+        # f(u, u) = e, g(u) = u: (u, u) goes to blocks (1, 1) two ways with
+        # chi = +1, so the odd letter repeated across blocks weighs 2!/(1! 1!)
+        (
+            MultiMap(U_E, 2, -2, {(0, 0): {1: 1}}),
+            MultiMap(U_E, 1, 0, {(0,): {0: 1}}),
+            {(0, 0): {1: 2}},
+        ),
+        # f(u) = e, g(u, u) = u: one unshuffle deals (u, u) to g, 2!/2! = 1,
+        # where the stabilizer of (u, u) is 2
+        (
+            MultiMap(U_E, 1, -1, {(0,): {1: 1}}),
+            MultiMap(U_E, 2, -1, {(0, 0): {0: 1}}),
+            {(0, 0): {1: 1}},
+        ),
+        # f(u, u) = e, g(u, u) = u: (u, u, u) goes to blocks (2, 1) three
+        # ways, 3!/(2! 1!) = 3 against a stabilizer of 6, and delta is odd
+        (
+            MultiMap(U_E, 2, -2, {(0, 0): {1: 1}}),
+            MultiMap(U_E, 2, -1, {(0, 0): {0: 1}}),
+            {(0, 0, 0): {1: -3}},
+        ),
+        # f(u, e) = u, g(e) = u: the two unshuffles of (e, e) into blocks
+        # (1, 1) have chi signs +1 and -1, so the even repeat is zero
+        (
+            MultiMap(U_E, 2, 0, {(0, 1): {0: 1}, (1, 0): {0: -1}}),
+            MultiMap(U_E, 1, 1, {(1,): {0: 1}}),
+            {},
+        ),
+    ],
+)
+def test_symbrace_eval_weighs_each_word_by_its_unshuffles(f, g, expected):
+    got = symbrace_eval(f, [g])
+    assert got.entries == expected
+    assert got == pointwise_symbrace(f, [g])
+
+
+def test_symbrace_eval_refuses_output_arity_9_before_evaluating_f(monkeypatch):
+    def refuse(self, args):
+        raise AssertionError("MultiMap.__call__ reached")
+
+    space = GradedSpace([("u", 1)])
+    f = MultiMap(space, 2, -1, {(0, 0): {0: 1}})
+    g7, g8 = (MultiMap(space, a, 1 - a, {(0,) * a: {0: 1}}) for a in (7, 8))
+    # output arity 8 is the largest evaluated: (u)^8 weighs 8!/(7! 1!)
+    assert symbrace_eval(f, [g7]).entries == {(0,) * 8: {0: 8}}
+    monkeypatch.setattr(MultiMap, "__call__", refuse)
+    with pytest.raises(ResourceLimitError) as err:
+        symbrace_eval(f, [g8])
+    assert str(err.value) == "unshuffle enumeration over 9 elements exceeds cap 8"
 
 
 def test_expand_orbits_round_trips_antisymmetric_maps():
@@ -467,8 +536,8 @@ def test_expand_orbits_round_trips_antisymmetric_maps():
 
 # checks whose every bracket is a composition or a signed permutation of
 # table entries; symbrace_eval, behind ex33, thm2 and linfty, reads the
-# inserted maps' rows but still evaluates f point by point, once per term
-# that survives its degree and block skips
+# inserted maps' rows but still evaluates f point by point, once per choice
+# of sorted rows and sorted tail whose degree an output can have
 TABLE_LEVEL_CHECKS = ("brace-axiom", "thm1", "lemma41", "lemma51", "ainfty")
 
 
