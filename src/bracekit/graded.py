@@ -421,25 +421,3 @@ def inversion_parity_check(
         second -= (i - 1) * (V(i) + V(s(i)))
     return second & 1 == 0
 
-
-def adjacent_swap_order(n: int) -> list:
-    """Positions of adjacent swaps that walk through all of S_n.
-
-    Starting from any arrangement of n objects and applying the returned
-    swaps (position j means swap slots j and j+1, 0-based) visits every
-    rearrangement exactly once.  Length is n! - 1.
-    """
-    if n < 0:
-        raise InputError("n must be nonnegative")
-    seq: list = []
-    for m in range(2, n + 1):
-        # object m sweeps right to left and back between the swaps of the
-        # walk on the other m - 1, shifted by one while it stands leftmost
-        down, up = list(range(m - 2, -1, -1)), list(range(m - 1))
-        walk, at_left = list(down), True
-        for j in seq:
-            walk.append(j + 1 if at_left else j)
-            walk.extend(up if at_left else down)
-            at_left = not at_left
-        seq = walk
-    return seq

@@ -19,21 +19,23 @@ _tensor_core.  Signed sums (add_into, compose_into) accumulate into one
 entry table, validated once, as a MultiMap.  A chi-antisymmetric table is
 fixed by its rows on sorted words: fold_onto_sorted sums the rows of
 antisymmetrize and of symbrace_eval onto them, and expand_orbits writes
-each nonzero one to its orbit.
+each nonzero one once to each distinct rearrangement of its word, which
+orbit_words lists with its chi sign.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ResourceLimitError
 from .graded import (
     ENUMERATION_CAP,
-    adjacent_swap_order,
     inverted_pairs,
     staged_rearrangements,
     word_parity,
@@ -405,31 +407,88 @@ def add_into(acc: dict, sign: int, m: MultiMap) -> None:
                 row[j] = row[j] + c if j in row else c
 
 
-def expand_orbits(reps: Mapping[tuple, dict], arity: int, parities) -> dict:
+def expand_orbits(reps: Mapping[tuple, dict], parities) -> dict:
     """The chi-antisymmetric entry table with the given rows on sorted words.
 
     reps maps sorted words of basis indices, none repeating an even letter,
-    to output rows; empty rows are skipped.  Each row is written to every
-    rearrangement of its word along an adjacent-swap walk, negated per swap
-    of letters not both odd.  Rearrangements share one positive and one
-    negative row dict; a MultiMap built from the table copies them per key.
+    to output rows; empty rows are skipped.  A row is written once to each
+    rearrangement orbit_words lists, k! / prod m_x! for k letters with x
+    repeated m_x times, negated where chi is -1, sharing one positive and
+    one negative row dict; a MultiMap built from the table copies them.
 
-    >>> expand_orbits({(0, 0, 1): {0: 2}}, 3, (1, 0))
-    {(0, 0, 1): {0: 2}, (0, 1, 0): {0: -2}, (1, 0, 0): {0: 2}}
+    >>> sorted(expand_orbits({(0, 0, 1): {0: 2}}, (1, 0)).items())
+    [((0, 0, 1), {0: 2}), ((0, 1, 0), {0: -2}), ((1, 0, 0), {0: 2})]
     """
-    swaps = adjacent_swap_order(arity)
     table: dict = {}
     for rep, row in reps.items():
-        if not row:
-            continue
-        rows, word, flip = (row, {j: -c for j, c in row.items()}), list(rep), 0
-        table[rep] = row
-        for s in swaps:
-            a, b = word[s], word[s + 1]
-            word[s], word[s + 1] = b, a
-            flip ^= not parities[a] & parities[b]
-            table[tuple(word)] = rows[flip]
+        if row:
+            plus, minus = orbit_words(rep, parities)
+            table.update(zip(plus, itertools.repeat(row)))
+            table.update(zip(minus, itertools.repeat({j: -c for j, c in row.items()})))
     return table
+
+
+def orbit_words(word: tuple, parities) -> tuple:
+    """(plus, minus): each distinct rearrangement of a sorted word that
+    repeats no even letter, once, split by its chi sign.
+
+    chi skips the out-of-order pairs of two odd letters, so the odd letters
+    are arranged unsigned: the single ones in every order, then each
+    repeated one's copies dealt to every choice of slots among them.  An
+    even and an odd letter are out of order when one has crossed the other,
+    so chi is the sign of the evens' order (lexicographic permutations, a
+    first letter of rank r putting r letters out of order) times -1 per
+    unit their slots' sum moves from word's.  Each even arrangement joins
+    each odd one and is dealt to every choice of slots.
+
+    >>> orbit_words((0, 0, 1), (1, 0))
+    ([(1, 0, 0), (0, 0, 1)], [(0, 1, 0)])
+    """
+    runs = [tuple(run) for x, run in itertools.groupby(word) if parities[x]]
+    odds = list(itertools.permutations(run[0] for run in runs if len(run) == 1))
+    for run in runs:
+        if len(run) > 1:
+            joined = list(map(run.__add__, odds))
+            slots = _placements(len(joined[0]), len(run))
+            odds = [w for get, _ in slots for w in map(get, joined)]
+    evens = tuple(x for x in word if not parities[x])
+    if not evens:
+        return odds, []
+    signs = b"\0"  # of the evens' permutations, as bytes of parities
+    for m in range(2, len(evens) + 1):
+        signs = (signs + signs.translate(_FLIP)) * (m // 2) + signs * (m & 1)
+    perms = list(itertools.permutations(evens))
+    flipped = signs.translate(_FLIP)
+    plus, minus = (list(itertools.compress(perms, s)) for s in (flipped, signs))
+    if not runs:
+        return plus, minus
+    joined = [
+        list(itertools.starmap(add, itertools.product(ws, odds))) for ws in (plus, minus)
+    ]
+    base = sum(p for p, x in enumerate(word) if not parities[x]) & 1
+    out: tuple = [], []
+    for get, parity in _placements(len(word), len(evens)):
+        out[parity ^ base].extend(map(get, joined[0]))
+        out[parity ^ base ^ 1].extend(map(get, joined[1]))
+    return out
+
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+@functools.cache
+def _placements(total: int, width: int) -> tuple:
+    """(get, parity) for each choice of `width` of `total` slots: get puts
+    the first `width` letters of a word on the chosen slots and the rest on
+    the others, each in order; parity is that of the slots' sum.  Up to
+    the arity cap 8, the cache holds 511 getters in all."""
+    out = []
+    for slots in itertools.combinations(range(total), width):
+        front, back = iter(range(width)), iter(range(width, total))
+        order = [next(front) if p in slots else next(back) for p in range(total)]
+        # itemgetter of one index returns the letter, not a word
+        out.append((itemgetter(*order) if total > 1 else tuple, sum(slots) & 1))
+    return tuple(out)
 
 
 def fold_onto_sorted(terms: Iterable[tuple], blocks: Sequence[int], parities) -> dict:
@@ -484,12 +543,12 @@ def antisymmetrize(f: MultiMap) -> MultiMap:
     No averaging factor: an already antisymmetric f comes back as k! * f.
     as(f) is chi-antisymmetric, fixed by its rows on sorted words, which
     fold_onto_sorted sums from f's rows over k singleton blocks and
-    expand_orbits writes to their orbits: nnz(f) * k^2 steps plus k! per
-    nonzero orbit.
+    expand_orbits writes to their orbits: nnz(f) * k^2 steps plus one key
+    per distinct rearrangement of each nonzero sorted word, k! / prod m_x!.
 
     >>> V = GradedSpace([("u", 1), ("e", 0)])
-    >>> antisymmetrize(MultiMap(V, 3, -1, {(0, 0, 1): {0: 1}})).entries
-    {(0, 0, 1): {0: 2}, (0, 1, 0): {0: -2}, (1, 0, 0): {0: 2}}
+    >>> sorted(antisymmetrize(MultiMap(V, 3, -1, {(0, 0, 1): {0: 1}})).entries.items())
+    [((0, 0, 1), {0: 2}), ((0, 1, 0), {0: -2}), ((1, 0, 0), {0: 2})]
     """
     k = f.arity
     if k > ENUMERATION_CAP:
@@ -498,7 +557,7 @@ def antisymmetrize(f: MultiMap) -> MultiMap:
         )
     par = f.space.parities
     reps = fold_onto_sorted(((w, 0, r) for w, r in f.entries.items()), (1,) * k, par)
-    return MultiMap(f.space, k, f.degree, expand_orbits(reps, k, par))
+    return MultiMap(f.space, k, f.degree, expand_orbits(reps, par))
 
 
 def is_antisymmetric(f: MultiMap) -> bool:

@@ -12,7 +12,8 @@ Two brackets satisfy the symmetric-brace axiom here:
 
     Its output is antisymmetric: multimap.fold_onto_sorted sums it on
     sorted words from one evaluation of f per choice of the g_i's sorted
-    rows and a sorted tail of f's keys, and expand_orbits fills the orbits.
+    rows and a sorted tail of f's keys that reaches a key of f, and
+    expand_orbits fills the orbits.
 
   * symmetrize_brace (defined in brace, re-exported here): the eps-signed
     sum of plain braces f{g_sigma} over all orderings of the inserted maps,
@@ -70,9 +71,9 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     it; the whole sum is scaled by (-1)^delta.  Inputs must be
     antisymmetric, and so is the output.  A nonzero term deals each g_i a
     rearrangement of one of its sorted rows and f a rearrangement of a
-    sorted tail of its keys, so f is evaluated once per such choice whose
-    degree an output can have, and fold_onto_sorted weighs each by the
-    unshuffles dealing it.
+    sorted tail of its keys, so f is evaluated once per such choice where
+    some key of f on the tail takes an output of each chosen row, and
+    fold_onto_sorted weighs each by the unshuffles dealing it.
     """
     gs = tuple(gs)
     n, N = len(gs), f.arity
@@ -86,7 +87,11 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     base_neg = delta_parity(N, arities, tuple(g.degree for g in gs))
     space = f.space
     degree = space.degrees.__getitem__
-    reachable = {d - out_degree for d in space.degrees}
+    heads: dict = {}  # each sorted tail of f's keys -> the heads before it
+    for key in f.entries:
+        if list(key[n:]) == sorted(key[n:]):
+            heads.setdefault(key[n:], []).append(key[:n])
+    tails = sorted(heads)
     # (block, f's arguments from it, its degree, |g_i| mod 2) for the rows of
     # each g_i on sorted blocks, then for the sorted tails of f's keys
     choices = [
@@ -94,17 +99,25 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
          for b, row in g.entries.items() if list(b) == sorted(b)]
         for g in gs
     ]
-    tails = sorted({tuple(sorted(key[n:])) for key in f.entries})
     basis = space.basis_vector
     choices.append([(t, [*map(basis, t)], sum(map(degree, t)), 0) for t in tails])
+    # a choice is live if a head of f on its tail takes an output of each
+    # chosen row; its indexes, in product order, from each g_i's rows by output
+    reach = [{} for _ in gs]
+    for rows, index in zip(choices, reach):
+        for r, (_, [value], _, _) in enumerate(rows):
+            for j in value.coeffs:
+                index.setdefault(j, []).append(r)
+    live = sorted({
+        (*picks, i) for i, t in enumerate(tails) for head in heads[t]
+        for picks in itertools.product(*map(dict.get, reach, head, itertools.repeat(())))
+    })
 
     def terms():
-        for choice in itertools.product(*choices):
-            if sum(d for _, _, d, _ in choice) not in reachable:
-                continue
+        for picks in live:
             # delta, then each g_i crossing the letters dealt before it
             word, args, neg, prefix = (), [], base_neg, 0
-            for block, values, d, q in choice:
+            for block, values, d, q in map(list.__getitem__, choices, picks):
                 word += block
                 args += values
                 neg += q & prefix
@@ -113,7 +126,7 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
 
     par = space.parities
     reps = fold_onto_sorted(terms(), arities + (N - n,), par)
-    return MultiMap(space, out_arity, out_degree, expand_orbits(reps, out_arity, par))
+    return MultiMap(space, out_arity, out_degree, expand_orbits(reps, par))
 
 
 def symbrace_axiom_sides(

@@ -1,8 +1,9 @@
 """Shared test helpers: small homogeneous random tables, the per-key
 validation loop of the MultiMap constructor, point-by-point reference
 evaluators built on the tensor-block oracle _tensor_core, among them a
-second bracket_sum, wrong brace, unshuffle-bracket and riffle signs, and
-the environment and runner of a CLI subprocess."""
+second bracket_sum, wrong brace, unshuffle-bracket and riffle signs, the
+adjacent-swap walk through S_n and the orbit writer built on it, and the
+environment and runner of a CLI subprocess."""
 
 import os
 import subprocess
@@ -274,16 +275,60 @@ def eta_without_parity_crossing(items, parities, n, chi):
         yield (-sign if crossing & 1 else sign), tuple(items[i] for i in seq)
 
 
+def adjacent_swap_order(n: int) -> list:
+    """Positions of adjacent swaps that walk through all of S_n.
+
+    Starting from any arrangement of n objects and applying the returned
+    swaps (position j means swap slots j and j+1, 0-based) visits every
+    rearrangement exactly once.  Length is n! - 1.
+    """
+    if n < 0:
+        raise InputError("n must be nonnegative")
+    seq: list = []
+    for m in range(2, n + 1):
+        # object m sweeps right to left and back between the swaps of the
+        # walk on the other m - 1, shifted by one while it stands leftmost
+        down, up = list(range(m - 2, -1, -1)), list(range(m - 1))
+        walk, at_left = list(down), True
+        for j in seq:
+            walk.append(j + 1 if at_left else j)
+            walk.extend(up if at_left else down)
+            at_left = not at_left
+        seq = walk
+    return seq
+
+
+def walk_expand_orbits(reps, arity, parities):
+    """The oracle of multimap.expand_orbits: each nonzero row written to
+    every rearrangement of its sorted word along the adjacent-swap walk,
+    k! writes per word, negated per swap of letters not both odd.  A word
+    repeating a letter m times has each key rewritten m! times over."""
+    swaps = adjacent_swap_order(arity)
+    table: dict = {}
+    for rep, row in reps.items():
+        if not row:
+            continue
+        rows, word, flip = (row, {j: -c for j, c in row.items()}), list(rep), 0
+        table[rep] = row
+        for s in swaps:
+            a, b = word[s], word[s + 1]
+            word[s], word[s + 1] = b, a
+            flip ^= not parities[a] & parities[b]
+            table[tuple(word)] = rows[flip]
+    return table
+
+
 def pointwise_antisymmetrize(f):
     """as(f) on every basis tuple: the chi-signed sum of f over all
     rearrangements of the argument vectors."""
     space = f.space
     entries = {}
+    perms = list(enumerate_permutations(f.arity))
     for t in space.tuples(f.arity):
         args = [space.basis_vector(i) for i in t]
         degrees = [space.degrees[i] for i in t]
         total = space.zero_vector()
-        for p in enumerate_permutations(f.arity):
+        for p in perms:
             total = total + f(list(p.apply(args))).scale(antisym_koszul_sign(p, degrees))
         if not total.is_zero():
             entries[t] = total.coeffs

@@ -250,7 +250,7 @@ class TestAgreesWithThePerKeyLoop:
 
 def test_rows_are_copied():
     # expand_orbits shares one row dict between rearrangements of one sign
-    table = expand_orbits({(0, 1, 2): {1: 1}}, 3, MIXED.parities)
+    table = expand_orbits({(0, 1, 2): {1: 1}}, MIXED.parities)
     m = MultiMap(MIXED, 3, 0, table)
     assert m.entries == table and len(table) == 6
     assert not {id(row) for row in m.entries.values()} & {id(table[0, 1, 2])}

@@ -11,7 +11,6 @@ from bracekit.fuzz import FuzzCaps
 from bracekit.graded import (
     ENUMERATION_CAP,
     Permutation,
-    adjacent_swap_order,
     antisym_koszul_sign,
     block_permutation_sign_check,
     enumerate_permutations,
@@ -26,6 +25,7 @@ from bracekit.graded import (
 )
 from bracekit.multimap import GradedSpace, MultiMap
 from bracekit.symbrace import symmetrize_brace
+from helpers import adjacent_swap_order
 
 
 def eps_oracle(perm, degrees):

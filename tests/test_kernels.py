@@ -3,8 +3,9 @@
 brace_eval sums partial compositions of tables (multimap.compose_into);
 antisymmetrize folds f's entries onto sorted words, and symbrace_eval folds
 there one evaluation of f per choice of the inserted maps' sorted rows and
-a sorted tail of f's keys, both through multimap.fold_onto_sorted, and both
-write each nonzero orbit once through multimap.expand_orbits.  All three
+a sorted tail of f's keys that reaches a key of f, both through
+multimap.fold_onto_sorted, and both write each distinct rearrangement of a
+nonzero sorted word once through multimap.expand_orbits.  All three
 are compared, with exact equality of arity, degree and every
 coefficient, with the reference evaluators in helpers, which evaluate
 tensor_block_eval, MultiMap.__call__ and the oracle _tensor_core on every
@@ -19,6 +20,7 @@ from math import factorial
 
 import pytest
 
+from bracekit import multimap
 from bracekit.brace import brace_eval
 from bracekit.checks import fuzz_outcomes
 from bracekit.errors import ResourceLimitError
@@ -40,6 +42,7 @@ from helpers import (
     pointwise_compose,
     pointwise_symbrace,
     random_antisym_map,
+    walk_expand_orbits,
 )
 
 SEED = 20261017
@@ -400,23 +403,28 @@ def test_symbrace_eval_matches_pointwise_symbrace():
 def _symbrace_choices(f, gs):
     """symbrace_eval's exact work model, in product order: each choice of
     one sorted row of each g_i and one sorted tail of f's entries, split
-    into those whose word has a degree an output can have, on which f is
-    evaluated, and the others, which are skipped."""
-    space, n = f.space, len(gs)
-    out_degree = f.degree + sum(g.degree for g in gs)
+    into those where some key of f is the tail after a head taking an
+    output of each chosen row, on which f is evaluated, and the others,
+    which are skipped."""
+    n = len(gs)
     rows = [[key for key in g.entries if list(key) == sorted(key)] for g in gs]
     tails = sorted({tuple(sorted(key[n:])) for key in f.entries})
     kept, skipped = [], []
     for choice in itertools.product(*rows, tails):
-        degree = out_degree + sum(space.degrees[i] for i in sum(choice, ()))
-        (kept if degree in space.degrees else skipped).append(choice)
+        outputs = [g.entries[block] for g, block in zip(gs, choice)]
+        live = any(
+            key[n:] == choice[-1] and all(j in out for j, out in zip(key, outputs))
+            for key in f.entries
+        )
+        (kept if live else skipped).append(choice)
     return kept, skipped
 
 
 def test_symbrace_eval_evaluates_f_once_per_choice_of_sorted_rows(monkeypatch):
-    """f is evaluated exactly once per reachable choice of sorted g rows
-    and sorted tail, in product order, on the rows' values and the tail's
-    basis vectors; every skipped choice is zero."""
+    """f is evaluated exactly once per choice of sorted g rows and sorted
+    tail whose rows reach a key of f on the tail, in product order, on the
+    rows' values and the tail's basis vectors; every skipped choice is
+    zero."""
     calls = []
     call = MultiMap.__call__
 
@@ -442,8 +450,9 @@ def test_symbrace_eval_evaluates_f_once_per_choice_of_sorted_rows(monkeypatch):
             args = [space.basis_vector(i) for i in sum(choice, ())]
             assert _tensor_core(f, gs, slots, args).is_zero(), (case, choice)
         skipped_total += len(skipped)
-    # 624 of the 1,574 choices over the instances are skipped
-    assert skipped_total >= 500
+    # 832 of the 1,574 choices over the instances are skipped, where a
+    # filter on the output degree alone skips 624
+    assert skipped_total >= 800
 
 
 def test_symbrace_eval_skips_every_word_of_an_unreachable_degree(monkeypatch):
@@ -529,15 +538,132 @@ def test_expand_orbits_round_trips_antisymmetric_maps():
             for density in (0.2, 0.6, 1.0):
                 f = random_antisym_map(rng, space, arity, density)
                 reps = {k: v for k, v in f.entries.items() if list(k) == sorted(k)}
-                assert expand_orbits(reps, arity, space.parities) == f.entries
+                assert expand_orbits(reps, space.parities) == f.entries
                 nonzero += not f.is_zero()
     assert nonzero >= 20
+
+
+def _sorted_words(letters, arity, parities):
+    """The sorted words of the given arity over range(letters) that repeat
+    no even letter: the words expand_orbits takes."""
+    for word in itertools.combinations_with_replacement(range(letters), arity):
+        if all(parities[x] or word.count(x) == 1 for x in word):
+            yield word
+
+
+def _orbit_size(word):
+    """k! / prod m_x! for a word of k letters repeating letter x m_x times."""
+    size = factorial(len(word))
+    for x in set(word):
+        size //= factorial(word.count(x))
+    return size
+
+
+# (letters, arities): every parity pattern of up to 4 letters to arity 6,
+# and of 1-2 letters to arity 8
+ORBIT_SHAPES = [(d, range(1, 7)) for d in (1, 2, 3, 4)] + [(d, (7, 8)) for d in (1, 2)]
+
+
+def test_expand_orbits_matches_the_walk_oracle():
+    """Every sorted word of ORBIT_SHAPES gets the walk's table, with one
+    shared row per sign: the given row on plus words, one negation on the
+    others; all words of one shape at once get the union of their tables."""
+    words = 0
+    for letters, arities in ORBIT_SHAPES:
+        for parities in itertools.product((0, 1), repeat=letters):
+            for arity in arities:
+                reps = {}
+                for word in _sorted_words(letters, arity, parities):
+                    row = {0: 2, 1: Fraction(-1, 3)}
+                    table = expand_orbits({word: row}, parities)
+                    assert table == walk_expand_orbits({word: row}, arity, parities), word
+                    plus = [key for key, out in table.items() if out is row]
+                    minus = {id(out) for out in table.values() if out is not row}
+                    assert word in plus and len(minus) <= 1, word
+                    reps[word] = row
+                    words += 1
+                got = expand_orbits(reps, parities)
+                assert got == walk_expand_orbits(reps, arity, parities)
+    assert words == 1847
+
+
+def test_expand_orbits_lists_each_rearrangement_once(monkeypatch):
+    """orbit_words is called once per nonzero row and lists k! / prod m_x!
+    distinct words, each a rearrangement of the row's word: a duplicate
+    writes the same key and value again, so only this count sees it."""
+    calls = []
+    orbit_words = multimap.orbit_words
+
+    def record(word, parities):
+        plus, minus = orbit_words(word, parities)
+        calls.append((word, plus + minus))
+        return plus, minus
+
+    monkeypatch.setattr(multimap, "orbit_words", record)
+    for letters, arities in ORBIT_SHAPES:
+        for parities in itertools.product((0, 1), repeat=letters):
+            for arity in arities:
+                words = list(_sorted_words(letters, arity, parities))
+                calls.clear()
+                expand_orbits({w: {0: 1} if i % 3 else {} for i, w in enumerate(words)}, parities)
+                assert [w for w, _ in calls] == [w for i, w in enumerate(words) if i % 3]
+                for word, listed in calls:
+                    assert len(listed) == len(set(listed)) == _orbit_size(word), word
+                    assert {tuple(sorted(w)) for w in listed} == {word}
+    # the 70 rearrangements of four 0s and four 1s, not the walk's 8! = 40,320
+    assert _orbit_size((0, 0, 0, 0, 1, 1, 1, 1)) == 70
+
+
+def test_antisymmetrize_pins_arity_8_on_one_odd_letter():
+    """u^8 is its only rearrangement: as(f) = 8! * f, one key."""
+    space = GradedSpace([("u", 1)])
+    f = MultiMap(space, 8, -7, {(0,) * 8: {0: Fraction(3, 2)}})
+    assert antisymmetrize(f).entries == {(0,) * 8: {0: factorial(8) * Fraction(3, 2)}}
+
+
+def test_expand_orbits_pins_the_orbit_of_four_and_four_odd_letters():
+    """Two odd letters commute under chi: the 70 words with four of each
+    all share the given row."""
+    row = {0: 5}
+    table = expand_orbits({(0, 0, 0, 0, 1, 1, 1, 1): row}, (1, 1))
+    words = {w for w in itertools.product((0, 1), repeat=8) if sum(w) == 4}
+    assert len(words) == 70 and set(table) == words
+    assert all(out is row for out in table.values())
+
+
+def test_expand_orbits_pins_signs_around_a_repeated_odd_letter():
+    """u u e f with u odd, e and f even: chi is -1 once per pair of an even
+    letter and a letter out of order."""
+    got = expand_orbits({(0, 0, 1, 2): {0: 1}}, (1, 0, 0))
+    assert {key: out[0] for key, out in got.items()} == {
+        (0, 0, 1, 2): 1, (0, 0, 2, 1): -1, (0, 1, 0, 2): -1, (0, 1, 2, 0): 1,
+        (0, 2, 0, 1): 1, (0, 2, 1, 0): -1, (1, 0, 0, 2): 1, (1, 0, 2, 0): -1,
+        (1, 2, 0, 0): 1, (2, 0, 0, 1): -1, (2, 0, 1, 0): 1, (2, 1, 0, 0): -1,
+    }
+
+
+def test_antisymmetrize_matches_pointwise_on_three_letters_at_arity_6():
+    """Two odd letters and one even at arity 6, where most orbits repeat an
+    odd letter, against the chi-signed sum over all of S_6."""
+    space = GradedSpace([("u", 1), ("v", -1), ("e", 0)])
+    f = MultiMap(space, 6, -1, {
+        (0, 0, 1, 2, 1, 0): {2: 1},
+        (1, 1, 0, 0, 0, 2): {2: Fraction(2, 3)},
+        (0, 0, 0, 0, 1, 1): {0: -4},
+        (0, 1, 0, 1, 0, 1): {1: 5},
+        (0, 0, 0, 1, 1, 1): {1: -1},
+        (2, 2, 0, 1, 0, 1): {1: 7},
+    })
+    got = antisymmetrize(f)
+    # the orbits of u^3 v^2 e, u^4 v^2 and u^3 v^3; e repeated cancels
+    assert len(got.entries) == 60 + 15 + 20
+    assert got == pointwise_antisymmetrize(f)
 
 
 # checks whose every bracket is a composition or a signed permutation of
 # table entries; symbrace_eval, behind ex33, thm2 and linfty, reads the
 # inserted maps' rows but still evaluates f point by point, once per choice
-# of sorted rows and sorted tail whose degree an output can have
+# of sorted rows and sorted tail whose rows reach a key of f on the tail
 TABLE_LEVEL_CHECKS = ("brace-axiom", "thm1", "lemma41", "lemma51", "ainfty")
 
 
