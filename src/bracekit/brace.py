@@ -114,12 +114,12 @@ def _sum_braces(space: GradedSpace, signature: tuple, terms) -> MultiMap:
             add_into(acc, sign, f)
             continue
         parities = [g.brace_parity for g in gs]
-        in_order = [(range(n), ())]  # a brace's one ordering, with no inversions
+        in_order = [range(n)]  # a brace's one ordering
         words = permutation_words(n) if bracket is symmetrize_brace else in_order
-        for word, inv in words:
+        for word in words:
             seq = [gs[i] for i in word]
             arities, degrees = [g.arity for g in seq], [g.degree for g in seq]
-            signed = -sign if word_parity(inv, parities, False) else sign
+            signed = -sign if word_parity(word, parities, False) else sign
             for slots in insertion_patterns(N - n, n + 1):
                 parity = beta_parity(N, arities, degrees, slots)
                 compose_into(acc, -signed if parity else signed, f, seq, slots)

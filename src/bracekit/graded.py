@@ -3,8 +3,10 @@
 Inside the library a rearrangement is a 0-based word ``w``, putting the
 objects ``x_{w[0]}, ..., x_{w[n-1]}`` in a row.  unshuffle_words is the one
 enumerator (S_n is the unshuffles of n singleton blocks: permutation_words)
-and word_parity the one sign: eps is (-1)^{|x||y|} for each pair x, y the
-word puts out of order, chi = sgn * eps, and only degree parities enter.
+and word_parity the one sign, read off the word: eps is (-1)^{|x||y|} for
+each pair x, y the word puts out of order, chi = sgn * eps, and only degree
+parities enter.  The one sign table is multimap.orbit_words' of its e even
+letters' e! orders: word_parity on each order would cost 3-4 times as much.
 staged_rearrangements, shared by Lemmas 4.1 (chi) and 5.1 (eps), is the one
 place the riffle sign is computed.
 
@@ -94,23 +96,25 @@ class Permutation:
         return f"Permutation({self.images})"
 
 
-def inverted_pairs(word: Sequence[int]) -> list:
-    """The pairs (a, b) of entries of word with a before b and a > b: the
-    pairs of objects the word puts out of order, which word_parity signs."""
-    return [(a, b) for i, a in enumerate(word) for b in word[i + 1 :] if a > b]
+def word_parity(word: Sequence[int], parities: Sequence[int], chi: bool) -> int:
+    """The sign of a rearrangement as a parity, read off its 0-based word,
+    whose letters may repeat: eps adds |x_a||x_b| per pair of letters a > b
+    it puts out of order, from the low bits of parities (or degrees), and
+    chi adds 1 more.  seen holds the letters read an odd number of times,
+    odd the odd-parity ones among them: x counts those above it.
 
-
-def word_parity(pairs: Sequence[tuple], parities: Sequence[int], chi: bool) -> int:
-    """The sign of a rearrangement as a parity, from its inverted pairs
-    (a, b) of 0-based object indexes: eps adds |x_a||x_b| per pair, read
-    from parities (or degrees), and chi adds 1 more per pair.
-
-    >>> inv = inverted_pairs((1, 0))
-    >>> word_parity(inv, (1, 1), False), word_parity(inv, (1, 1), True)
+    >>> word_parity((1, 0), (1, 1), False), word_parity((1, 0), (1, 1), True)
     (1, 0)
     """
-    crossings = sum(parities[a] & parities[b] for a, b in pairs)
-    return (crossings + len(pairs) if chi else crossings) & 1
+    seen = odd = count = 0
+    for x in word:
+        if chi:
+            count += (seen >> (x + 1)).bit_count()
+            seen ^= 1 << x
+        if parities[x] & 1:
+            count += (odd >> (x + 1)).bit_count()
+            odd ^= 1 << x
+    return count & 1
 
 
 def _sign(perm: Permutation, degrees: Sequence[int], chi: bool) -> int:
@@ -118,8 +122,7 @@ def _sign(perm: Permutation, degrees: Sequence[int], chi: bool) -> int:
         raise InputError(
             f"got {len(degrees)} degrees for a permutation of size {len(perm)}"
         )
-    word = [v - 1 for v in perm.images]
-    return -1 if word_parity(inverted_pairs(word), degrees, chi) else 1
+    return -1 if word_parity([v - 1 for v in perm.images], degrees, chi) else 1
 
 
 def koszul_sign(perm: Permutation, degrees: Sequence[int]) -> int:
@@ -163,13 +166,13 @@ def _block_sizes(blocks: Sequence[int]) -> tuple:
 
 
 def unshuffle_words(blocks: Sequence[int]) -> Iterator[tuple]:
-    """(word, inverted pairs) of every unshuffle, words lexicographic.
+    """The word of every unshuffle, lexicographic.
 
     The block sizes, which may be 0, partition the positions 0..N-1 in
     order; an unshuffle deals the values 0..N-1 into the blocks so that
     each block reads increasingly.
 
-    >>> [w for w, _ in unshuffle_words((1, 2))]
+    >>> list(unshuffle_words((1, 2)))
     [(0, 1, 2), (1, 0, 2), (2, 0, 1)]
     """
     blocks = _block_sizes(blocks)
@@ -181,7 +184,7 @@ def unshuffle_words(blocks: Sequence[int]) -> Iterator[tuple]:
             for word, rest in deals
             for hand in itertools.combinations(rest, size)
         ]
-    return ((word, inverted_pairs(word)) for word, _ in deals)
+    return (word for word, _ in deals)
 
 
 def permutation_words(n: int) -> Iterator[tuple]:
@@ -192,7 +195,7 @@ def permutation_words(n: int) -> Iterator[tuple]:
 
 def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic order of one-line words."""
-    for word, _ in permutation_words(n):
+    for word in permutation_words(n):
         yield Permutation(v + 1 for v in word)
 
 
@@ -202,7 +205,7 @@ def enumerate_unshuffles(blocks: Sequence[int]) -> Iterator[Permutation]:
     >>> [u.images for u in enumerate_unshuffles((2, 1))]
     [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
     """
-    for word, _ in unshuffle_words(blocks):
+    for word in unshuffle_words(blocks):
         yield Permutation(v + 1 for v in word)
 
 
@@ -252,15 +255,15 @@ def staged_rearrangements(
         )
     hpar, tpar = parities[:n], parities[n:]
     head_perms = [
-        (word_parity(inv, hpar, chi), [items[i] for i in w], [hpar[i] for i in w])
-        for w, inv in permutation_words(n)
+        (word_parity(w, hpar, chi), [items[i] for i in w], [hpar[i] for i in w])
+        for w in permutation_words(n)
     ]
     riffles = [
         (slots, sum((n - i) * k for i, k in enumerate(slots)) if chi else 0)
         for slots in insertion_patterns(m, n + 1)
     ]
-    for w, inv in permutation_words(m):
-        zneg, zpar = word_parity(inv, tpar, chi), [tpar[i] for i in w]
+    for w in permutation_words(m):
+        zneg, zpar = word_parity(w, tpar, chi), [tpar[i] for i in w]
         zs = tuple(items[n + i] for i in w)
         for yneg, ys, ypar in head_perms:
             for slots, eta in riffles:
@@ -319,8 +322,8 @@ def interleave_block_permutation(
     block_par, free_par = chunk_par[:n], chunk_par[n:]
 
     images = list(chunks[n])
-    inv = inverted_pairs([v - 1 for v in sigma.images])
-    alpha1, alpha2 = word_parity(inv, block_par, False), word_parity(inv, blocks, False)
+    word = [v - 1 for v in sigma.images]
+    alpha1, alpha2 = word_parity(word, block_par, False), word_parity(word, blocks, False)
     free_prefix = slot_prefix = 0
     for i, s in enumerate(sigma.images):
         images += chunks[s - 1] + chunks[n + 1 + i]
@@ -368,16 +371,16 @@ def unshuffle_decomposition_check(
     hand_perms = [list(permutation_words(b)) for b in blocks]
     for chi in (True, False):
         expected = Counter(
-            (w, word_parity(inv, degrees, chi)) for w, inv in permutation_words(n_total)
+            (w, word_parity(w, degrees, chi)) for w in permutation_words(n_total)
         )
         got: Counter = Counter()
-        for gamma, inv in unshuffle_words(blocks):
+        for gamma in unshuffle_words(blocks):
             hands = [gamma[a:b] for a, b in zip(cuts, cuts[1:])]
             for pis in itertools.product(*hand_perms):
-                images, neg = (), word_parity(inv, degrees, chi)
-                for hand, (pw, pinv) in zip(hands, pis):
+                images, neg = (), word_parity(gamma, degrees, chi)
+                for hand, pw in zip(hands, pis):
                     images += tuple(hand[i] for i in pw)
-                    neg ^= word_parity(pinv, [degrees[v] for v in hand], chi)
+                    neg ^= word_parity(pw, [degrees[v] for v in hand], chi)
                 got[images, neg] += 1
         if got != expected:
             return False
@@ -408,7 +411,8 @@ def inversion_parity_check(
         return w[i - 1]
 
     s = sigma
-    inv = inverted_pairs(s.images)  # the (s(i), s(j)) with i < j, s(i) > s(j)
+    # the (s(i), s(j)) with i < j and s(i) > s(j)
+    inv = [(a, b) for a, b in itertools.combinations(s.images, 2) if a > b]
     first = sum(W(a) * V(b) + V(a) * W(b) for a, b in inv)
     for i in range(1, n + 1):
         for j in range(1, i):

@@ -164,9 +164,9 @@ def symbrace_axiom_sides(
         if n + sizes[-1] > f.arity or any(s > g.arity for s, g in zip(sizes, gs)):
             continue
         cuts = list(itertools.accumulate((0,) + sizes))
-        for idx, inv in unshuffle_words(sizes):
+        for idx in unshuffle_words(sizes):
             # eps of the unshuffle, then each g_i crossing earlier blocks
-            neg = word_parity(inv, bx, False)
+            neg = word_parity(idx, bx, False)
             prefix, outer_args = 0, []
             for b, lo, hi in zip(range(n), cuts, cuts[1:]):
                 outer_args.append(dealt[b, idx[lo:hi]])

@@ -2,8 +2,9 @@
 validation loop of the MultiMap constructor, point-by-point reference
 evaluators built on the tensor-block oracle _tensor_core, among them a
 second bracket_sum, wrong brace, unshuffle-bracket and riffle signs, the
-adjacent-swap walk through S_n and the orbit writer built on it, and the
-environment and runner of a CLI subprocess."""
+sign of a word summed over its inverted pairs, the adjacent-swap walk
+through S_n and the orbit writer built on it, and the environment and
+runner of a CLI subprocess."""
 
 import os
 import subprocess
@@ -273,6 +274,20 @@ def eta_without_parity_crossing(items, parities, n, chi):
             else:
                 zprefix += parities[i]
         yield (-sign if crossing & 1 else sign), tuple(items[i] for i in seq)
+
+
+def inverted_pairs(word: Sequence[int]) -> list:
+    """The pairs (a, b) of letters of word with a before b and a > b: the
+    pairs of objects the word puts out of order."""
+    return [(a, b) for i, a in enumerate(word) for b in word[i + 1 :] if a > b]
+
+
+def pair_word_parity(word: Sequence[int], parities: Sequence[int], chi: bool) -> int:
+    """The oracle of graded.word_parity: eps adds |x_a||x_b| per inverted
+    pair (a, b) of the word, and chi adds 1 more per pair."""
+    pairs = inverted_pairs(word)
+    crossings = sum(parities[a] & parities[b] for a, b in pairs)
+    return (crossings + len(pairs) if chi else crossings) & 1
 
 
 def adjacent_swap_order(n: int) -> list:

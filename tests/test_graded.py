@@ -25,7 +25,7 @@ from bracekit.graded import (
 )
 from bracekit.multimap import GradedSpace, MultiMap
 from bracekit.symbrace import symmetrize_brace
-from helpers import adjacent_swap_order
+from helpers import adjacent_swap_order, inverted_pairs, pair_word_parity
 
 
 def eps_oracle(perm, degrees):
@@ -392,29 +392,63 @@ class TestSignedWords:
     def test_unshuffle_words_match_the_public_enumerator(self):
         assert len(self.BLOCK_TUPLES) == 225
         for blocks in self.BLOCK_TUPLES:
-            terms = list(unshuffle_words(blocks))
-            words = [w for w, _ in terms]
+            words = list(unshuffle_words(blocks))
             public = [tuple(v - 1 for v in u.images) for u in enumerate_unshuffles(blocks)]
             assert words == public == unshuffle_oracle(blocks), blocks
-            for w, pairs in terms:
-                assert pairs == [
-                    (w[i], w[j])
-                    for i in range(len(w))
-                    for j in range(i + 1, len(w))
-                    if w[i] > w[j]
-                ]
 
     def test_word_parity_matches_the_sign_oracles(self):
         for n in range(6):
-            words = [w for w, _ in unshuffle_words((1,) * n)]
+            words = list(unshuffle_words((1,) * n))
             assert words == list(itertools.permutations(range(n)))
-            for w, pairs in unshuffle_words((1,) * n):
+            for w in words:
                 perm = Permutation(v + 1 for v in w)
                 for parities in itertools.product((0, 1), repeat=n):
                     eps = eps_oracle(perm, parities)
-                    assert (-1) ** word_parity(pairs, parities, False) == eps
+                    assert (-1) ** word_parity(w, parities, False) == eps
                     chi = sgn_oracle(perm) * eps
-                    assert (-1) ** word_parity(pairs, parities, True) == chi
+                    assert (-1) ** word_parity(w, parities, True) == chi
+
+    def test_inverted_pairs_oracle(self):
+        assert inverted_pairs((2, 0, 1, 0)) == [(2, 0), (2, 1), (2, 0), (1, 0)]
+        assert inverted_pairs((0, 0, 1)) == []
+        assert pair_word_parity((2, 0, 1, 0), (1, 1, 1), True) == 0
+        assert pair_word_parity((2, 0, 1, 0), (1, 0, 1), False) == 0
+        assert pair_word_parity((1, 0), (1, 1), False) == 1
+
+    @staticmethod
+    def assert_matches_the_pair_oracle(words, patterns):
+        for parities in patterns:
+            for chi in (False, True):
+                for w in words:
+                    got = word_parity(w, parities, chi)
+                    assert got == pair_word_parity(w, parities, chi), (w, parities, chi)
+
+    # parity patterns of the permutations of 6 and 7 letters
+    FIXED_PARITIES = [(0,) * 7, (1,) * 7, (1, 0) * 3 + (1,), (0, 0, 1, 1, 1, 0, 1)]
+
+    def test_word_parity_matches_the_pair_oracle_on_every_permutation(self):
+        for k in range(8):
+            patterns = (
+                itertools.product((0, 1), repeat=k)
+                if k <= 5
+                else [p[:k] for p in self.FIXED_PARITIES]
+            )
+            words = list(itertools.permutations(range(k)))
+            self.assert_matches_the_pair_oracle(words, patterns)
+
+    def test_word_parity_matches_the_pair_oracle_on_repeated_letters(self):
+        words = [w for n in range(7) for w in itertools.product(range(4), repeat=n)]
+        assert len(words) == 5461
+        patterns = itertools.product((0, 1), repeat=4)
+        self.assert_matches_the_pair_oracle(words, patterns)
+
+    def test_word_parity_reads_only_the_low_bit_of_degrees(self):
+        # _sign passes degrees and interleave_block_permutation block sizes;
+        # the oracle's parities[a] & parities[b] has the low bits' product
+        raw = (-3, -2, -1, 0, 2, 3, 4, 7)
+        for k in range(5):
+            words = list(itertools.permutations(range(k)))
+            self.assert_matches_the_pair_oracle(words, itertools.product(raw, repeat=k))
 
     def test_fuzzing_builds_no_permutation(self, monkeypatch):
         # Permutation is the public and CLI type only: the map checks sign

@@ -14,8 +14,9 @@ belongs in the tests.
 Only graded and the API edge use Permutations, only brace.bracket_sum
 accumulates the sums of the identity sides and homotopy relations, only
 brace._sum_braces builds a table in brace, only brace._signature refuses a
-bracket's shape, only checks._outcome makes a CheckOutcome, and both
-antisymmetric kernels fold their rows through multimap.fold_onto_sorted.
+bracket's shape, only checks._outcome makes a CheckOutcome, both
+antisymmetric kernels fold their rows through multimap.fold_onto_sorted,
+and no module lists inverted pairs for graded.word_parity to sign.
 """
 
 import ast
@@ -317,3 +318,31 @@ def test_finds_a_shape_error():
 
 def test_only_signature_refuses_a_bracket_shape():
     assert _makers(MODULES, raises_shape_error) == {"brace._signature"}
+
+
+def inverted_pairs_uses(tree: ast.AST) -> set:
+    """The lines that define, import or read a name inverted_pairs: a def,
+    an import alias, a bare name or an attribute."""
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if "inverted_pairs" in (getattr(node, a, None) for a in ("name", "id", "attr"))
+    }
+
+
+def test_finds_an_inverted_pairs_use():
+    tree = ast.parse(
+        "from .graded import inverted_pairs as pairs\n"
+        "def inverted_pairs(w): return []\n"
+        "x = graded.inverted_pairs((1, 0))\n"
+        "y = word_parity((1, 0), (1, 1), True)\n"
+    )
+    assert inverted_pairs_uses(tree) == {1, 2, 3}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_signs_read_words_not_inverted_pairs(path):
+    """graded.word_parity reads each word itself; the pair list is the
+    tests' oracle (helpers.inverted_pairs) only."""
+    lines = inverted_pairs_uses(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name} uses inverted_pairs on lines {sorted(lines)}"
