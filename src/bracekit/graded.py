@@ -5,10 +5,8 @@ objects ``x_{w[0]}, ..., x_{w[n-1]}`` in a row.  unshuffle_words is the one
 enumerator (S_n is the unshuffles of n singleton blocks: permutation_words)
 and word_parity the one sign, read off the word: eps is (-1)^{|x||y|} for
 each pair x, y the word puts out of order, chi = sgn * eps, and only degree
-parities enter.  The one sign table is multimap.orbit_words' of its e even
-letters' e! orders: word_parity on each order would cost 3-4 times as much.
-staged_rearrangements, shared by Lemmas 4.1 (chi) and 5.1 (eps), is the one
-place the riffle sign is computed.
+parities enter.  staged_rearrangements, shared by Lemmas 4.1 (chi) and
+5.1 (eps), is the one place the riffle sign is computed.
 
 At the API edge, a Permutation is a word in one-line notation with 1-based
 values: ``s`` sends position ``i`` to the value ``s(i)``, and applying ``s``

@@ -20,7 +20,7 @@ entry table, validated once, as a MultiMap.  A chi-antisymmetric table is
 fixed by its rows on sorted words: fold_onto_sorted sums the rows of
 antisymmetrize and of symbrace_eval onto them, and expand_orbits writes
 each nonzero one once to each distinct rearrangement of its word, which
-orbit_words lists with its chi sign.
+orbit_words deals by graded.unshuffle_words and signs by word_parity.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ResourceLimitError
-from .graded import ENUMERATION_CAP, staged_rearrangements, word_parity
+from .graded import ENUMERATION_CAP, staged_rearrangements, unshuffle_words, word_parity
 
 Scalar = int | Fraction
 
@@ -431,10 +430,9 @@ def orbit_words(word: tuple, parities) -> tuple:
     are arranged unsigned: the single ones in every order, then each
     repeated one's copies dealt to every choice of slots among them.  An
     even and an odd letter are out of order when one has crossed the other,
-    so chi is the sign of the evens' order (lexicographic permutations, a
-    first letter of rank r putting r letters out of order) times -1 per
-    unit their slots' sum moves from word's.  Each even arrangement joins
-    each odd one and is dealt to every choice of slots.
+    so chi is word_parity of the evens' order times -1 per unit their
+    slots' sum moves from word's.  Each order of the evens joins each odd
+    arrangement and is dealt to every choice of slots.
 
     >>> orbit_words((0, 0, 1), (1, 0))
     ([(1, 0, 0), (0, 0, 1)], [(0, 1, 0)])
@@ -449,40 +447,29 @@ def orbit_words(word: tuple, parities) -> tuple:
     evens = tuple(x for x in word if not parities[x])
     if not evens:
         return odds, []
-    signs = b"\0"  # of the evens' permutations, as bytes of parities
-    for m in range(2, len(evens) + 1):
-        signs = (signs + signs.translate(_FLIP)) * (m // 2) + signs * (m & 1)
-    perms = list(itertools.permutations(evens))
-    flipped = signs.translate(_FLIP)
-    plus, minus = (list(itertools.compress(perms, s)) for s in (flipped, signs))
-    if not runs:
-        return plus, minus
-    joined = [
-        list(itertools.starmap(add, itertools.product(ws, odds))) for ws in (plus, minus)
-    ]
     base = sum(p for p, x in enumerate(word) if not parities[x]) & 1
+    signed: tuple = [], []  # by chi sign, before the evens are dealt
+    for order in itertools.permutations(evens):
+        signed[word_parity(order, parities, True) ^ base].extend(map(order.__add__, odds))
     out: tuple = [], []
     for get, parity in _placements(len(word), len(evens)):
-        out[parity ^ base].extend(map(get, joined[0]))
-        out[parity ^ base ^ 1].extend(map(get, joined[1]))
+        out[parity].extend(map(get, signed[0]))
+        out[parity ^ 1].extend(map(get, signed[1]))
     return out
-
-
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 @functools.cache
 def _placements(total: int, width: int) -> tuple:
-    """(get, parity) for each choice of `width` of `total` slots: get puts
-    the first `width` letters of a word on the chosen slots and the rest on
-    the others, each in order; parity is that of the slots' sum.  Up to
-    the arity cap 8, the cache holds 511 getters in all."""
+    """(get, parity) for each unshuffle word u of blocks (width, total -
+    width): get puts the first `width` letters of a word on the slots
+    u[:width] and the rest on the others, each in order (it reads u's
+    inverse); parity is that of the slots' sum.  Up to the arity cap 8,
+    the cache holds 511 getters in all."""
     out = []
-    for slots in itertools.combinations(range(total), width):
-        front, back = iter(range(width)), iter(range(width, total))
-        order = [next(front) if p in slots else next(back) for p in range(total)]
+    for u in unshuffle_words((width, total - width)):
+        order = sorted(range(total), key=u.__getitem__)
         # itemgetter of one index returns the letter, not a word
-        out.append((itemgetter(*order) if total > 1 else tuple, sum(slots) & 1))
+        out.append((itemgetter(*order) if total > 1 else tuple, sum(u[:width]) & 1))
     return tuple(out)
 
 
@@ -527,9 +514,10 @@ def fold_onto_sorted(terms: Iterable[tuple], blocks: Sequence[int], parities) ->
 
 
 def _stabilizer(word: tuple, parities) -> int:
-    """m! per letter of word repeated m times, 0 if an even letter repeats."""
-    counts = Counter(word).items()
-    return math.prod(math.factorial(m) if parities[x] else m == 1 for x, m in counts)
+    """m! per run of m copies of a letter in a nondecreasing word, 0 if an
+    even letter repeats."""
+    runs = ((x, len(list(run))) for x, run in itertools.groupby(word))
+    return math.prod(math.factorial(m) if parities[x] else m == 1 for x, m in runs)
 
 
 def antisymmetrize(f: MultiMap) -> MultiMap:

@@ -12,8 +12,8 @@ Two brackets satisfy the symmetric-brace axiom here:
 
     Its output is antisymmetric: multimap.fold_onto_sorted sums it on
     sorted words from one evaluation of f per choice of the g_i's sorted
-    rows and a sorted tail of f's keys that reaches a key of f, and
-    expand_orbits fills the orbits.
+    rows and a sorted tail of f's keys that reaches a key of f and repeats
+    no even letter, and expand_orbits fills the orbits.
 
   * symmetrize_brace (defined in brace, re-exported here): the eps-signed
     sum of plain braces f{g_sigma} over all orderings of the inserted maps,
@@ -72,8 +72,8 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
     antisymmetric, and so is the output.  A nonzero term deals each g_i a
     rearrangement of one of its sorted rows and f a rearrangement of a
     sorted tail of its keys, so f is evaluated once per such choice where
-    some key of f on the tail takes an output of each chosen row, and
-    fold_onto_sorted weighs each by the unshuffles dealing it.
+    some key of f on the tail takes an output of each chosen row and no
+    even letter repeats; fold_onto_sorted weighs each by its unshuffles.
     """
     gs = tuple(gs)
     n, N = len(gs), f.arity
@@ -122,7 +122,10 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
                 args += values
                 neg += q & prefix
                 prefix ^= d & 1
-            yield word, neg, f(args).coeffs
+            # a word repeating an even letter folds to zero: f is not called
+            evens = [x for x in word if not par[x]]
+            if len(set(evens)) == len(evens):
+                yield word, neg, f(args).coeffs
 
     par = space.parities
     reps = fold_onto_sorted(terms(), arities + (N - n,), par)

@@ -3,12 +3,15 @@ validation loop of the MultiMap constructor, point-by-point reference
 evaluators built on the tensor-block oracle _tensor_core, among them a
 second bracket_sum, wrong brace, unshuffle-bracket and riffle signs, the
 sign of a word summed over its inverted pairs, the adjacent-swap walk
-through S_n and the orbit writer built on it, and the environment and
-runner of a CLI subprocess."""
+through S_n and the orbit writer built on it, the orbit stabilizer
+counted letter by letter, and the environment and runner of a CLI
+subprocess."""
 
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -331,6 +334,13 @@ def walk_expand_orbits(reps, arity, parities):
             flip ^= not parities[a] & parities[b]
             table[tuple(word)] = rows[flip]
     return table
+
+
+def counter_stabilizer(word, parities):
+    """The oracle of multimap._stabilizer, for a word in any order: m! per
+    letter of word repeated m times, 0 if an even letter repeats."""
+    counts = Counter(word).items()
+    return math.prod(math.factorial(m) if parities[x] else m == 1 for x, m in counts)
 
 
 def pointwise_antisymmetrize(f):

@@ -16,7 +16,9 @@ accumulates the sums of the identity sides and homotopy relations, only
 brace._sum_braces builds a table in brace, only brace._signature refuses a
 bracket's shape, only checks._outcome makes a CheckOutcome, both
 antisymmetric kernels fold their rows through multimap.fold_onto_sorted,
-and no module lists inverted pairs for graded.word_parity to sign.
+no module lists inverted pairs for graded.word_parity to sign, and no
+module keeps a sign table of bytes: multimap.orbit_words signs its orbits
+with word_parity too.
 """
 
 import ast
@@ -346,3 +348,27 @@ def test_signs_read_words_not_inverted_pairs(path):
     tests' oracle (helpers.inverted_pairs) only."""
     lines = inverted_pairs_uses(ast.parse(path.read_text(encoding="utf-8")))
     assert not lines, f"{path.name} uses inverted_pairs on lines {sorted(lines)}"
+
+
+# str and bytes methods that build or apply a translation table
+TABLE_CALLS = {"maketrans", "translate"}
+
+
+def test_finds_a_byte_table_call():
+    tree = ast.parse(
+        "FLIP = bytes.maketrans(b'\\0\\1', b'\\1\\0')\n"
+        "signs = b'\\0'.translate(FLIP)\n"
+    )
+    assert called_names(tree) & TABLE_CALLS == TABLE_CALLS
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_sign_table_of_bytes(path):
+    """No module keeps signs as bytes flipped through a translation table:
+    orbit_words signs each order of its even letters with word_parity."""
+    calls = called_names(ast.parse(path.read_text(encoding="utf-8"))) & TABLE_CALLS
+    assert not calls, f"{path.name} calls {sorted(calls)}"
+
+
+def test_orbit_words_signs_with_word_parity():
+    assert "word_parity" in called_names(_function("multimap", "orbit_words"))

@@ -3,7 +3,8 @@
 brace_eval sums partial compositions of tables (multimap.compose_into);
 antisymmetrize folds f's entries onto sorted words, and symbrace_eval folds
 there one evaluation of f per choice of the inserted maps' sorted rows and
-a sorted tail of f's keys that reaches a key of f, both through
+a sorted tail of f's keys that reaches a key of f and repeats no even
+letter, both through
 multimap.fold_onto_sorted, and both write each distinct rearrangement of a
 nonzero sorted word once through multimap.expand_orbits.  All three
 are compared, with exact equality of arity, degree and every
@@ -25,7 +26,7 @@ from bracekit.brace import brace_eval
 from bracekit.checks import fuzz_outcomes
 from bracekit.errors import ResourceLimitError
 from bracekit.fuzz import FuzzCaps, SplitMix64, random_map
-from bracekit.graded import enumerate_unshuffles, insertion_patterns
+from bracekit.graded import enumerate_unshuffles, insertion_patterns, word_parity
 from bracekit.multimap import (
     GradedSpace,
     MultiMap,
@@ -37,6 +38,7 @@ from bracekit.multimap import (
 from bracekit.symbrace import symbrace_eval
 from helpers import (
     _tensor_core,
+    counter_stabilizer,
     pointwise_antisymmetrize,
     pointwise_brace,
     pointwise_compose,
@@ -404,27 +406,37 @@ def _symbrace_choices(f, gs):
     """symbrace_eval's exact work model, in product order: each choice of
     one sorted row of each g_i and one sorted tail of f's entries, split
     into those where some key of f is the tail after a head taking an
-    output of each chosen row, on which f is evaluated, and the others,
-    which are skipped."""
+    output of each chosen row and the dealt word repeats no even letter,
+    on which f is evaluated; the unreachable others; and the reachable ones
+    whose dealt word repeats an even letter.  The last two are skipped."""
     n = len(gs)
+    par = f.space.parities
     rows = [[key for key in g.entries if list(key) == sorted(key)] for g in gs]
     tails = sorted({tuple(sorted(key[n:])) for key in f.entries})
-    kept, skipped = [], []
+    kept, unreachable, even_repeat = [], [], []
     for choice in itertools.product(*rows, tails):
         outputs = [g.entries[block] for g, block in zip(gs, choice)]
         live = any(
             key[n:] == choice[-1] and all(j in out for j, out in zip(key, outputs))
             for key in f.entries
         )
-        (kept if live else skipped).append(choice)
-    return kept, skipped
+        evens = [x for x in sum(choice, ()) if not par[x]]
+        if not live:
+            unreachable.append(choice)
+        elif len(set(evens)) < len(evens):
+            even_repeat.append(choice)
+        else:
+            kept.append(choice)
+    return kept, unreachable, even_repeat
 
 
 def test_symbrace_eval_evaluates_f_once_per_choice_of_sorted_rows(monkeypatch):
     """f is evaluated exactly once per choice of sorted g rows and sorted
-    tail whose rows reach a key of f on the tail, in product order, on the
-    rows' values and the tail's basis vectors; every skipped choice is
-    zero."""
+    tail whose rows reach a key of f on the tail and whose dealt word
+    repeats no even letter, in product order, on the rows' values and the
+    tail's basis vectors; every unreachable choice is zero, and every
+    reachable one left out repeats an even letter, so its unshuffles
+    cancel in pairs."""
     calls = []
     call = MultiMap.__call__
 
@@ -433,11 +445,11 @@ def test_symbrace_eval_evaluates_f_once_per_choice_of_sorted_rows(monkeypatch):
         return call(self, args)
 
     monkeypatch.setattr(MultiMap, "__call__", record)
-    skipped_total = 0
+    skipped_total = even_repeat_total = 0
     for case, f, gs in _symbrace_instances():
         calls.clear()
         symbrace_eval(f, gs)
-        kept, skipped = _symbrace_choices(f, gs)
+        kept, skipped, even_repeat = _symbrace_choices(f, gs)
         space = f.space
         want = [
             [g.value(block) for g, block in zip(gs, choice)]
@@ -449,10 +461,18 @@ def test_symbrace_eval_evaluates_f_once_per_choice_of_sorted_rows(monkeypatch):
         for choice in skipped:
             args = [space.basis_vector(i) for i in sum(choice, ())]
             assert _tensor_core(f, gs, slots, args).is_zero(), (case, choice)
+        evens = {x for x in range(space.dim) if not space.parities[x]}
+        for choice in even_repeat:
+            word = tuple(sorted(sum(choice, ())))
+            assert _repeats(word, evens), (case, choice)
+            # the fold would weigh it 0
+            assert counter_stabilizer(word, space.parities) == 0, (case, choice)
         skipped_total += len(skipped)
-    # 832 of the 1,574 choices over the instances are skipped, where a
-    # filter on the output degree alone skips 624
-    assert skipped_total >= 800
+        even_repeat_total += len(even_repeat)
+    # 832 of the 1,574 choices over the instances are unreachable, where a
+    # filter on the output degree alone skips 624, and 221 of the other 742
+    # repeat an even letter
+    assert skipped_total >= 800 and even_repeat_total >= 200
 
 
 def test_symbrace_eval_skips_every_word_of_an_unreachable_degree(monkeypatch):
@@ -585,6 +605,50 @@ def test_expand_orbits_matches_the_walk_oracle():
                 got = expand_orbits(reps, parities)
                 assert got == walk_expand_orbits(reps, arity, parities)
     assert words == 1847
+
+
+def test_word_parity_signs_every_orbit_word():
+    """orbit_words splits the distinct rearrangements of each sorted word of
+    ORBIT_SHAPES by word_parity under chi: 0 on plus, 1 on minus."""
+    words = 0
+    for letters, arities in ORBIT_SHAPES:
+        for parities in itertools.product((0, 1), repeat=letters):
+            for arity in arities:
+                for word in _sorted_words(letters, arity, parities):
+                    plus, minus = multimap.orbit_words(word, parities)
+                    assert {word_parity(w, parities, True) for w in plus} == {0}, word
+                    assert {word_parity(w, parities, True) for w in minus} <= {1}, word
+                    listed = plus + minus
+                    assert len(listed) == len(set(listed)) == _orbit_size(word), word
+                    assert set(listed) == set(itertools.permutations(word)), word
+                    words += 1
+    assert words == 1847
+
+
+def test_stabilizer_matches_the_counter_oracle():
+    """_stabilizer reads the runs of a nondecreasing word: every such word
+    of up to 6 letters over 4, under every parity pattern."""
+    for parities in itertools.product((0, 1), repeat=4):
+        for k in range(7):
+            for word in itertools.combinations_with_replacement(range(4), k):
+                want = counter_stabilizer(word, parities)
+                assert multimap._stabilizer(word, parities) == want, (word, parities)
+
+
+def test_placements_match_the_combinations_oracle():
+    """Each choice of `width` of `total` slots, in combinations order, puts
+    a word's first `width` letters there and the rest elsewhere, in order,
+    with the parity of the slots' sum."""
+    for total in range(9):
+        letters = tuple("abcdefgh"[:total])
+        for width in range(total + 1):
+            want = []
+            for slots in itertools.combinations(range(total), width):
+                front, back = iter(letters[:width]), iter(letters[width:])
+                placed = [next(front) if p in slots else next(back) for p in range(total)]
+                want.append((tuple(placed), sum(slots) & 1))
+            got = multimap._placements(total, width)
+            assert [(get(letters), parity) for get, parity in got] == want, (total, width)
 
 
 def test_expand_orbits_lists_each_rearrangement_once(monkeypatch):
