@@ -5,7 +5,8 @@ A check is a :class:`Check` of four callables:
 * ``gen(rng, caps)`` draws a random instance within the caps,
 * ``from_cli(workspace, namespace)`` builds an instance from CLI flags,
 * ``run(instance)`` executes the verification and returns an outcome,
-* ``add_cli_args(parser)`` declares the check's flags.
+* ``add_cli_args(parser)`` declares every flag the check reads; a map or
+  family check's first flag is ``--workspace``.
 
 No check writes these by hand.  Each declares its input roles and one
 verifier, and one builder per kind of input derives from them the flags,
@@ -122,7 +123,6 @@ class Check:
     run: Callable
     add_cli_args: Callable
     from_cli: Callable
-    needs_workspace: bool
 
 
 def outcome_line(
@@ -324,6 +324,7 @@ def _map_check(name, roles, sample, verify, make=None, fixed=None):
         return _map_instance(roles, maps, names, fixed)
 
     def add_cli_args(parser) -> None:
+        parser.add_argument("--workspace", required=True, help="workspace JSON file")
         parser.add_argument(f"--{head}", required=True, help=roles[0][2])
         for key, _, text in roles[1:]:
             parser.add_argument(f"--{key}", default="", help=text)
@@ -335,7 +336,7 @@ def _map_check(name, roles, sample, verify, make=None, fixed=None):
         maps.update((key, [ws.get_map(nm) for nm in names[key]]) for key in lists)
         return _map_instance(roles, maps, names, fixed)
 
-    return Check(name, gen, _runner(name, verify), add_cli_args, from_cli, True)
+    return Check(name, gen, _runner(name, verify), add_cli_args, from_cli)
 
 
 # --------------------------------------------------------- integer checks
@@ -368,7 +369,6 @@ def _int_check(name, roles, draw, verify, order=None):
         _runner(name, verify),
         add_cli_args,
         from_cli,
-        False,
     )
 
 
@@ -445,6 +445,7 @@ def _family_check(name, flavor, draw, verify):
         return _family_instance(family, _DEFAULT_MAX_ARITY, tag=tag)
 
     def add_cli_args(parser) -> None:
+        parser.add_argument("--workspace", required=True, help="workspace JSON file")
         parser.add_argument(
             "--maps", required=True, help="component map names, comma-separated"
         )
@@ -465,7 +466,7 @@ def _family_check(name, flavor, draw, verify):
         family = StructureFamily(ws.space, maps, flavor)
         return _family_instance(family, ns.max_arity, names=names)
 
-    return Check(name, gen, _runner(name, verify), add_cli_args, from_cli, True)
+    return Check(name, gen, _runner(name, verify), add_cli_args, from_cli)
 
 
 # ---------------------------------------------------------------- registry

@@ -35,13 +35,6 @@ EXIT_INPUT = 2
 EXIT_CLOSED_PIPE = 141
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be nonnegative")
-    return value
-
-
 def _nonnegative(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -74,16 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="run one named verification", description="Run one check."
     )
     by_name = check.add_subparsers(dest="check_name", required=True, metavar="<name>")
-    for name in CHECK_NAMES:
-        spec = CHECKS[name]
-        p = by_name.add_parser(name, help=f"run the {name} check")
-        p.add_argument(
-            "--workspace",
-            required=spec.needs_workspace,
-            help="workspace JSON file"
-            + ("" if spec.needs_workspace else " (unused by this check)"),
-        )
-        spec.add_cli_args(p)
+    for name, spec in CHECKS.items():
+        spec.add_cli_args(by_name.add_parser(name, help=f"run the {name} check"))
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -91,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic fuzzing: a seed fixes every instance and byte "
         "of the report.",
     )
-    fuzz.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
+    fuzz.add_argument("--seed", type=_nonnegative, default=0, help="master seed (default 0)")
     fuzz.add_argument(
         "--cases", type=_nonnegative, default=100, help="cases per check (default 100)"
     )
@@ -151,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_check(ns, out) -> int:
     spec = CHECKS[ns.check_name]
-    ws = Workspace.load(ns.workspace) if spec.needs_workspace else None
+    ws = Workspace.load(ns.workspace) if "workspace" in vars(ns) else None
     instance = spec.from_cli(ws, ns)
     outcome = spec.run(instance)
     print(outcome_line(outcome), file=out)

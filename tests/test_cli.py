@@ -101,6 +101,23 @@ class TestCheckVerb:
         )
         assert result.returncode == 0
 
+    def test_combinatorial_checks_refuse_a_workspace(self, tmp_path):
+        result = run_cli(
+            "check", "lemma44", "--workspace", "missing.json", "--sigma=2,1",
+            "--v=1,0", "--w=0,1", cwd=tmp_path,
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments: --workspace missing.json" in result.stderr
+        assert result.stdout == ""
+
+    def test_map_checks_require_a_workspace(self, tmp_path):
+        result = run_cli(
+            "check", "brace-axiom", "--x", "mu", "--xs", "mu", cwd=tmp_path
+        )
+        assert result.returncode == 2
+        assert "the following arguments are required: --workspace" in result.stderr
+        assert result.stdout == ""
+
     def test_negative_block_size_is_refused_before_enumerating(self, tmp_path):
         # the blocks' sum matches the one degree, so only the -1 is wrong;
         # enumerating hands first would blame a permutation size instead
@@ -242,6 +259,12 @@ class TestFuzzVerb:
         result = run_cli("fuzz", "--checks", "mystery", cwd=tmp_path)
         assert result.returncode == 2
         assert "unknown check" in result.stderr
+
+    def test_negative_seed_is_refused(self, tmp_path):
+        result = run_cli("fuzz", "--seed", "-1", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "argument --seed: expected a nonnegative integer" in result.stderr
+        assert result.stdout == ""
 
     def test_bad_degree_range_is_input_error(self, tmp_path):
         result = run_cli("fuzz", "--degree-range", "2", cwd=tmp_path)

@@ -1,7 +1,7 @@
 """Golden CLI transcripts: output that must stay byte-identical.
 
 The files under tests/golden/ pin four transcripts of in-process
-``bracekit`` runs:
+``bracekit`` runs and one table of fuzz verdicts:
 
 * ``fuzz.txt``: the report of ``fuzz --seed 7 --cases 10``;
 * ``help.txt``: ``--help``, ``check --help`` and every ``check <name> --help``
@@ -14,7 +14,10 @@ The files under tests/golden/ pin four transcripts of in-process
   ``brace.beta_parity``, and ainfty and thm2 on a non-associative product;
 * ``fail_reports.txt``: the FAIL report and its ``check`` replay of every
   check the wrong brace signs never fail (lemma41, lemmas 4.2-4.4, linfty
-  and corollary), each under a mutation of its own (``MUTANT_RUNS``).
+  and corollary), each under a mutation of its own (``MUTANT_RUNS``);
+* ``mutants.txt``: the kill matrix of the sign mutants of
+  ``tests/mutants.py``, FAIL cases per (mutant, check) over a seed-7,
+  100-case fuzz session.
 
 ``FUZZ_100_MD5`` below pins the md5 of the report of
 ``fuzz --seed 7 --cases 100``, as ``| md5sum`` prints it.
@@ -50,8 +53,10 @@ from helpers import (
     delta_without_degree_shift_term,
     eta_without_parity_crossing,
 )
+from mutants import matrix_text, parse_matrix, patched, weak_mutants
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 FUZZ_100_MD5 = "b903f17b777743992b547cbdda739197"
 
 
@@ -256,14 +261,6 @@ MUTANT_RUNS = {
 }
 
 
-@contextlib.contextmanager
-def _mutated(patches):
-    with contextlib.ExitStack() as stack:
-        for module, name, replacement in patches:
-            stack.enter_context(mock.patch.object(module, name, replacement))
-        yield
-
-
 def _first_failure(transcript: str):
     """The first FAIL line of a transcript and the record printed after it."""
     _, _, rest = transcript.partition("\nFAIL ")
@@ -294,7 +291,7 @@ def fail_report_transcript() -> str:
     Path("dg.json").write_text(json.dumps(_dg_matrices()), encoding="utf-8")
     parts = []
     for name, (patches, argv, _) in MUTANT_RUNS.items():
-        with _mutated(patches):
+        with patched(patches):
             parts.append(_run(argv))
             _, record = _first_failure(parts[-1])
             parts.append(_run(_replay_record_argv(name, record)))
@@ -306,6 +303,7 @@ TRANSCRIPTS = {
     "help.txt": help_transcript,
     "counterexamples.txt": counterexample_transcript,
     "fail_reports.txt": fail_report_transcript,
+    "mutants.txt": matrix_text,
 }
 
 
@@ -339,12 +337,24 @@ def test_mutant_fail_record_keys_and_replay(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("dg.json").write_text(json.dumps(_dg_matrices()), encoding="utf-8")
     patches, argv, keys = MUTANT_RUNS[name]
-    with _mutated(patches):
+    with patched(patches):
         line, record = _first_failure(_run(argv))
         replay_line, _ = _first_failure(_run(_replay_record_argv(name, record)))
     assert line.split()[:2] == ["FAIL", name]
     assert list(record) == keys
     assert replay_line == _without_seed_and_case(line)
+
+
+def test_mutant_kill_matrix_is_unchanged(tmp_path, monkeypatch):
+    _check("mutants.txt", tmp_path, monkeypatch)
+
+
+def test_readme_lists_exactly_the_weak_mutants():
+    _, _, section = README.read_text(encoding="utf-8").partition("### Sign mutants\n")
+    section = section.split("\n#", 1)[0]
+    listed = set(re.findall(r"^- `(\w+)`", section, flags=re.M))
+    matrix = parse_matrix((GOLDEN / "mutants.txt").read_text(encoding="utf-8"))
+    assert listed == weak_mutants(matrix)
 
 
 def test_fuzz_100_case_report_is_unchanged():
