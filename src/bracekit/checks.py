@@ -19,7 +19,7 @@ the instance read from a workspace or drawn at random, the report
   keyword, the ``--x``/``--xs`` flag, the key in ``args``, and the
   parameter reporting the outer arity or the list's length;
 * integer-list checks (``_int_check``, lemmas 4.2-4.4) take one list of
-  integers per role;
+  integers per role, declared in report order;
 * family checks (``_family_check``) take the components of a homotopy
   structure family.
 
@@ -28,9 +28,9 @@ pass, or else the keys its counterexample adds: ``lhs`` and ``rhs`` for an
 identity, ``defect_arity`` and ``defect`` for a family (and
 ``antisymmetrized`` for corollary), ``split`` and ``inputs`` for lemma41,
 none for lemmas 4.2-4.4.  ``_outcome`` turns that into the outcome.  A
-failure report starts with the instance context (the workspace and args,
-or the integer lists), which an instance builds only when the case fails,
-so a passing case serializes nothing.
+failure report starts with the instance context, which holds exactly the
+flags that replay the case (the workspace and args, or the integer lists)
+and is built only when the case fails: a passing case serializes nothing.
 
 Random map shapes come from a staged sampler: after an outer arity, stage
 s inserts at most ``max_n + s`` maps into the previous result, so a second
@@ -229,9 +229,9 @@ def _shadow_defect(family, max_arity) -> dict | None:
 # first role and x1, x2, ... for a list role "xs".
 
 
-def _map_instance(roles, maps: dict, names: dict, fixed: dict) -> CheckInstance:
+def _map_instance(roles, maps: dict, names: dict) -> CheckInstance:
     """``maps`` and ``names`` hold a map and its name for the first role and
-    lists for the others; ``fixed`` verifier keywords are reported too."""
+    lists for the others: the verifier's keywords and the ``args``."""
     head = roles[0][0]
     space = maps[head].space
     params = [("dim", space.dim), (roles[0][1], maps[head].arity)]
@@ -239,10 +239,7 @@ def _map_instance(roles, maps: dict, names: dict, fixed: dict) -> CheckInstance:
     for key, size, _ in roles[1:]:
         params.append((size, len(maps[key])))
         pairs.extend(zip(names[key], maps[key]))
-    args = {**names, **fixed}
-    return CheckInstance(
-        tuple(params), {**maps, **fixed}, lambda: _maps_context(space, pairs, args)
-    )
+    return CheckInstance(tuple(params), maps, lambda: _maps_context(space, pairs, names))
 
 
 def _staged(stages: int, fits):
@@ -306,10 +303,9 @@ def _sample_lemma41(rng, caps, dim):
     return 1, []
 
 
-def _map_check(name, roles, sample, verify, make=None, fixed=None):
-    """A check on workspace maps.  ``make(rng, space, arity)`` draws one map
-    (random_map by default)."""
-    fixed = fixed or {}
+def _map_check(name, roles, sample, verify, make=None):
+    """A check on workspace maps, whose ``args`` name them, one entry per
+    flag; ``make(rng, space, arity)`` draws one map (random_map by default)."""
     head = roles[0][0]
     lists = [key for key, _, _ in roles[1:]]
 
@@ -321,7 +317,7 @@ def _map_check(name, roles, sample, verify, make=None, fixed=None):
         for key, arities in zip(lists, shape):
             maps[key] = [draw(rng, space, a) for a in arities]
             names[key] = [f"{key[:-1]}{i + 1}" for i in range(len(arities))]
-        return _map_instance(roles, maps, names, fixed)
+        return _map_instance(roles, maps, names)
 
     def add_cli_args(parser) -> None:
         parser.add_argument("--workspace", required=True, help="workspace JSON file")
@@ -334,7 +330,7 @@ def _map_check(name, roles, sample, verify, make=None, fixed=None):
         names.update((key, _csv(getattr(ns, key))) for key in lists)
         maps = {head: ws.get_map(names[head])}
         maps.update((key, [ws.get_map(nm) for nm in names[key]]) for key in lists)
-        return _map_instance(roles, maps, names, fixed)
+        return _map_instance(roles, maps, names)
 
     return Check(name, gen, _runner(name, verify), add_cli_args, from_cli)
 
@@ -342,16 +338,15 @@ def _map_check(name, roles, sample, verify, make=None, fixed=None):
 # --------------------------------------------------------- integer checks
 
 
-def _int_check(name, roles, draw, verify, order=None):
-    """A check on integer lists.  A role is ``(keyword, help, convert)``;
-    ``draw(rng, caps)`` returns {keyword: integers}, and ``order`` gives the
-    report order when it differs from the flag order."""
-    keys = order or [key for key, _, _ in roles]
-    convert = {key: fn for key, _, fn in roles}
+def _int_check(name, roles, draw, verify):
+    """A check on integer lists.  A role is ``(keyword, help, convert)``, in
+    flag order, which is also the order of the params and the failure
+    record; ``draw(rng, caps)`` returns {keyword: integers}."""
+    keys = [key for key, _, _ in roles]
 
     def instance(values: dict) -> CheckInstance:
         params = tuple((key, _fmt_seq(values[key])) for key in keys)
-        kwargs = {key: convert[key](values[key]) for key in keys}
+        kwargs = {key: fn(values[key]) for key, _, fn in roles}
         return CheckInstance(params, kwargs, lambda: {k: list(values[k]) for k in keys})
 
     def add_cli_args(parser) -> None:
@@ -477,7 +472,6 @@ _SECOND = "second-stage map names, comma-separated"
 _SYMBRACE_ROLES = (("f", "N", _OUTER), ("gs", "n", _FIRST), ("xs", "r", _SECOND))
 _BLOCKS = ("blocks", "block sizes, comma-separated", tuple)
 _DEGREES = ("degrees", "degrees, comma-separated", list)
-_SYMBRACE_SIDES = lambda **kw: _unequal(*symbrace_axiom_sides(**kw))
 
 CHECKS: dict = {
     check.name: check
@@ -492,16 +486,14 @@ CHECKS: dict = {
             "symbrace-axiom-ex33",
             _SYMBRACE_ROLES,
             _staged(2, _unshuffle_cost),
-            _SYMBRACE_SIDES,
+            lambda **kw: _unequal(*symbrace_axiom_sides(flavor=FLAVOR_UNSHUFFLE, **kw)),
             make=lambda *a: random_antisym_map(*a),
-            fixed={"flavor": FLAVOR_UNSHUFFLE},
         ),
         _map_check(
             "thm1",
             _SYMBRACE_ROLES,
             _staged(2, _unshuffle_cost),
-            _SYMBRACE_SIDES,
-            fixed={"flavor": FLAVOR_SYMMETRIZED},
+            lambda **kw: _unequal(*symbrace_axiom_sides(flavor=FLAVOR_SYMMETRIZED, **kw)),
         ),
         _map_check(
             "thm2",
@@ -528,14 +520,13 @@ CHECKS: dict = {
             "lemma43",
             (
                 ("sigma", "block permutation images", Permutation),
-                ("pi", "full permutation images", Permutation),
                 _BLOCKS,
                 ("slots", "free slot sizes, comma-separated", tuple),
+                ("pi", "full permutation images", Permutation),
                 _DEGREES,
             ),
             _draw_lemma43,
             lambda **kw: None if block_permutation_sign_check(**kw) else {},
-            order=("sigma", "blocks", "slots", "pi", "degrees"),
         ),
         _int_check(
             "lemma44",

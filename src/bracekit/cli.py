@@ -36,10 +36,12 @@ EXIT_CLOSED_PIPE = 141
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("expected a nonnegative integer")
-    return value
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected a nonnegative integer")
 
 
 def _degree_range(text: str):

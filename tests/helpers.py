@@ -4,8 +4,8 @@ evaluators built on the tensor-block oracle _tensor_core, among them a
 second bracket_sum, wrong brace, unshuffle-bracket and riffle signs, the
 sign of a word summed over its inverted pairs, the adjacent-swap walk
 through S_n and the orbit writer built on it, the orbit stabilizer
-counted letter by letter, and the environment and runner of a CLI
-subprocess."""
+counted letter by letter, the flags that replay a check's record, and
+the environment and runner of a CLI subprocess."""
 
 import math
 import os
@@ -434,6 +434,16 @@ def pointwise_bracket_sum(space, signature, terms):
     for sign, expr in terms:
         total = total + pointwise_value(expr).scale(sign)
     return total
+
+
+def replay_flags(values: dict) -> list:
+    """One `--key=value` flag per value of a check's record, lists
+    comma-separated: a counterexample's args, or an integer check's lists."""
+    argv = []
+    for key, value in values.items():
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        argv.append(f"--{key.replace('_', '-')}={text}")
+    return argv
 
 
 def cli_env():

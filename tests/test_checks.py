@@ -1,6 +1,7 @@
 """Check registry: generators, runners, report lines, fuzz driver."""
 
 import itertools
+import json
 import math
 
 import pytest
@@ -18,9 +19,10 @@ from bracekit.checks import (
 from bracekit.cli import build_parser
 from bracekit.errors import InputError
 from bracekit.fuzz import FuzzCaps, SplitMix64, random_map
+from bracekit.homotopy import StructureFamily
 from bracekit.multimap import GradedSpace
 from bracekit.workspace import Workspace
-from helpers import beta_without_leading_slot_term
+from helpers import beta_without_leading_slot_term, replay_flags
 
 CAPS = FuzzCaps()
 
@@ -221,7 +223,7 @@ def _cli_instance(argv):
         ),
         (
             ["thm1", "--f", "f", "--gs", "f", "--xs", "g,h"],
-            {"f": "f", "gs": ["f"], "xs": ["g", "h"], "flavor": "symmetrized"},
+            {"f": "f", "gs": ["f"], "xs": ["g", "h"]},
             ["f", "g", "h"],
         ),
         (["thm2", "--f", "f", "--gs", "f"], {"f": "f", "gs": ["f"]}, ["f"]),
@@ -237,6 +239,36 @@ def test_cli_args_keep_each_role_when_names_repeat(argv, args, stored):
     inst = _cli_instance(argv)
     assert inst.context()["args"] == args
     assert [m["name"] for m in inst.context()["workspace"]["maps"]] == stored
+
+
+def _comparable(value):
+    if isinstance(value, StructureFamily):
+        return value.flavor, value.components, value.max_component_arity
+    return value
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_every_record_replays_through_its_own_flags(name, tmp_path):
+    """A failure record holds exactly the flags that rebuild its case: its
+    args (or, for lemmas 4.2-4.4, the record itself) parse as `check` flags
+    and give the same verifier keywords and params (fuzz's family tag
+    aside)."""
+    master = SplitMix64(7)
+    for case in range(10):
+        inst = CHECKS[name].gen(SplitMix64(master.next_u64()), CAPS)
+        record = inst.context()
+        flags, ws = replay_flags(record.get("args", record)), None
+        if "workspace" in record:
+            path = tmp_path / f"case{case}.json"
+            path.write_text(json.dumps(record["workspace"]), encoding="utf-8")
+            flags = ["--workspace", str(path), *flags]
+            ws = Workspace.load(path)
+        ns = build_parser().parse_args(["check", name, *flags])
+        rebuilt = CHECKS[name].from_cli(ws, ns)
+        assert rebuilt.kwargs.keys() == inst.kwargs.keys()
+        for key, value in inst.kwargs.items():
+            assert _comparable(rebuilt.kwargs[key]) == _comparable(value), (case, key)
+        assert rebuilt.params == tuple(p for p in inst.params if p[0] != "family")
 
 
 @pytest.mark.parametrize(

@@ -215,6 +215,41 @@ class TestCheckVerb:
         assert "map 'f'" in result.stderr and "homogeneity" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["lemma43", "--sigma=1", "--blocks=1", "--slots=1", "--pi=1,2",
+             "--degrees=0,0"],
+            "expected 2 slot counts, got 1",
+        ),
+        (
+            ["lemma43", "--sigma=2,1", "--blocks=1", "--slots=0,0", "--pi=1",
+             "--degrees=0"],
+            "sigma must permute 1 blocks, got 2",
+        ),
+        (["lemma42", "--blocks=1,1", "--degrees=0"], "expected 2 degrees, got 1"),
+        (
+            ["lemma44", "--sigma=2,1", "--v=1", "--w=0,1"],
+            "expected weight vectors of length 2",
+        ),
+        (
+            ["lemma44", "--sigma=2,2", "--v=1,1", "--w=0,1"],
+            "not a permutation of 1..2: (2, 2)",
+        ),
+        (
+            ["lemma42", "--blocks=a,b", "--degrees=0"],
+            "--blocks: expected comma-separated integers, got 'a,b'",
+        ),
+    ],
+)
+def test_malformed_lemma_input_is_refused(argv, message, capsys):
+    assert cli.main(["check", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
 class TestFuzzVerb:
     def test_identical_seeds_are_byte_identical(self, tmp_path):
         args = ("fuzz", "--seed", "99", "--cases", "3")
@@ -265,6 +300,14 @@ class TestFuzzVerb:
         assert result.returncode == 2
         assert "argument --seed: expected a nonnegative integer" in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("flag", ["--seed", "--cases"])
+    def test_non_integer_count_is_refused(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["fuzz", flag, "abc"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"argument {flag}: expected a nonnegative integer\n")
 
     def test_bad_degree_range_is_input_error(self, tmp_path):
         result = run_cli("fuzz", "--degree-range", "2", cwd=tmp_path)

@@ -52,6 +52,7 @@ from helpers import (
     beta_without_leading_slot_term,
     delta_without_degree_shift_term,
     eta_without_parity_crossing,
+    replay_flags,
 )
 from mutants import matrix_text, parse_matrix, patched, weak_mutants
 
@@ -123,19 +124,9 @@ def _run(argv) -> str:
     return f"$ bracekit {' '.join(argv)}\n[exit {code}]\n{out.getvalue()}"
 
 
-def _flags(values: dict) -> list:
-    """One `--key=value` flag per value, lists comma-separated."""
-    argv = []
-    for key, value in values.items():
-        if key != "flavor":
-            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-            argv.append(f"--{key.replace('_', '-')}={text}")
-    return argv
-
-
 def _replay_argv(name, record, path) -> list:
     """The `check` command line a counterexample's workspace and args give."""
-    return ["check", name, "--workspace", path, *_flags(record["args"])]
+    return ["check", name, "--workspace", path, *replay_flags(record["args"])]
 
 
 def fuzz_transcript() -> str:
@@ -275,7 +266,7 @@ def _replay_record_argv(name, record) -> list:
     become the flags."""
     if "workspace" not in record:
         data = {k: v for k, v in record.items() if k not in _FUZZ_KEYS}
-        return ["check", name, *_flags(data)]
+        return ["check", name, *replay_flags(data)]
     path = f"{name}-replay.json"
     Path(path).write_text(json.dumps(record["workspace"]), encoding="utf-8")
     return _replay_argv(name, record, path)

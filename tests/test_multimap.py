@@ -65,6 +65,7 @@ class TestGradedVector:
         assert (u + v).coeffs == {1: 5}
         assert (3 * u).coeffs == {0: 6}
         assert (u - u).is_zero()
+        assert (-v).coeffs == {0: 2, 1: -5}
 
 
 class TestMultiMap:
@@ -108,6 +109,8 @@ class TestMultiMap:
         from fractions import Fraction
 
         assert Fraction(1, 2) * f.scale(2) == f
+        assert (f - g).value((0, 0)).coeffs == {0: 6}
+        assert (f - f).is_zero()
 
     def test_signature_mismatch(self):
         f = MultiMap(EVEN, 2, 0, {(0, 0): {0: 1}})
