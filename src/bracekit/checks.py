@@ -578,12 +578,12 @@ CHECK_NAMES = tuple(CHECKS)
 def fuzz_outcomes(seed: int, cases: int, names: Sequence[str], caps: FuzzCaps):
     """Yield (case, name, outcome) deterministically from the seed.
 
-    Per-(case, check) subseeds are drawn up front from the master stream
-    in report order, so each instance depends only on (seed, cases-index,
-    check list) and never on how much entropy an earlier case consumed.
-    An InputError from a verifier yields a FAIL whose counterexample is the
-    instance context plus the error message.  A case builds its context
-    only when it fails.
+    Per-(case, check) subseeds are drawn from the master stream in report
+    order, as the run reaches each case, so each instance depends only on
+    (seed, cases-index, check list) and never on how much entropy an earlier
+    case consumed.  An InputError from a verifier yields a FAIL whose
+    counterexample is the instance context plus the error message.  A case
+    builds its context only when it fails.
     """
     if cases < 0:
         raise InputError("cases must be nonnegative")
@@ -592,18 +592,14 @@ def fuzz_outcomes(seed: int, cases: int, names: Sequence[str], caps: FuzzCaps):
             known = ", ".join(CHECK_NAMES)
             raise InputError(f"unknown check {name!r} (known: {known})")
     master = SplitMix64(seed)
-    plan = [
-        (case, name, master.next_u64())
-        for case in range(cases)
-        for name in names
-    ]
-    for case, name, subseed in plan:
-        check = CHECKS[name]
-        instance = check.gen(SplitMix64(subseed), caps)
-        try:
-            outcome = check.run(instance)
-        except InputError as exc:
-            # a verifier refusing a generated instance (corollary on a family
-            # failing ainfty) fails that case, not the whole run
-            outcome = _outcome(name, instance, {"error": str(exc)})
-        yield case, name, outcome
+    for case in range(cases):
+        for name in names:
+            check = CHECKS[name]
+            instance = check.gen(SplitMix64(master.next_u64()), caps)
+            try:
+                outcome = check.run(instance)
+            except InputError as exc:
+                # a verifier refusing a generated instance (corollary on a
+                # family failing ainfty) fails that case, not the whole run
+                outcome = _outcome(name, instance, {"error": str(exc)})
+            yield case, name, outcome

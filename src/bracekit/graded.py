@@ -10,7 +10,8 @@ parities enter.  staged_rearrangements, shared by Lemmas 4.1 (chi) and
 
 At the API edge, a Permutation is a word in one-line notation with 1-based
 values: ``s`` sends position ``i`` to the value ``s(i)``, and applying ``s``
-to ``(x_1, ..., x_n)`` yields ``(x_{s(1)}, ..., x_{s(n)})``.
+to ``(x_1, ..., x_n)`` yields ``(x_{s(1)}, ..., x_{s(n)})``; the checks of
+Lemmas 4.3 and 4.4 read each Permutation they take once, as its 0-based word.
 
 Enumerating all of S_n, or all unshuffles of n elements, grows like n!;
 both enumerators refuse n above the fixed ENUMERATION_CAP with
@@ -20,7 +21,6 @@ ResourceLimitError, as do antisymmetrize and symbrace_eval above that arity.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceLimitError
@@ -344,8 +344,9 @@ def block_permutation_sign_check(
     flat, alpha1, alpha2 = interleave_block_permutation(
         pi, sigma, blocks, slots, degrees
     )
+    flat_word, pi_word = ([v - 1 for v in p.images] for p in (flat, pi))
     return all(
-        _sign(flat, degrees, chi) == _sign(pi, degrees, chi) * (-1 if alpha else 1)
+        word_parity(flat_word, degrees, chi) == word_parity(pi_word, degrees, chi) ^ alpha
         for chi, alpha in ((False, alpha1), (True, alpha2))
     )
 
@@ -355,11 +356,11 @@ def unshuffle_decomposition_check(
 ) -> bool:
     """Unshuffles times within-block permutations sweep out all of S_N.
 
-    For both sign conventions: dealing 1..N into the blocks by an unshuffle
-    gamma and then permuting each dealt hand reproduces every permutation of
-    S_N exactly once, with the composite sign equal to the product of the
-    unshuffle sign and the within-hand signs (hands graded by the degrees
-    they were dealt).
+    For both sign conventions: dealing 0..N-1 into the blocks by an
+    unshuffle gamma and then permuting each dealt hand reproduces every
+    permutation of S_N exactly once, with the composite sign equal to the
+    product of the unshuffle sign and the within-hand signs (hands graded by
+    the degrees they were dealt).
     """
     blocks = _block_sizes(blocks)
     n_total = sum(blocks)
@@ -367,20 +368,20 @@ def unshuffle_decomposition_check(
         raise InputError(f"expected {n_total} degrees, got {len(degrees)}")
     cuts = list(itertools.accumulate((0,) + blocks))
     hand_perms = [list(permutation_words(b)) for b in blocks]
+    everything = set(permutation_words(n_total))
     for chi in (True, False):
-        expected = Counter(
-            (w, word_parity(w, degrees, chi)) for w in permutation_words(n_total)
-        )
-        got: Counter = Counter()
+        seen = set()
         for gamma in unshuffle_words(blocks):
             hands = [gamma[a:b] for a, b in zip(cuts, cuts[1:])]
             for pis in itertools.product(*hand_perms):
-                images, neg = (), word_parity(gamma, degrees, chi)
+                word, neg = (), word_parity(gamma, degrees, chi)
                 for hand, pw in zip(hands, pis):
-                    images += tuple(hand[i] for i in pw)
+                    word += tuple(hand[i] for i in pw)
                     neg ^= word_parity(pw, [degrees[v] for v in hand], chi)
-                got[images, neg] += 1
-        if got != expected:
+                if word in seen or neg != word_parity(word, degrees, chi):
+                    return False
+                seen.add(word)
+        if seen != everything:
             return False
     return True
 
@@ -390,36 +391,24 @@ def inversion_parity_check(
 ) -> bool:
     """Two mod-2 identities tying inversion sums of sigma to weight vectors.
 
-    With s = sigma, both of the following must vanish mod 2:
+    With s the 0-based word of sigma (s(i) = sigma(i + 1) - 1) and v, w
+    indexed from 0, both of the following must vanish mod 2:
 
       sum_{i>j} v_i w_j + sum_{i<j, s(i)>s(j)} (w_{s(i)} v_{s(j)} + v_{s(i)} w_{s(j)})
                         + sum_{i>j} v_{s(i)} w_{s(j)}
 
       sum_{i<j, s(i)>s(j)} (v_{s(i)} + v_{s(j)})
-                        - sum_i (i-1) v_i - sum_i (i-1) v_{s(i)}
+                        - sum_i i v_i - sum_i i v_{s(i)}
     """
     n = len(sigma)
     if len(v) != n or len(w) != n:
         raise InputError(f"expected weight vectors of length {n}")
-
-    def V(i):
-        return v[i - 1]
-
-    def W(i):
-        return w[i - 1]
-
-    s = sigma
+    s = [x - 1 for x in sigma.images]
     # the (s(i), s(j)) with i < j and s(i) > s(j)
-    inv = [(a, b) for a, b in itertools.combinations(s.images, 2) if a > b]
-    first = sum(W(a) * V(b) + V(a) * W(b) for a, b in inv)
-    for i in range(1, n + 1):
-        for j in range(1, i):
-            first += V(i) * W(j) + V(s(i)) * W(s(j))
-    if first & 1:
-        return False
-
-    second = sum(V(a) + V(b) for a, b in inv)
-    for i in range(1, n + 1):
-        second -= (i - 1) * (V(i) + V(s(i)))
-    return second & 1 == 0
-
+    inv = [(a, b) for a, b in itertools.combinations(s, 2) if a > b]
+    first = sum(w[a] * v[b] + v[a] * w[b] for a, b in inv)
+    for j, i in itertools.combinations(range(n), 2):
+        first += v[i] * w[j] + v[s[i]] * w[s[j]]
+    second = sum(v[a] + v[b] for a, b in inv)
+    second -= sum(i * (v[i] + v[s[i]]) for i in range(n))
+    return (first | second) & 1 == 0

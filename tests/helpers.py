@@ -1,12 +1,13 @@
 """Shared test helpers: small homogeneous random tables, the per-key
 validation loop of the MultiMap constructor, point-by-point reference
 evaluators built on the tensor-block oracle _tensor_core, among them a
-second bracket_sum, wrong brace, unshuffle-bracket and riffle signs, the
-sign of a word summed over its inverted pairs, the adjacent-swap walk
-through S_n and the orbit writer built on it, the orbit stabilizer
-counted letter by letter, the flags that replay a check's record, and
-the environment and runner of a CLI subprocess."""
+second bracket_sum, wrong brace, unshuffle-bracket, riffle and
+block-interleaving signs, the sign of a word summed over its inverted
+pairs, the adjacent-swap walk through S_n and the orbit writer built on
+it, the orbit stabilizer counted letter by letter, the flags that replay
+a check's record, and the environment and runner of a CLI subprocess."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -23,6 +24,7 @@ from bracekit.graded import (
     enumerate_permutations,
     enumerate_unshuffles,
     insertion_patterns,
+    interleave_block_permutation,
     koszul_sign,
     staged_rearrangements,
 )
@@ -277,6 +279,41 @@ def eta_without_parity_crossing(items, parities, n, chi):
             else:
                 zprefix += parities[i]
         yield (-sign if crossing & 1 else sign), tuple(items[i] for i in seq)
+
+
+# Sign mutants of the block interleaving behind Lemma 4.3: alpha1 or alpha2
+# with one term dropped, for monkeypatching over
+# bracekit.graded.interleave_block_permutation, each wrapping the
+# interleave_block_permutation imported above.
+
+
+def _alpha_terms(pi, sigma, blocks, slots, degrees):
+    """The terms the alpha mutants drop, mod 2: sum_i |block sigma(i)| *
+    (parity of free chunks 0..i), and sum_i b_{sigma(i)} * (slots 0..i)."""
+    cuts = list(itertools.accumulate((0, *blocks, *slots)))
+    chunks = [pi.images[a:b] for a, b in zip(cuts, cuts[1:])]
+    par = [sum(degrees[v - 1] for v in chunk) & 1 for chunk in chunks]
+    n = len(blocks)
+    crossing = sum(
+        par[s - 1] * sum(par[n : n + i + 1]) for i, s in enumerate(sigma.images)
+    )
+    slot = sum(blocks[s - 1] * sum(slots[: i + 1]) for i, s in enumerate(sigma.images))
+    return crossing & 1, slot & 1
+
+
+def alpha1_without_crossing_term(pi, sigma, blocks, slots, degrees):
+    """alpha1 without its block-crosses-free-chunk term; alpha2, which adds
+    alpha1, loses it too."""
+    flat, alpha1, alpha2 = interleave_block_permutation(pi, sigma, blocks, slots, degrees)
+    dropped, _ = _alpha_terms(pi, sigma, blocks, slots, degrees)
+    return flat, alpha1 ^ dropped, alpha2 ^ dropped
+
+
+def alpha2_without_slot_term(pi, sigma, blocks, slots, degrees):
+    """alpha2 without sum_i b_{sigma(i)} * (slots of free chunks 0..i)."""
+    flat, alpha1, alpha2 = interleave_block_permutation(pi, sigma, blocks, slots, degrees)
+    _, dropped = _alpha_terms(pi, sigma, blocks, slots, degrees)
+    return flat, alpha1, alpha2 ^ dropped
 
 
 def inverted_pairs(word: Sequence[int]) -> list:

@@ -15,10 +15,12 @@ catch it.
 import contextlib
 from unittest import mock
 
-from bracekit import brace, multimap, symbrace
+from bracekit import brace, graded, multimap, symbrace
 from bracekit.checks import CHECK_NAMES, fuzz_outcomes
 from bracekit.fuzz import FuzzCaps
 from helpers import (
+    alpha1_without_crossing_term,
+    alpha2_without_slot_term,
     beta_without_crossing_term,
     beta_without_degree_shift_term,
     beta_without_leading_slot_term,
@@ -36,6 +38,7 @@ WEAK_BELOW = 5
 _BETA = ((brace, "beta_parity"),)
 _DELTA = ((symbrace, "delta_parity"),)
 _ETA = ((multimap, "staged_rearrangements"), (brace, "staged_rearrangements"))
+_ALPHA = ((graded, "interleave_block_permutation"),)
 
 MUTANTS = tuple(
     (fn.__name__, sites, fn)
@@ -48,6 +51,8 @@ MUTANTS = tuple(
         (_DELTA, delta_without_arity_pair_term),
         (_DELTA, delta_without_arity_shift_term),
         (_ETA, eta_without_parity_crossing),
+        (_ALPHA, alpha1_without_crossing_term),
+        (_ALPHA, alpha2_without_slot_term),
     )
 )
 

@@ -113,6 +113,27 @@ def test_fuzz_outcomes_deterministic_and_ordered():
     ]
 
 
+def test_fuzz_outcomes_draws_each_subseed_as_it_reaches_its_case(monkeypatch):
+    """The master stream yields one subseed per (case, check) when the run
+    reaches it, so the first outcome of a long run waits on one draw."""
+    draws = []
+
+    class CountingStream(SplitMix64):
+        def next_u64(self):
+            draws.append(1)
+            return super().next_u64()
+
+    streams = iter([CountingStream])  # the first stream made is the master
+    monkeypatch.setattr(
+        checks_module, "SplitMix64", lambda seed: next(streams, SplitMix64)(seed)
+    )
+    outcomes = fuzz_outcomes(7, 1000, CHECK_NAMES, CAPS)
+    assert next(outcomes)[:2] == (0, CHECK_NAMES[0])
+    assert len(draws) == 1
+    assert next(outcomes)[:2] == (0, CHECK_NAMES[1])
+    assert len(draws) == 2
+
+
 def test_passing_cases_serialize_nothing(monkeypatch):
     """A case builds its counterexample context only when it fails."""
     calls = []

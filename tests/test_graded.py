@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bracekit import graded
 from bracekit.checks import fuzz_outcomes
 from bracekit.errors import InputError, ResourceLimitError
 from bracekit.fuzz import FuzzCaps
@@ -365,6 +366,25 @@ class TestUnshuffleDecomposition:
 
     def test_mixed_degrees(self):
         assert unshuffle_decomposition_check((2, 1), (-2, 1, 3))
+
+    @pytest.mark.parametrize(
+        "change",
+        [lambda words: words[:-1], lambda words: words + words[-1:]],
+        ids=["drops-the-last", "repeats-the-last"],
+    )
+    def test_fails_when_the_unshuffles_miss_or_repeat_a_word(self, monkeypatch, change):
+        # permutation_words lists the unshuffles of singleton blocks, which
+        # stay intact, so S_N and the hands' S_b are still whole
+        unshuffles = graded.unshuffle_words
+
+        def changed(blocks):
+            words = list(unshuffles(blocks))
+            return change(words) if max(blocks, default=0) >= 2 else words
+
+        cases = [((2, 1), (0, 1, 1)), ((1, 2), (1, 1, 0)), ((2, 2), (0, 1, 1, 0))]
+        assert all(unshuffle_decomposition_check(*case) for case in cases)
+        monkeypatch.setattr(graded, "unshuffle_words", changed)
+        assert not any(unshuffle_decomposition_check(*case) for case in cases)
 
 
 def unshuffle_oracle(blocks):
