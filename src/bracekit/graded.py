@@ -368,22 +368,22 @@ def unshuffle_decomposition_check(
         raise InputError(f"expected {n_total} degrees, got {len(degrees)}")
     cuts = list(itertools.accumulate((0,) + blocks))
     hand_perms = [list(permutation_words(b)) for b in blocks]
-    everything = set(permutation_words(n_total))
-    for chi in (True, False):
-        seen = set()
-        for gamma in unshuffle_words(blocks):
-            hands = [gamma[a:b] for a, b in zip(cuts, cuts[1:])]
-            for pis in itertools.product(*hand_perms):
-                word, neg = (), word_parity(gamma, degrees, chi)
-                for hand, pw in zip(hands, pis):
-                    word += tuple(hand[i] for i in pw)
-                    neg ^= word_parity(pw, [degrees[v] for v in hand], chi)
-                if word in seen or neg != word_parity(word, degrees, chi):
+    everything, seen = set(permutation_words(n_total)), set()
+    for gamma in unshuffle_words(blocks):
+        hands = [gamma[a:b] for a, b in zip(cuts, cuts[1:])]
+        grades = [[degrees[v] for v in hand] for hand in hands]
+        for pis in itertools.product(*hand_perms):
+            word = tuple(hand[i] for hand, pw in zip(hands, pis) for i in pw)
+            if word in seen:
+                return False
+            seen.add(word)
+            for chi in (True, False):
+                neg = word_parity(gamma, degrees, chi)
+                for pw, grade in zip(pis, grades):
+                    neg ^= word_parity(pw, grade, chi)
+                if neg != word_parity(word, degrees, chi):
                     return False
-                seen.add(word)
-        if seen != everything:
-            return False
-    return True
+    return seen == everything
 
 
 def inversion_parity_check(

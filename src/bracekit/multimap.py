@@ -16,11 +16,11 @@ own inputs.  compose_into, the sparse composition the braces are built
 from, applies it to whole tables, symbrace.symbrace_eval to the blocks it
 deals to the inserted maps; the tests check both against the oracle
 _tensor_core.  Signed sums (add_into, compose_into) accumulate into one
-entry table, validated once, as a MultiMap.  A chi-antisymmetric table is
+entry table, validated once, as a MultiMap.  A chi-antisymmetric map is
 fixed by its rows on sorted words: fold_onto_sorted sums the rows of
-antisymmetrize and of symbrace_eval onto them, and expand_orbits writes
-each nonzero one once to each distinct rearrangement of its word, which
-orbit_words deals by graded.unshuffle_words and signs by word_parity.
+antisymmetrize and of symbrace_eval onto them, and orbit_map validates
+only those and copies each to each distinct rearrangement of its word,
+which orbit_words deals by graded.unshuffle_words and signs by word_parity.
 """
 
 from __future__ import annotations
@@ -408,7 +408,7 @@ def expand_orbits(reps: Mapping[tuple, dict], parities) -> dict:
     to output rows; empty rows are skipped.  A row is written once to each
     rearrangement orbit_words lists, k! / prod m_x! for k letters with x
     repeated m_x times, negated where chi is -1, sharing one positive and
-    one negative row dict; a MultiMap built from the table copies them.
+    one negative row dict; orbit_map copies them, one per key.
 
     >>> sorted(expand_orbits({(0, 0, 1): {0: 2}}, (1, 0)).items())
     [((0, 0, 1), {0: 2}), ((0, 1, 0), {0: -2}), ((1, 0, 0), {0: 2})]
@@ -420,6 +420,21 @@ def expand_orbits(reps: Mapping[tuple, dict], parities) -> dict:
             table.update(zip(plus, itertools.repeat(row)))
             table.update(zip(minus, itertools.repeat({j: -c for j, c in row.items()})))
     return table
+
+
+def orbit_map(space: GradedSpace, arity: int, degree: int, reps: Mapping) -> MultiMap:
+    """The chi-antisymmetric map with rows reps on sorted words.  Only reps
+    is checked, by the constructor: a rearrangement of a word has its
+    letters, degree sum and row, so expand_orbits writes each kept row to
+    its orbit unchecked, and each key gets its own copy.
+
+    >>> V = GradedSpace([("u", 1), ("e", 0)])
+    >>> orbit_map(V, 2, -1, {(0, 1): {1: 3, 0: 0}}).entries
+    {(0, 1): {1: 3}, (1, 0): {1: -3}}
+    """
+    m = MultiMap(space, arity, degree, reps)
+    m.entries = {w: r.copy() for w, r in expand_orbits(m.entries, space.parities).items()}
+    return m
 
 
 def orbit_words(word: tuple, parities) -> tuple:
@@ -481,8 +496,8 @@ def fold_onto_sorted(terms: Iterable[tuple], blocks: Sequence[int], parities) ->
     onto s = sorted(word) with the chi sign of the sort, times the number of
     unshuffles dealing s into the blocks as word: prod over letters x of
     m_x! / (m_x1! ... m_xn!), x occurring m_x times in s and m_xi times in
-    block i (the stabilizer of s for singleton blocks).  An s repeating an
-    even letter is dropped: its unshuffles cancel in pairs.
+    block i (the stabilizer of s for singleton blocks).  An s is dropped if
+    its row cancels or it repeats an even letter (its unshuffles cancel).
 
     >>> terms = [((0, 0, 0), 0, {0: 1}), ((0, 1, 0), 0, {0: 1}), ((1, 1, 0), 0, {0: 1})]
     >>> fold_onto_sorted(terms, (2, 1), (1, 0))
@@ -510,7 +525,8 @@ def fold_onto_sorted(terms: Iterable[tuple], blocks: Sequence[int], parities) ->
                 acc[j] = acc[j] - c if neg else acc[j] + c
             else:
                 acc[j] = -c if neg else c
-    return {s: {j: c for j, c in r.items() if c} for s, (w, r) in folded.items() if w}
+    rows = {s: {j: c for j, c in r.items() if c} for s, (_, r) in folded.items()}
+    return {s: r for s, r in rows.items() if r}
 
 
 def _stabilizer(word: tuple, parities) -> int:
@@ -526,9 +542,9 @@ def antisymmetrize(f: MultiMap) -> MultiMap:
     No averaging factor: an already antisymmetric f comes back as k! * f.
     as(f) is chi-antisymmetric, fixed by its rows on sorted words, which
     fold_onto_sorted sums from f's rows over k singleton blocks and
-    expand_orbits writes to their orbits: a sort and an O(k) sign per row of
-    f, plus one key per distinct rearrangement of each nonzero sorted word,
-    k! / prod m_x!.
+    orbit_map checks and writes to their orbits: a sort and an O(k) sign per
+    row of f, plus one key per distinct rearrangement of each nonzero sorted
+    word, k! / prod m_x!.
 
     >>> V = GradedSpace([("u", 1), ("e", 0)])
     >>> sorted(antisymmetrize(MultiMap(V, 3, -1, {(0, 0, 1): {0: 1}})).entries.items())
@@ -541,7 +557,7 @@ def antisymmetrize(f: MultiMap) -> MultiMap:
         )
     par = f.space.parities
     reps = fold_onto_sorted(((w, 0, r) for w, r in f.entries.items()), (1,) * k, par)
-    return MultiMap(f.space, k, f.degree, expand_orbits(reps, par))
+    return orbit_map(f.space, k, f.degree, reps)
 
 
 def is_antisymmetric(f: MultiMap) -> bool:

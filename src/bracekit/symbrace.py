@@ -13,7 +13,7 @@ Two brackets satisfy the symmetric-brace axiom here:
     Its output is antisymmetric: multimap.fold_onto_sorted sums it on
     sorted words from one evaluation of f per choice of the g_i's sorted
     rows and a sorted tail of f's keys that reaches a key of f and repeats
-    no even letter, and expand_orbits fills the orbits.
+    no even letter, and multimap.orbit_map checks them and fills the orbits.
 
   * symmetrize_brace (defined in brace, re-exported here): the eps-signed
     sum of plain braces f{g_sigma} over all orderings of the inserted maps,
@@ -36,11 +36,7 @@ from typing import Sequence
 from .errors import InputError
 from .graded import _check_cap, insertion_patterns, unshuffle_words, word_parity
 from .multimap import (
-    MultiMap,
-    antisymmetrize,
-    expand_orbits,
-    fold_onto_sorted,
-    is_antisymmetric,
+    MultiMap, antisymmetrize, fold_onto_sorted, is_antisymmetric, orbit_map
 )
 # brace_eval and symmetrize_brace stay importable from this module
 from .brace import _signature, brace_eval, bracket_sum, symmetrize_brace
@@ -129,7 +125,7 @@ def symbrace_eval(f: MultiMap, gs: Sequence[MultiMap]) -> MultiMap:
 
     par = space.parities
     reps = fold_onto_sorted(terms(), arities + (N - n,), par)
-    return MultiMap(space, out_arity, out_degree, expand_orbits(reps, par))
+    return orbit_map(space, out_arity, out_degree, reps)
 
 
 def symbrace_axiom_sides(

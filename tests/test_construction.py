@@ -24,6 +24,7 @@ from bracekit.multimap import (
     MultiMap,
     _key_degrees,
     expand_orbits,
+    orbit_map,
 )
 from helpers import per_key_entries
 
@@ -255,6 +256,18 @@ def test_rows_are_copied():
     assert m.entries == table and len(table) == 6
     assert not {id(row) for row in m.entries.values()} & {id(table[0, 1, 2])}
     assert len({id(row) for row in m.entries.values()}) == 6
+
+
+def test_orbit_map_checks_its_rows_on_sorted_words():
+    """orbit_map hands its rows on sorted words to the constructor, which
+    refuses, prunes and copies them, and writes only what it kept."""
+    wrong = {(0, 1, 1): {1: 1}, (0, 1, 2): {1: 1}}  # b is off degree 0
+    refused = outcome(lambda: orbit_map(MIXED, 3, -1, wrong).entries)
+    assert refused == outcome(lambda: MultiMap(MIXED, 3, -1, wrong).entries)
+    assert refused[0] is InputError
+    kept = orbit_map(MIXED, 3, -1, {(0, 1, 1): {1: 3, 0: 0}, (0, 1, 2): {1: 0}})
+    assert kept.entries == expand_orbits({(0, 1, 1): {1: 3}}, MIXED.parities)
+    assert orbit_map(MIXED, 3, -1, {}) == MultiMap.zero(MIXED, 3, -1)
 
 
 @pytest.mark.parametrize(

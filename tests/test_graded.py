@@ -386,6 +386,22 @@ class TestUnshuffleDecomposition:
         monkeypatch.setattr(graded, "unshuffle_words", changed)
         assert not any(unshuffle_decomposition_check(*case) for case in cases)
 
+    @pytest.mark.parametrize("faulty", [True, False], ids=["chi", "eps"])
+    def test_fails_when_one_sign_convention_is_wrong(self, monkeypatch, faulty):
+        # the faulty convention flips the sign of each unsorted word of three
+        # letters or more: a composite of an identity unshuffle then differs
+        # from its factors, which are sorted or shorter
+        word_parity = graded.word_parity
+
+        def flipped(word, degrees, chi):
+            wrong = chi == faulty and len(word) > 2 and list(word) != sorted(word)
+            return word_parity(word, degrees, chi) ^ wrong
+
+        cases = [((2, 1), (0, 1, 1)), ((1, 2, 3), (1, 0, 1, 1, 0, 2))]
+        assert all(unshuffle_decomposition_check(*case) for case in cases)
+        monkeypatch.setattr(graded, "word_parity", flipped)
+        assert not any(unshuffle_decomposition_check(*case) for case in cases)
+
 
 def unshuffle_oracle(blocks):
     """The unshuffles of the block sizes by brute force: the 0-based words

@@ -15,10 +15,11 @@ Only graded and the API edge use Permutations, only brace.bracket_sum
 accumulates the sums of the identity sides and homotopy relations, only
 brace._sum_braces builds a table in brace, only brace._signature refuses a
 bracket's shape, only checks._outcome makes a CheckOutcome, both
-antisymmetric kernels fold their rows through multimap.fold_onto_sorted,
-no module lists inverted pairs for graded.word_parity to sign, and no
-module keeps a sign table of bytes: multimap.orbit_words signs its orbits
-with word_parity too.
+antisymmetric kernels fold their rows through multimap.fold_onto_sorted
+and return through multimap.orbit_map, no module hands an expand_orbits
+table to MultiMap, no module lists inverted pairs for graded.word_parity
+to sign, and no module keeps a sign table of bytes: multimap.orbit_words
+signs its orbits with word_parity too.
 """
 
 import ast
@@ -253,11 +254,52 @@ def test_only_the_evaluator_accumulates(stem, name):
 )
 def test_antisymmetric_kernels_fold_onto_sorted_words_in_one_place(stem, name):
     """Both chi-signed sums over unshuffles sum their rows onto sorted words
-    through multimap.fold_onto_sorted and write the orbits with
-    expand_orbits; the unshuffle bracket lists no unshuffles."""
+    through multimap.fold_onto_sorted and return through orbit_map, which
+    checks the rows with MultiMap and writes the orbits with expand_orbits;
+    the unshuffle bracket lists no unshuffles."""
     calls = called_names(_function(stem, name))
-    assert {"fold_onto_sorted", "expand_orbits"} <= calls
+    assert {"fold_onto_sorted", "orbit_map"} <= calls
     assert "unshuffle_words" not in calls
+    assert {"MultiMap", "expand_orbits"} <= called_names(_function("multimap", "orbit_map"))
+
+
+def expanded_tables_checked(tree: ast.AST) -> set:
+    """The lines of MultiMap calls given an expand_orbits table: the call
+    itself, or a name the code binds to one."""
+    tables = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and "expand_orbits" in called_names(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "MultiMap"
+        for arg in [*node.args, *(k.value for k in node.keywords)]
+        if "expand_orbits" in called_names(arg) or getattr(arg, "id", None) in tables
+    }
+
+
+def test_finds_an_expanded_table_checked():
+    tree = ast.parse(
+        "a = MultiMap(V, 2, 0, expand_orbits(reps, par))\n"
+        "table = expand_orbits(reps, par)\n"
+        "b = multimap.MultiMap(V, 2, 0, entries=table)\n"
+        "c = MultiMap(V, 2, 0, reps)\n"
+    )
+    assert expanded_tables_checked(tree) == {1, 3}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_expanded_table_is_checked_again(path):
+    """An orbit's keys are rearrangements of a checked sorted word: orbit_map
+    checks the rows on sorted words, and no code hands the expanded table to
+    MultiMap to check every rearrangement again."""
+    lines = expanded_tables_checked(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name} checks an expand_orbits table on lines {sorted(lines)}"
 
 
 def _makers(paths, test) -> set:

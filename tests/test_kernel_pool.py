@@ -6,15 +6,19 @@ The benchmark's own tests replay only its first round; this replays all
 200 instances through bench/kernel.py, which it imports without changing,
 and checks each digest and the identity each call states.  It also checks
 that every table the kernels and the fuzzer build passes MultiMap's
-whole-table checks, so none of them needs the per-key loop.
+whole-table checks, so none of them needs the per-key loop, and that each
+antisymmetric map orbit_map builds from checked rows on sorted words is the
+map the constructor builds from its whole table.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import bracekit
+from bracekit import multimap, symbrace
 from bracekit.checks import CHECK_NAMES, fuzz_outcomes
 from bracekit.fuzz import FuzzCaps
 from bracekit.multimap import MultiMap, _key_degrees
@@ -63,3 +67,33 @@ def test_kernels_and_fuzzing_build_only_plain_tables(monkeypatch):
     space = bracekit.GradedSpace([("e1", 0), ("e2", 0)])
     MultiMap(space, 1, 0, {(True,): {1: 1}, (0,): {0: 1}})
     assert refused == [(1, [(True,), (0,)])]
+
+
+def test_orbit_maps_equal_the_maps_checked_whole(monkeypatch):
+    """Every map antisymmetrize and symbrace_eval return through orbit_map,
+    over the pool and a fuzz session, equals the constructor's map on its
+    whole table with every key kept, and each of its keys owns its row:
+    none is shared with another key or is a row of the reps."""
+    built, orbit_map = Counter(), multimap.orbit_map
+
+    def spy_for(module):
+        def spy(space, arity, degree, reps):
+            m = orbit_map(space, arity, degree, reps)
+            checked = MultiMap(m.space, m.arity, m.degree, m.entries)
+            assert checked == m and list(checked.entries) == list(m.entries)
+            rows = {*map(id, m.entries.values())}
+            assert len(rows) == len(m.entries)
+            assert not rows & {*map(id, reps.values())}
+            built[module] += 1
+            return m
+
+        return spy
+
+    for module in (multimap, symbrace):
+        monkeypatch.setattr(module, "orbit_map", spy_for(module.__name__))
+    for spec in kernel.SPECS:
+        for variant, record in enumerate(POOL[spec.name]):
+            op, _ = kernel.build(bracekit, spec, variant, record["attempt"])
+            op()
+    list(fuzz_outcomes(7, 20, CHECK_NAMES, FuzzCaps()))
+    assert set(built) == {"bracekit.multimap", "bracekit.symbrace"}, built
