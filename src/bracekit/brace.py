@@ -17,19 +17,20 @@ This is the one sign the library computes; mutants that drop one of its
 terms (the j = 0 slot term among them) live in the tests, which show that
 the nesting identity fails under each.
 
-As algebra elements, maps are graded by brace parity (p + k + 1 mod 2);
-the Koszul signs of the nesting identity and the symmetrization are taken
-over those parities.  symmetrize_brace is the one eps-signed sum of braces
-over orderings of the inserted maps; Lemma 5.1's two-stage symmetrization,
-from Lemma 4.1's staged rearrangements, is checked against it.  One loop,
-_sum_braces, adds every brace summand straight into one table, validated
-once, as a MultiMap: brace_eval and symmetrize_brace are one-term sums, and
-bracket_sum sums the identities' signed bracket terms so, expanding a
-top-level symmetrized brace in place and evaluating each shared inner
-bracket once.  _signature alone checks a bracket's shape.  The nesting
-identity deals the y's to the x's by the weak compositions of
-insertion_patterns; a composition giving some map more inputs than its
-arity has no term and is skipped.
+As algebra elements, maps are graded by brace parity (p + k + 1 mod 2); the
+Koszul signs of the nesting identity and the symmetrization are taken over
+those parities.  symmetrize_brace is the one eps-signed sum of braces over
+orderings of the inserted maps; Lemma 5.1's two-stage symmetrization is
+checked against it, and Lemma 4.1's against antisymmetrize
+(decomposition_first_defect); no other module reads their staged
+rearrangements.  One loop, _sum_braces, adds every brace summand straight
+into one table, validated once, as a MultiMap: brace_eval and
+symmetrize_brace are one-term sums, and bracket_sum sums the identities'
+signed bracket terms so, expanding a top-level symmetrized brace in place
+and evaluating each shared inner bracket once.  _signature alone checks a
+bracket's shape.  The nesting identity deals the y's to the x's by the weak
+compositions of insertion_patterns; a composition giving some map more
+inputs than its arity has no term and is skipped.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .graded import (
     staged_rearrangements,
     word_parity,
 )
-from .multimap import GradedSpace, MultiMap, add_into, compose_into
+from .multimap import GradedSpace, MultiMap, add_into, antisymmetrize, compose_into
 
 
 # brace_eval must directly follow `return total & 1`: bench/test_bench.py edits it
@@ -212,3 +213,21 @@ def braced_symmetrization_sides(
     staged = staged_rearrangements(maps, parities, len(ys), False)
     terms = [(sign, (brace_eval, f, seq)) for sign, seq in staged]
     return bracket_sum(f.space, (direct.arity, direct.degree), terms), direct
+
+
+def decomposition_first_defect(f: MultiMap):
+    """First split and input tuple, as basis names, where the chi-signed
+    staged rearrangements of the tuple (Lemma 4.1) disagree with direct
+    antisymmetrization, or None.  Each term is a row of f's table."""
+    k = f.arity
+    asf = antisymmetrize(f)
+    par = f.space.parities
+    for n in range(k + 1):
+        for t in f.space.tuples(k):
+            total: dict = {}
+            for sign, w in staged_rearrangements(t, [par[i] for i in t], n, True):
+                for j, c in f.entries.get(w, {}).items():
+                    total[j] = total.get(j, 0) + sign * c
+            if {j: c for j, c in total.items() if c} != asf.entries.get(t, {}):
+                return {"split": [n, k - n], "inputs": [f.space.names[i] for i in t]}
+    return None

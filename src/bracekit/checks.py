@@ -51,7 +51,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .brace import brace_axiom_sides, braced_symmetrization_sides
+from .brace import (
+    brace_axiom_sides, braced_symmetrization_sides, decomposition_first_defect
+)
 from .errors import InputError
 from .fuzz import (
     FuzzCaps,
@@ -79,7 +81,6 @@ from .homotopy import (
     antisymmetrize_structure,
     l_infinity_defects,
 )
-from .multimap import _decomposition_first_defect
 from .symbrace import (
     FLAVOR_SYMMETRIZED,
     FLAVOR_UNSHUFFLE,
@@ -508,7 +509,7 @@ CHECKS: dict = {
             "lemma41",
             (("f", "k", "map whose splits to verify"),),
             _sample_lemma41,
-            lambda **kw: _decomposition_first_defect(**kw),
+            lambda **kw: decomposition_first_defect(**kw),
         ),
         _int_check(
             "lemma42",

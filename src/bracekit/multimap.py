@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ResourceLimitError
-from .graded import ENUMERATION_CAP, staged_rearrangements, unshuffle_words, word_parity
+from .graded import ENUMERATION_CAP, unshuffle_words, word_parity
 
 Scalar = int | Fraction
 
@@ -401,39 +401,27 @@ def add_into(acc: dict, sign: int, m: MultiMap) -> None:
                 row[j] = row[j] + c if j in row else c
 
 
-def expand_orbits(reps: Mapping[tuple, dict], parities) -> dict:
-    """The chi-antisymmetric entry table with the given rows on sorted words.
-
-    reps maps sorted words of basis indices, none repeating an even letter,
-    to output rows; empty rows are skipped.  A row is written once to each
-    rearrangement orbit_words lists, k! / prod m_x! for k letters with x
-    repeated m_x times, negated where chi is -1, sharing one positive and
-    one negative row dict; orbit_map copies them, one per key.
-
-    >>> sorted(expand_orbits({(0, 0, 1): {0: 2}}, (1, 0)).items())
-    [((0, 0, 1), {0: 2}), ((0, 1, 0), {0: -2}), ((1, 0, 0), {0: 2})]
-    """
-    table: dict = {}
-    for rep, row in reps.items():
-        if row:
-            plus, minus = orbit_words(rep, parities)
-            table.update(zip(plus, itertools.repeat(row)))
-            table.update(zip(minus, itertools.repeat({j: -c for j, c in row.items()})))
-    return table
-
-
 def orbit_map(space: GradedSpace, arity: int, degree: int, reps: Mapping) -> MultiMap:
     """The chi-antisymmetric map with rows reps on sorted words.  Only reps
     is checked, by the constructor: a rearrangement of a word has its
-    letters, degree sum and row, so expand_orbits writes each kept row to
-    its orbit unchecked, and each key gets its own copy.
+    letters, degree sum and row, so each kept row goes unchecked to each
+    word orbit_words lists, negated where chi is -1.  The sorted word keeps
+    the constructor's row, and every other key gets its own copy.
 
     >>> V = GradedSpace([("u", 1), ("e", 0)])
-    >>> orbit_map(V, 2, -1, {(0, 1): {1: 3, 0: 0}}).entries
-    {(0, 1): {1: 3}, (1, 0): {1: -3}}
+    >>> sorted(orbit_map(V, 3, -1, {(0, 0, 1): {0: 2}}).entries.items())
+    [((0, 0, 1), {0: 2}), ((0, 1, 0), {0: -2}), ((1, 0, 0), {0: 2})]
     """
-    m = MultiMap(space, arity, degree, reps)
-    m.entries = {w: r.copy() for w, r in expand_orbits(m.entries, space.parities).items()}
+    m, entries = MultiMap(space, arity, degree, reps), {}
+    for rep, row in m.entries.items():
+        plus, minus = orbit_words(rep, space.parities)
+        entries.update(zip(plus, map(dict.copy, itertools.repeat(row))))
+        entries[rep] = row
+        if minus:
+            neg = {j: -c for j, c in row.items()}
+            entries.update(zip(minus, map(dict.copy, itertools.repeat(neg))))
+            entries[minus[0]] = neg
+    m.entries = entries
     return m
 
 
@@ -575,21 +563,3 @@ def is_antisymmetric(f: MultiMap) -> bool:
             if entries.get(key[:s] + (b, a) + key[s + 2 :]) != want:
                 return False
     return True
-
-
-def _decomposition_first_defect(f: MultiMap):
-    """First split and input tuple, as basis names, where the chi-signed
-    staged rearrangements of the tuple (Lemma 4.1) disagree with direct
-    antisymmetrization, or None.  Each term is a row of f's table."""
-    k = f.arity
-    asf = antisymmetrize(f)
-    par = f.space.parities
-    for n in range(k + 1):
-        for t in f.space.tuples(k):
-            total: dict = {}
-            for sign, w in staged_rearrangements(t, [par[i] for i in t], n, True):
-                for j, c in f.entries.get(w, {}).items():
-                    total[j] = total.get(j, 0) + sign * c
-            if {j: c for j, c in total.items() if c} != asf.entries.get(t, {}):
-                return {"split": [n, k - n], "inputs": [f.space.names[i] for i in t]}
-    return None

@@ -261,8 +261,8 @@ def delta_without_arity_shift_term(N, a, q):
 
 
 # Sign mutant of the staged rearrangements behind Lemmas 4.1 and 5.1, for
-# monkeypatching over the staged_rearrangements bound in bracekit.multimap
-# and bracekit.brace; it wraps the staged_rearrangements imported above.
+# monkeypatching over the staged_rearrangements bound in bracekit.brace,
+# whose checks of both lemmas read it; it wraps the one imported above.
 
 
 def eta_without_parity_crossing(items, parities, n, chi):
@@ -354,7 +354,7 @@ def adjacent_swap_order(n: int) -> list:
 
 
 def walk_expand_orbits(reps, arity, parities):
-    """The oracle of multimap.expand_orbits: each nonzero row written to
+    """The oracle of multimap.orbit_map: each nonzero row written to
     every rearrangement of its sorted word along the adjacent-swap walk,
     k! writes per word, negated per swap of letters not both odd.  A word
     repeating a letter m times has each key rewritten m! times over."""

@@ -9,7 +9,7 @@ carries the same label.
 import json
 
 from bracekit import brace
-from bracekit.brace import braced_symmetrization_sides
+from bracekit.brace import braced_symmetrization_sides, decomposition_first_defect
 from bracekit.checks import CHECKS, fuzz_outcomes, outcome_line
 from bracekit.cli import main as cli_main
 from bracekit.fuzz import FuzzCaps, SplitMix64, random_map
@@ -30,7 +30,6 @@ from bracekit.homotopy import (
 from bracekit.multimap import (
     GradedSpace,
     MultiMap,
-    _decomposition_first_defect,
     antisymmetrize,
 )
 from helpers import beta_without_leading_slot_term, run_cli
@@ -104,7 +103,7 @@ def test_antisymmetrization_riffle_decomposition_all_splits():
                 [("a", rng.randint(-2, 2)), ("b", rng.randint(-2, 2))]
             )
             f = random_map(rng, space, arity)
-            if _decomposition_first_defect(f) is not None:
+            if decomposition_first_defect(f) is not None:
                 bad.append((arity, f))
     _report(
         "antisymmetrization factors through tail perms, head perms and "

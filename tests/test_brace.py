@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bracekit import brace, multimap
+from bracekit import brace
 from bracekit.brace import (
     beta_parity,
     brace_axiom_check,
@@ -274,10 +274,7 @@ class TestBracedSymmetrization:
     def test_eta_mutant_is_caught(self, monkeypatch):
         # the riffle sign without its crossing term fails 25 of 100 seed-7
         # lemma41 cases but no lemma51 case; the odd pair catches it there
-        for module in (multimap, brace):
-            monkeypatch.setattr(
-                module, "staged_rearrangements", eta_without_parity_crossing
-            )
+        monkeypatch.setattr(brace, "staged_rearrangements", eta_without_parity_crossing)
         outcomes = fuzz_outcomes(7, 100, ["lemma41"], FuzzCaps())
         assert any(not outcome.passed for _, _, outcome in outcomes)
         f, y, z = ODD_PAIR

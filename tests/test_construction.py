@@ -23,10 +23,9 @@ from bracekit.multimap import (
     GradedVector,
     MultiMap,
     _key_degrees,
-    expand_orbits,
     orbit_map,
 )
-from helpers import per_key_entries
+from helpers import per_key_entries, walk_expand_orbits
 
 COEFFS = (-2, -1, 1, 2, Fraction(1, 2))
 MIXED = GradedSpace([("a", 0), ("b", 1), ("c", 0)])
@@ -250,11 +249,17 @@ class TestAgreesWithThePerKeyLoop:
 
 
 def test_rows_are_copied():
-    # expand_orbits shares one row dict between rearrangements of one sign
-    table = expand_orbits({(0, 1, 2): {1: 1}}, MIXED.parities)
+    # the walk shares one row dict between rearrangements of one sign
+    reps = {(0, 1, 2): {1: 1}}
+    table = walk_expand_orbits(reps, 3, MIXED.parities)
     m = MultiMap(MIXED, 3, 0, table)
     assert m.entries == table and len(table) == 6
     assert not {id(row) for row in m.entries.values()} & {id(table[0, 1, 2])}
+    assert len({id(row) for row in m.entries.values()}) == 6
+    # orbit_map gives each key its own row, none of them a row of reps
+    m = orbit_map(MIXED, 3, 0, reps)
+    assert m.entries == table
+    assert not {id(row) for row in m.entries.values()} & {id(reps[0, 1, 2])}
     assert len({id(row) for row in m.entries.values()}) == 6
 
 
@@ -266,7 +271,7 @@ def test_orbit_map_checks_its_rows_on_sorted_words():
     assert refused == outcome(lambda: MultiMap(MIXED, 3, -1, wrong).entries)
     assert refused[0] is InputError
     kept = orbit_map(MIXED, 3, -1, {(0, 1, 1): {1: 3, 0: 0}, (0, 1, 2): {1: 0}})
-    assert kept.entries == expand_orbits({(0, 1, 1): {1: 3}}, MIXED.parities)
+    assert kept.entries == walk_expand_orbits({(0, 1, 1): {1: 3}}, 3, MIXED.parities)
     assert orbit_map(MIXED, 3, -1, {}) == MultiMap.zero(MIXED, 3, -1)
 
 

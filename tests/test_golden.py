@@ -43,7 +43,7 @@ from unittest import mock
 
 import pytest
 
-from bracekit import brace, checks, cli, multimap, symbrace
+from bracekit import brace, checks, cli, symbrace
 from bracekit.checks import CHECK_NAMES, fuzz_outcomes
 from bracekit.fuzz import FuzzCaps
 from bracekit.multimap import GradedSpace, MultiMap, antisymmetrize
@@ -54,7 +54,16 @@ from helpers import (
     eta_without_parity_crossing,
     replay_flags,
 )
-from mutants import matrix_text, parse_matrix, patched, weak_mutants
+from mutants import (
+    MATRIX_SEED,
+    MUTANTS,
+    SITES,
+    Session,
+    matrix_text,
+    parse_matrix,
+    patched,
+    weak_mutants,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -220,7 +229,7 @@ _FAMILY_KEYS = ["workspace", "args", "defect_arity", "defect"]
 _ON_DG = ["--workspace", "dg.json"]
 MUTANT_RUNS = {
     "lemma41": (
-        [(multimap, "staged_rearrangements", eta_without_parity_crossing)],
+        [(brace, "staged_rearrangements", eta_without_parity_crossing)],
         ["fuzz", "--seed", "9", "--cases", "1", "--checks", "lemma41"],
         _FUZZ_KEYS + ["workspace", "args", "split", "inputs"],
     ),
@@ -338,6 +347,35 @@ def test_mutant_fail_record_keys_and_replay(name, tmp_path, monkeypatch):
 
 def test_mutant_kill_matrix_is_unchanged(tmp_path, monkeypatch):
     _check("mutants.txt", tmp_path, monkeypatch)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a patched name no check calls was called")
+
+
+def test_mutant_rows_rerun_only_the_cases_that_reach_their_sites():
+    """A mutant patched at a name no check calls reruns nothing and gives an
+    all-zero row; a site some generator reaches reruns the whole session;
+    and on a short session each mutant's row equals the row of the whole
+    session rerun with it patched in."""
+    nowhere, at_gen = ((cli, "main"),), ((checks, "random_space"),)
+    session = Session(MATRIX_SEED, 10, SITES + nowhere + at_gen)
+    zeros = dict.fromkeys(CHECK_NAMES, 0)
+    assert session.reruns(nowhere) == []
+    assert session.kill_counts(nowhere, _refuse) == zeros
+    assert session.reruns(at_gen) is None
+    assert session.kill_counts(at_gen, checks.random_space) == zeros
+    killed = 0
+    for name, sites, replacement in MUTANTS:
+        with patched([(module, attribute, replacement) for module, attribute in sites]):
+            outcomes = fuzz_outcomes(MATRIX_SEED, 10, CHECK_NAMES, FuzzCaps())
+            whole = dict(zeros)
+            for _, check, outcome in outcomes:
+                whole[check] += not outcome.passed
+        assert session.kill_counts(sites, replacement) == whole, name
+        assert session.reruns(sites), name
+        killed += any(whole.values())
+    assert killed >= 5
 
 
 def test_readme_lists_exactly_the_weak_mutants():

@@ -16,10 +16,10 @@ accumulates the sums of the identity sides and homotopy relations, only
 brace._sum_braces builds a table in brace, only brace._signature refuses a
 bracket's shape, only checks._outcome makes a CheckOutcome, both
 antisymmetric kernels fold their rows through multimap.fold_onto_sorted
-and return through multimap.orbit_map, no module hands an expand_orbits
-table to MultiMap, no module lists inverted pairs for graded.word_parity
-to sign, and no module keeps a sign table of bytes: multimap.orbit_words
-signs its orbits with word_parity too.
+and return through multimap.orbit_map, which alone writes orbits, only
+brace reads graded.staged_rearrangements, no module lists inverted pairs
+for graded.word_parity to sign, and no module keeps a sign table of bytes:
+multimap.orbit_words signs its orbits with word_parity too.
 """
 
 import ast
@@ -163,8 +163,9 @@ PERMUTATION_API = {
 PERMUTATION_EDGE = {"graded", "checks", "__init__"}
 
 
-def permutation_api_reads(tree: ast.Module) -> set:
-    """The names of PERMUTATION_API the module imports or reads."""
+def imports_or_reads(tree: ast.Module) -> set:
+    """The names the module imports, or reads as a bare name or as an
+    attribute."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -173,7 +174,12 @@ def permutation_api_reads(tree: ast.Module) -> set:
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-    return names & PERMUTATION_API
+    return names
+
+
+def permutation_api_reads(tree: ast.Module) -> set:
+    """The names of PERMUTATION_API the module imports or reads."""
+    return imports_or_reads(tree) & PERMUTATION_API
 
 
 def test_finds_a_permutation_api_read():
@@ -192,6 +198,16 @@ def test_only_the_api_edge_uses_permutations(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = permutation_api_reads(tree)
     assert not used, f"{path.name} uses the Permutation API: {sorted(used)}"
+
+
+def test_only_brace_reads_the_staged_rearrangements():
+    """graded defines staged_rearrangements, and brace alone imports it:
+    its checks of Lemmas 4.1 and 5.1 are the only readers of the riffle sign
+    eta, so a mutant of eta has one patch site."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    name = "staged_rearrangements"
+    readers = {stem for stem, tree in trees.items() if name in imports_or_reads(tree)}
+    assert readers - {"graded"} == {"brace"}
 
 
 # the identity sides and homotopy relations only generate signed bracket
@@ -255,62 +271,55 @@ def test_only_the_evaluator_accumulates(stem, name):
 def test_antisymmetric_kernels_fold_onto_sorted_words_in_one_place(stem, name):
     """Both chi-signed sums over unshuffles sum their rows onto sorted words
     through multimap.fold_onto_sorted and return through orbit_map, which
-    checks the rows with MultiMap and writes the orbits with expand_orbits;
+    checks the rows with MultiMap and lists each orbit with orbit_words;
     the unshuffle bracket lists no unshuffles."""
     calls = called_names(_function(stem, name))
     assert {"fold_onto_sorted", "orbit_map"} <= calls
     assert "unshuffle_words" not in calls
-    assert {"MultiMap", "expand_orbits"} <= called_names(_function("multimap", "orbit_map"))
+    assert {"MultiMap", "orbit_words"} <= called_names(_function("multimap", "orbit_map"))
 
 
-def expanded_tables_checked(tree: ast.AST) -> set:
-    """The lines of MultiMap calls given an expand_orbits table: the call
-    itself, or a name the code binds to one."""
-    tables = {
-        target.id
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Assign) and "expand_orbits" in called_names(node.value)
-        for target in node.targets
-        if isinstance(target, ast.Name)
-    }
+def makers_in(modules: dict, test) -> set:
+    """stem.name of each top-level statement of the parsed modules (stem ->
+    tree) for which test(node) holds; a nested function counts as its
+    top-level one."""
     return {
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "MultiMap"
-        for arg in [*node.args, *(k.value for k in node.keywords)]
-        if "expand_orbits" in called_names(arg) or getattr(arg, "id", None) in tables
+        f"{stem}.{getattr(node, 'name', '<module>')}"
+        for stem, tree in modules.items()
+        for node in tree.body
+        if test(node)
     }
 
 
-def test_finds_an_expanded_table_checked():
-    tree = ast.parse(
-        "a = MultiMap(V, 2, 0, expand_orbits(reps, par))\n"
-        "table = expand_orbits(reps, par)\n"
-        "b = multimap.MultiMap(V, 2, 0, entries=table)\n"
-        "c = MultiMap(V, 2, 0, reps)\n"
-    )
-    assert expanded_tables_checked(tree) == {1, 3}
+def _makers(paths, test) -> set:
+    """makers_in the modules at paths."""
+    return makers_in({p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in paths}, test)
+
+
+def _calls_orbit_words(node) -> bool:
+    return "orbit_words" in called_names(node)
+
+
+def test_finds_the_callers_of_a_name():
+    modules = {
+        "a": ast.parse("def f(w):\n    return orbit_words(w)\ndef g():\n    return f(1)\n"),
+        "b": ast.parse(
+            "x = multimap.orbit_words((0,), (1,))\n"
+            "class C:\n"
+            "    def m(self):\n"
+            "        return orbit_words\n"
+        ),
+    }
+    assert makers_in(modules, _calls_orbit_words) == {"a.f", "b.<module>"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_expanded_table_is_checked_again(path):
-    """An orbit's keys are rearrangements of a checked sorted word: orbit_map
-    checks the rows on sorted words, and no code hands the expanded table to
-    MultiMap to check every rearrangement again."""
-    lines = expanded_tables_checked(ast.parse(path.read_text(encoding="utf-8")))
-    assert not lines, f"{path.name} checks an expand_orbits table on lines {sorted(lines)}"
-
-
-def _makers(paths, test) -> set:
-    """stem.name of each top-level statement of the modules at paths for
-    which test(node) holds; a nested function counts as its top-level one."""
-    return {
-        f"{path.stem}.{getattr(node, 'name', '<module>')}"
-        for path in paths
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if test(node)
-    }
+    """An orbit's keys are rearrangements of a checked sorted word, and
+    multimap.orbit_map alone lists them with orbit_words: no expanded table
+    exists outside it for MultiMap to check every rearrangement again."""
+    found = _makers([path], _calls_orbit_words)
+    assert found <= {"multimap.orbit_map"}, f"{path.name} writes orbits in {sorted(found)}"
 
 
 def test_only_outcome_makes_check_outcomes():

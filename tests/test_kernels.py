@@ -6,7 +6,7 @@ there one evaluation of f per choice of the inserted maps' sorted rows and
 a sorted tail of f's keys that reaches a key of f and repeats no even
 letter, both through
 multimap.fold_onto_sorted, and both write each distinct rearrangement of a
-nonzero sorted word once through multimap.expand_orbits.  All three
+nonzero sorted word once through multimap.orbit_map.  All three
 are compared, with exact equality of arity, degree and every
 coefficient, with the reference evaluators in helpers, which evaluate
 tensor_block_eval, MultiMap.__call__ and the oracle _tensor_core on every
@@ -33,7 +33,7 @@ from bracekit.multimap import (
     add_into,
     antisymmetrize,
     compose_into,
-    expand_orbits,
+    orbit_map,
 )
 from bracekit.symbrace import symbrace_eval
 from helpers import (
@@ -545,7 +545,7 @@ def test_symbrace_eval_refuses_output_arity_9_before_evaluating_f(monkeypatch):
     assert str(err.value) == "unshuffle enumeration over 9 elements exceeds cap 8"
 
 
-def test_expand_orbits_round_trips_antisymmetric_maps():
+def test_orbit_map_round_trips_antisymmetric_maps():
     rng = random.Random(SEED + 6)
     spaces = [
         GradedSpace([("u", 1)]),
@@ -558,14 +558,14 @@ def test_expand_orbits_round_trips_antisymmetric_maps():
             for density in (0.2, 0.6, 1.0):
                 f = random_antisym_map(rng, space, arity, density)
                 reps = {k: v for k, v in f.entries.items() if list(k) == sorted(k)}
-                assert expand_orbits(reps, space.parities) == f.entries
+                assert orbit_map(space, arity, f.degree, reps) == f
                 nonzero += not f.is_zero()
     assert nonzero >= 20
 
 
 def _sorted_words(letters, arity, parities):
     """The sorted words of the given arity over range(letters) that repeat
-    no even letter: the words expand_orbits takes."""
+    no even letter: the words orbit_map takes."""
     for word in itertools.combinations_with_replacement(range(letters), arity):
         if all(parities[x] or word.count(x) == 1 for x in word):
             yield word
@@ -584,26 +584,49 @@ def _orbit_size(word):
 ORBIT_SHAPES = [(d, range(1, 7)) for d in (1, 2, 3, 4)] + [(d, (7, 8)) for d in (1, 2)]
 
 
-def test_expand_orbits_matches_the_walk_oracle():
-    """Every sorted word of ORBIT_SHAPES gets the walk's table, with one
-    shared row per sign: the given row on plus words, one negation on the
-    others; all words of one shape at once get the union of their tables."""
+def _orbit_space(parities):
+    """The letters, of degree their parity, then two outputs of each degree
+    0-8: every word of up to 8 letters has a row of two outputs for the
+    degree-0 maps of the orbit tests (_orbit_row)."""
+    letters = [(f"x{i}", p) for i, p in enumerate(parities)]
+    return GradedSpace(letters + [(f"{o}{d}", d) for d in range(9) for o in "yz"])
+
+
+def _orbit_row(word, parities, coeffs=(2, Fraction(-1, 3))):
+    """A row on word of a degree-0 map on _orbit_space(parities): coeffs on
+    the outputs of the word's degree."""
+    first = len(parities) + 2 * sum(parities[x] for x in word)
+    return dict(zip((first, first + 1), coeffs))
+
+
+def _owns_its_rows(m, reps) -> bool:
+    """No two keys of m share a row object, and none is a row of reps."""
+    rows = {*map(id, m.entries.values())}
+    return len(rows) == len(m.entries) and not rows & {*map(id, reps.values())}
+
+
+def test_orbit_map_matches_the_walk_oracle():
+    """Every sorted word of ORBIT_SHAPES gets the walk's table, its own row
+    on the sorted word and a copy on each other key, the row on plus words
+    and its negation on the others; all words of one shape at once get the
+    union of their tables."""
     words = 0
     for letters, arities in ORBIT_SHAPES:
         for parities in itertools.product((0, 1), repeat=letters):
+            space = _orbit_space(parities)
             for arity in arities:
                 reps = {}
                 for word in _sorted_words(letters, arity, parities):
-                    row = {0: 2, 1: Fraction(-1, 3)}
-                    table = expand_orbits({word: row}, parities)
-                    assert table == walk_expand_orbits({word: row}, arity, parities), word
-                    plus = [key for key, out in table.items() if out is row]
-                    minus = {id(out) for out in table.values() if out is not row}
-                    assert word in plus and len(minus) <= 1, word
+                    row = _orbit_row(word, parities)
+                    one = {word: row}
+                    m = orbit_map(space, arity, 0, one)
+                    assert m.entries == walk_expand_orbits(one, arity, parities), word
+                    assert m.entries[word] == row and _owns_its_rows(m, one), word
                     reps[word] = row
                     words += 1
-                got = expand_orbits(reps, parities)
-                assert got == walk_expand_orbits(reps, arity, parities)
+                got = orbit_map(space, arity, 0, reps)
+                assert got.entries == walk_expand_orbits(reps, arity, parities)
+                assert _owns_its_rows(got, reps)
     assert words == 1847
 
 
@@ -651,7 +674,7 @@ def test_placements_match_the_combinations_oracle():
             assert [(get(letters), parity) for get, parity in got] == want, (total, width)
 
 
-def test_expand_orbits_lists_each_rearrangement_once(monkeypatch):
+def test_orbit_map_lists_each_rearrangement_once(monkeypatch):
     """orbit_words is called once per nonzero row and lists k! / prod m_x!
     distinct words, each a rearrangement of the row's word: a duplicate
     writes the same key and value again, so only this count sees it."""
@@ -666,10 +689,13 @@ def test_expand_orbits_lists_each_rearrangement_once(monkeypatch):
     monkeypatch.setattr(multimap, "orbit_words", record)
     for letters, arities in ORBIT_SHAPES:
         for parities in itertools.product((0, 1), repeat=letters):
+            space = _orbit_space(parities)
             for arity in arities:
                 words = list(_sorted_words(letters, arity, parities))
+                rows = {w: _orbit_row(w, parities, (1,)) for w in words}
+                reps = {w: rows[w] if i % 3 else {} for i, w in enumerate(words)}
                 calls.clear()
-                expand_orbits({w: {0: 1} if i % 3 else {} for i, w in enumerate(words)}, parities)
+                orbit_map(space, arity, 0, reps)
                 assert [w for w, _ in calls] == [w for i, w in enumerate(words) if i % 3]
                 for word, listed in calls:
                     assert len(listed) == len(set(listed)) == _orbit_size(word), word
@@ -685,21 +711,25 @@ def test_antisymmetrize_pins_arity_8_on_one_odd_letter():
     assert antisymmetrize(f).entries == {(0,) * 8: {0: factorial(8) * Fraction(3, 2)}}
 
 
-def test_expand_orbits_pins_the_orbit_of_four_and_four_odd_letters():
+def test_orbit_map_pins_the_orbit_of_four_and_four_odd_letters():
     """Two odd letters commute under chi: the 70 words with four of each
-    all share the given row."""
-    row = {0: 5}
-    table = expand_orbits({(0, 0, 0, 0, 1, 1, 1, 1): row}, (1, 1))
+    all get the given row, each key its own copy."""
+    word, parities = (0, 0, 0, 0, 1, 1, 1, 1), (1, 1)
+    reps = {word: _orbit_row(word, parities, (5,))}
+    m = orbit_map(_orbit_space(parities), 8, 0, reps)
     words = {w for w in itertools.product((0, 1), repeat=8) if sum(w) == 4}
-    assert len(words) == 70 and set(table) == words
-    assert all(out is row for out in table.values())
+    assert len(words) == 70 and set(m.entries) == words
+    assert all(out == reps[word] for out in m.entries.values())
+    assert _owns_its_rows(m, reps)
 
 
-def test_expand_orbits_pins_signs_around_a_repeated_odd_letter():
+def test_orbit_map_pins_signs_around_a_repeated_odd_letter():
     """u u e f with u odd, e and f even: chi is -1 once per pair of an even
     letter and a letter out of order."""
-    got = expand_orbits({(0, 0, 1, 2): {0: 1}}, (1, 0, 0))
-    assert {key: out[0] for key, out in got.items()} == {
+    word, parities = (0, 0, 1, 2), (1, 0, 0)
+    (out,) = row = _orbit_row(word, parities, (1,))
+    got = orbit_map(_orbit_space(parities), 4, 0, {word: row})
+    assert {key: value[out] for key, value in got.entries.items()} == {
         (0, 0, 1, 2): 1, (0, 0, 2, 1): -1, (0, 1, 0, 2): -1, (0, 1, 2, 0): 1,
         (0, 2, 0, 1): 1, (0, 2, 1, 0): -1, (1, 0, 0, 2): 1, (1, 0, 2, 0): -1,
         (1, 2, 0, 0): 1, (2, 0, 0, 1): -1, (2, 0, 1, 0): 1, (2, 1, 0, 0): -1,

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from bracekit.brace import decomposition_first_defect
 from bracekit.errors import InputError, ResourceLimitError
 from bracekit.graded import (
     antisym_koszul_sign,
@@ -17,7 +18,6 @@ from bracekit.multimap import (
     GradedSpace,
     GradedVector,
     MultiMap,
-    _decomposition_first_defect,
     antisymmetrize,
     is_antisymmetric,
 )
@@ -432,10 +432,10 @@ class TestDecomposition:
         for arity in (1, 2, 3):
             for _ in range(4):
                 f = random_map(rng, space, arity)
-                assert _decomposition_first_defect(f) is None
+                assert decomposition_first_defect(f) is None
 
     def test_arity_four(self):
         rng = random.Random(13)
         space = GradedSpace([("a", 1), ("b", 2)])
         f = random_map(rng, space, 4)
-        assert _decomposition_first_defect(f) is None
+        assert decomposition_first_defect(f) is None
