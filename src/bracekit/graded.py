@@ -2,7 +2,7 @@
 
 Inside the library a rearrangement is a 0-based word ``w``, putting the
 objects ``x_{w[0]}, ..., x_{w[n-1]}`` in a row.  unshuffle_words is the one
-enumerator (S_n is the unshuffles of n singleton blocks: permutation_words)
+enumerator of unshuffles (S_n is itertools.permutations: permutation_words)
 and word_parity the one sign, read off the word: eps is (-1)^{|x||y|} for
 each pair x, y the word puts out of order, chi = sgn * eps, and only degree
 parities enter.  staged_rearrangements, shared by Lemmas 4.1 (chi) and
@@ -186,9 +186,9 @@ def unshuffle_words(blocks: Sequence[int]) -> Iterator[tuple]:
 
 
 def permutation_words(n: int) -> Iterator[tuple]:
-    """S_n, lexicographic, as the unshuffle_words of n singleton blocks."""
+    """S_n as 0-based words, lexicographic (itertools.permutations)."""
     _check_cap(n, "permutation enumeration")
-    return unshuffle_words((1,) * n)
+    return itertools.permutations(range(n))
 
 
 def enumerate_permutations(n: int) -> Iterator[Permutation]:

@@ -34,7 +34,7 @@ from typing import Iterable, Mapping
 from .errors import InputError, WorkspaceError
 from .multimap import GradedSpace, MultiMap, Scalar
 
-_COEFF_RE = re.compile(r"[+-]?\d+(/\d+)?")
+_COEFF_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _ENTRY_KEYS, _TERM_KEYS = frozenset({"in", "out"}), frozenset({"basis", "coeff"})
 _PADS = tuple("\n" + "  " * d for d in range(8))  # newline, indent of depth d
 

@@ -462,6 +462,18 @@ class TestFmtVerb:
         assert "Traceback" not in result.stderr
         assert path.read_bytes() == content
 
+    @pytest.mark.parametrize(
+        "digits", ["٣", "３", "1/٤"], ids=["arabic-indic", "fullwidth", "denominator"]
+    )
+    def test_fmt_refuses_non_ascii_digits(self, tmp_path, digits):
+        path = tmp_path / "ws.json"
+        content = json.dumps(WS).replace('"coeff": "1"', f'"coeff": "{digits}"', 1)
+        path.write_text(content, encoding="utf-8")
+        result = run_cli("fmt", "--workspace", str(path), cwd=tmp_path)
+        assert result.returncode == 2
+        assert f"bad coefficient {digits!r} (expected 'p' or 'p/q')" in result.stderr
+        assert path.read_text(encoding="utf-8") == content
+
 
 @pytest.mark.parametrize("verb", ["fmt", "antisymmetrize"])
 def test_unwritable_out_is_input_error(tmp_path, ws_path, verb):

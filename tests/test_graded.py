@@ -20,6 +20,7 @@ from bracekit.graded import (
     interleave_block_permutation,
     inversion_parity_check,
     koszul_sign,
+    permutation_words,
     unshuffle_decomposition_check,
     unshuffle_words,
     word_parity,
@@ -206,6 +207,15 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError, match=f"^{permutations}$"):
             symmetrize_brace(f, [g] * 9)
 
+    def test_permutation_words_match_the_singleton_unshuffles(self):
+        for n in range(8):
+            words = list(permutation_words(n))
+            public = [tuple(v - 1 for v in p.images) for p in enumerate_permutations(n)]
+            assert words == list(unshuffle_words((1,) * n)) == public, n
+        permutations = re.escape("permutation enumeration over 9 elements exceeds cap 8")
+        with pytest.raises(ResourceLimitError, match=f"^{permutations}$"):
+            permutation_words(9)
+
     def test_unshuffle_counts(self):
         def multinomial(blocks):
             import math
@@ -373,8 +383,8 @@ class TestUnshuffleDecomposition:
         ids=["drops-the-last", "repeats-the-last"],
     )
     def test_fails_when_the_unshuffles_miss_or_repeat_a_word(self, monkeypatch, change):
-        # permutation_words lists the unshuffles of singleton blocks, which
-        # stay intact, so S_N and the hands' S_b are still whole
+        # S_N and the hands' S_b come from permutation_words, which deals
+        # no unshuffle, so they stay whole
         unshuffles = graded.unshuffle_words
 
         def changed(blocks):
@@ -384,6 +394,20 @@ class TestUnshuffleDecomposition:
         cases = [((2, 1), (0, 1, 1)), ((1, 2), (1, 1, 0)), ((2, 2), (0, 1, 1, 0))]
         assert all(unshuffle_decomposition_check(*case) for case in cases)
         monkeypatch.setattr(graded, "unshuffle_words", changed)
+        assert not any(unshuffle_decomposition_check(*case) for case in cases)
+
+    def test_compares_with_an_s_n_the_unshuffles_did_not_deal(self, monkeypatch):
+        # the patch drops an unshuffle of singleton blocks too; S_N is not
+        # dealt from those, so the composites still miss a word of it
+        unshuffles = graded.unshuffle_words
+
+        def dropped(blocks):
+            words = list(unshuffles(blocks))
+            return words[:-1] if len(blocks) >= 2 else words
+
+        cases = [((1, 1), (0, 0)), ((1, 1, 1), (0, 1, 1))]
+        assert all(unshuffle_decomposition_check(*case) for case in cases)
+        monkeypatch.setattr(graded, "unshuffle_words", dropped)
         assert not any(unshuffle_decomposition_check(*case) for case in cases)
 
     @pytest.mark.parametrize("faulty", [True, False], ids=["chi", "eps"])

@@ -512,8 +512,22 @@ class TestErrorTexts:
                 '{"space": {"basis": [{"name": "a", "degree": 0}]}, "maps": 3}',
                 "maps: expected a list, got int",
             ),
+            *(
+                (
+                    json.dumps(TWO_MAPS).replace('"1"', f'"{digits}"', 1),
+                    f"bad coefficient {digits!r} (expected 'p' or 'p/q')",
+                )
+                for digits in ("٣", "３", "1/٤")
+            ),
         ],
-        ids=["syntax", "digit-limit", "schema"],
+        ids=[
+            "syntax",
+            "digit-limit",
+            "schema",
+            "arabic-indic-digit",
+            "fullwidth-digit",
+            "arabic-indic-denominator",
+        ],
     )
     def test_loads_message_is_exact(self, text, message):
         with pytest.raises(WorkspaceError) as exc:
