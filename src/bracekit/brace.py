@@ -221,12 +221,12 @@ def decomposition_first_defect(f: MultiMap):
     antisymmetrization, or None.  Each term is a row of f's table."""
     k = f.arity
     asf = antisymmetrize(f)
-    par = f.space.parities
+    par, rows = f.space.parities, f.entries
     for n in range(k + 1):
         for t in f.space.tuples(k):
             total: dict = {}
             for sign, w in staged_rearrangements(t, [par[i] for i in t], n, True):
-                for j, c in f.entries.get(w, {}).items():
+                for j, c in rows[w].items() if w in rows else ():
                     total[j] = total.get(j, 0) + sign * c
             if {j: c for j, c in total.items() if c} != asf.entries.get(t, {}):
                 return {"split": [n, k - n], "inputs": [f.space.names[i] for i in t]}

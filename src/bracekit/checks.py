@@ -87,7 +87,7 @@ from .symbrace import (
     antisymmetrized_brace_sides,
     symbrace_axiom_sides,
 )
-from .workspace import Workspace, map_to_obj
+from .workspace import Workspace, map_to_obj, parse_int
 
 # dim**out_arity cap for plain brace evaluations
 _POINT_BUDGET = 800
@@ -147,7 +147,7 @@ def _csv(text: str) -> list:
 
 def _int_csv(text: str, flag: str) -> list:
     try:
-        return [int(part) for part in _csv(text)]
+        return [parse_int(part) for part in _csv(text)]
     except ValueError:
         raise InputError(f"{flag}: expected comma-separated integers, got {text!r}")
 

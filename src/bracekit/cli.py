@@ -19,6 +19,7 @@ unequal values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from .checks import CHECK_NAMES, CHECKS, fuzz_outcomes, outcome_line
 from .errors import BracekitError, InputError
 from .fuzz import FuzzCaps
 from .multimap import antisymmetrize
-from .workspace import Workspace
+from .workspace import Workspace, parse_int
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -36,11 +37,9 @@ EXIT_CLOSED_PIPE = 141
 
 
 def _nonnegative(text: str) -> int:
-    try:
-        if int(text) >= 0:
+    with contextlib.suppress(ValueError):
+        if parse_int(text) >= 0:
             return int(text)
-    except ValueError:
-        pass
     raise argparse.ArgumentTypeError("expected a nonnegative integer")
 
 
@@ -51,7 +50,7 @@ def _degree_range(text: str):
             f"expected 'lo..hi' (for example -2..2), got {text!r}"
         )
     try:
-        return int(lo), int(hi)
+        return parse_int(lo), parse_int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected integer bounds in 'lo..hi', got {text!r}"

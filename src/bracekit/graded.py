@@ -21,6 +21,7 @@ ResourceLimitError, as do antisymmetrize and symbrace_eval above that arity.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceLimitError
@@ -232,15 +233,17 @@ def staged_rearrangements(
     The first n items are the heads y, the last m the tails z.  Yields
     (sign, rearranged tuple) for every permutation of the z's (outermost),
     then every permutation of the y's, then every riffle of the permuted z's
-    among the permuted y's: an insertion pattern (k_0, ..., k_n) deals the
-    z's in order, k_0 before y_1 and k_i after y_i.  Block permutations are
-    signed by word_parity over the items' degree parities, chi when chi is
-    set and eps otherwise; the riffle by (-1)^eta with
+    among the permuted y's: the y's take n of the n + m places in order
+    (lexicographic combinations), the z's the rest, b_i of them before y_i.
+    Block permutations are signed by word_parity over the items' degree
+    parities, chi when chi is set and eps otherwise; the riffle by (-1)^eta:
 
         eta = sum_i |y_i| * (parities of the z's placed before y_i)
-            + sum_{i=0..n} (n - i) k_i        (this term only when chi is set)
+            + sum_i b_i        (this term only when chi is set)
 
-    Each rearrangement comes once, with its chi or eps sign.
+    Each rearrangement comes once, with its chi or eps sign.  Per call, each
+    riffle gets an itemgetter of ys + zs (tuple below two items) and bits
+    i*m + j, j < b_i: eta's first sum counts those set for odd y_i and z_j.
 
     >>> terms = staged_rearrangements("abc", (0, 0, 0), 1, True)
     >>> sorted(("".join(w), s) for s, w in terms)
@@ -251,28 +254,27 @@ def staged_rearrangements(
         raise InputError(
             f"cannot split {len(items)} items ({len(parities)} parities) at {n}"
         )
-    hpar, tpar = parities[:n], parities[n:]
-    head_perms = [
-        (word_parity(w, hpar, chi), [items[i] for i in w], [hpar[i] for i in w])
+    hpar, tails, tpar = parities[:n], items[n:], parities[n:]
+    heads = [
+        (word_parity(w, hpar, chi), tuple(map(items.__getitem__, w)),
+         sum(1 << i * m for i, x in enumerate(w) if hpar[x] & 1))
         for w in permutation_words(n)
     ]
-    riffles = [
-        (slots, sum((n - i) * k for i, k in enumerate(slots)) if chi else 0)
-        for slots in insertion_patterns(m, n + 1)
-    ]
+    riffles = []
+    for places in itertools.combinations(range(n + m), n):
+        order, below = [*range(n, n + m)], 0
+        for i, p in enumerate(places):
+            order.insert(p, i)
+            below |= ((1 << p - i) - 1) << i * m
+        eta = sum(places) - n * (n - 1) // 2 if chi else 0
+        riffles.append((itemgetter(*order) if n + m > 1 else tuple, eta, below))
     for w in permutation_words(m):
-        zneg, zpar = word_parity(w, tpar, chi), [tpar[i] for i in w]
-        zs = tuple(items[n + i] for i in w)
-        for yneg, ys, ypar in head_perms:
-            for slots, eta in riffles:
-                pos = slots[0]
-                seq, zprefix = zs[:pos], sum(zpar[:pos])
-                for y, p, k in zip(ys, ypar, slots[1:]):
-                    eta += p * zprefix
-                    seq += (y,) + zs[pos : pos + k]
-                    zprefix += sum(zpar[pos : pos + k])
-                    pos += k
-                yield -1 if (eta + yneg + zneg) & 1 else 1, seq
+        zneg, zs = word_parity(w, tpar, chi), tuple(map(tails.__getitem__, w))
+        odd = sum(1 << j for j, x in enumerate(w) if tpar[x] & 1)
+        for yneg, ys, spread in heads:
+            word, pairs, neg = ys + zs, spread * odd, yneg + zneg
+            for deal, eta, below in riffles:
+                yield -1 if (neg + eta + (below & pairs).bit_count()) & 1 else 1, deal(word)
 
 
 def interleave_block_permutation(

@@ -58,6 +58,13 @@ def parse_coeff(text) -> Scalar:
     return int(value) if value.denominator == 1 else value
 
 
+def parse_int(text: str) -> int:
+    """int() of ASCII [+-]digits only: not Unicode digits, '_' or spaces."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        return int(text)
+    raise ValueError(f"not an ASCII integer: {text!r}")
+
+
 def format_coeff(c: Scalar) -> str:
     """A coefficient as "p" or "p/q" in lowest terms; an int is its str().
 

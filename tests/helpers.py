@@ -2,10 +2,11 @@
 validation loop of the MultiMap constructor, point-by-point reference
 evaluators built on the tensor-block oracle _tensor_core, among them a
 second bracket_sum, wrong brace, unshuffle-bracket, riffle and
-block-interleaving signs, the sign of a word summed over its inverted
-pairs, the adjacent-swap walk through S_n and the orbit writer built on
-it, the orbit stabilizer counted letter by letter, the flags that replay
-a check's record, and the environment and runner of a CLI subprocess."""
+block-interleaving signs, the staged rearrangements dealt by slicing, the
+sign of a word summed over its inverted pairs, the adjacent-swap walk
+through S_n and the orbit writer built on it, the orbit stabilizer counted
+letter by letter, the flags that replay a check's record, and the
+environment and runner of a CLI subprocess."""
 
 import itertools
 import math
@@ -279,6 +280,37 @@ def eta_without_parity_crossing(items, parities, n, chi):
             else:
                 zprefix += parities[i]
         yield (-sign if crossing & 1 else sign), tuple(items[i] for i in seq)
+
+
+def sliced_staged_rearrangements(items, parities, n, chi):
+    """The oracle of graded.staged_rearrangements: the same (sign, word)
+    list in the same order, each riffled word built by slicing the permuted
+    z's at an insertion pattern (k_0, ..., k_n), k_0 before y_1 and k_i
+    after y_i, and eta summed term by term, sum_{i=0..n} (n - i) k_i for
+    chi."""
+    m = len(items) - n
+    hpar, tpar = parities[:n], parities[n:]
+    head_perms = [
+        (pair_word_parity(w, hpar, chi), [items[i] for i in w], [hpar[i] for i in w])
+        for w in itertools.permutations(range(n))
+    ]
+    riffles = [
+        (slots, sum((n - i) * k for i, k in enumerate(slots)) if chi else 0)
+        for slots in insertion_patterns(m, n + 1)
+    ]
+    for w in itertools.permutations(range(m)):
+        zneg, zpar = pair_word_parity(w, tpar, chi), [tpar[i] for i in w]
+        zs = tuple(items[n + i] for i in w)
+        for yneg, ys, ypar in head_perms:
+            for slots, eta in riffles:
+                pos = slots[0]
+                seq, zprefix = zs[:pos], sum(zpar[:pos])
+                for y, p, k in zip(ys, ypar, slots[1:]):
+                    eta += p * zprefix
+                    seq += (y,) + zs[pos : pos + k]
+                    zprefix += sum(zpar[pos : pos + k])
+                    pos += k
+                yield -1 if (eta + yneg + zneg) & 1 else 1, seq
 
 
 # Sign mutants of the block interleaving behind Lemma 4.3: alpha1 or alpha2

@@ -241,6 +241,15 @@ class TestCheckVerb:
             ["lemma42", "--blocks=a,b", "--degrees=0"],
             "--blocks: expected comma-separated integers, got 'a,b'",
         ),
+        # int() alone would read these as 2 and 10
+        (
+            ["lemma44", "--sigma=٢,1", "--v=1,2", "--w=0,1"],
+            "--sigma: expected comma-separated integers, got '٢,1'",
+        ),
+        (
+            ["lemma44", "--sigma=2,1", "--v=1_0,2", "--w=0,1"],
+            "--v: expected comma-separated integers, got '1_0,2'",
+        ),
     ],
 )
 def test_malformed_lemma_input_is_refused(argv, message, capsys):
@@ -308,6 +317,28 @@ class TestFuzzVerb:
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert err.endswith(f"argument {flag}: expected a nonnegative integer\n")
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "٣", "expected a nonnegative integer"),
+            ("--cases", "1_0", "expected a nonnegative integer"),
+            ("--cases", " 3", "expected a nonnegative integer"),
+            (
+                "--degree-range",
+                "٠..١",
+                "expected integer bounds in 'lo..hi', got '٠..١'",
+            ),
+        ],
+        ids=["arabic-indic-seed", "underscore", "spaces", "arabic-indic-range"],
+    )
+    def test_non_ascii_integers_are_refused(self, flag, value, message, capsys):
+        # int() alone would read each of these as an integer
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["fuzz", flag, value])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"argument {flag}: {message}\n")
 
     def test_bad_degree_range_is_input_error(self, tmp_path):
         result = run_cli("fuzz", "--degree-range", "2", cwd=tmp_path)

@@ -17,7 +17,8 @@ brace._sum_braces builds a table in brace, only brace._signature refuses a
 bracket's shape, only checks._outcome makes a CheckOutcome, both
 antisymmetric kernels fold their rows through multimap.fold_onto_sorted
 and return through multimap.orbit_map, which alone writes orbits, only
-brace reads graded.staged_rearrangements, no module lists inverted pairs
+brace reads graded.staged_rearrangements, which signs with word_parity
+only the permutations it enumerates, no module lists inverted pairs
 for graded.word_parity to sign, and no module keeps a sign table of bytes:
 multimap.orbit_words signs its orbits with word_parity too.
 """
@@ -208,6 +209,59 @@ def test_only_brace_reads_the_staged_rearrangements():
     name = "staged_rearrangements"
     readers = {stem for stem, tree in trees.items() if name in imports_or_reads(tree)}
     assert readers - {"graded"} == {"brace"}
+
+
+def _signed_word(node) -> str | None:
+    """The name a word_parity call signs, if node is such a call on a bare
+    name; "" for a call on anything else."""
+    if not isinstance(node, ast.Call):
+        return None
+    if getattr(node.func, "id", getattr(node.func, "attr", None)) != "word_parity":
+        return None
+    word = node.args[0] if node.args else None
+    return word.id if isinstance(word, ast.Name) else ""
+
+
+def signs_off_the_enumeration(func: ast.FunctionDef) -> list:
+    """The lines where func calls word_parity on anything but the variable
+    of an enclosing for loop or comprehension over permutation_words(...)."""
+    enumerated = set()
+    for node in ast.walk(func):
+        loops = [node] if isinstance(node, ast.For) else getattr(node, "generators", [])
+        for loop in loops:
+            over_words = "permutation_words" in called_names(loop.iter)
+            if over_words and isinstance(loop.target, ast.Name):
+                word = loop.target.id
+                enumerated |= {id(c) for c in ast.walk(node) if _signed_word(c) == word}
+    return sorted(
+        node.lineno
+        for node in ast.walk(func)
+        if _signed_word(node) is not None and id(node) not in enumerated
+    )
+
+
+def test_finds_a_word_parity_call_off_the_enumeration():
+    tree = ast.parse(
+        "def staged(items, parities, n, chi):\n"
+        "    heads = [word_parity(w, parities, chi) for w in permutation_words(n)]\n"
+        "    for w in permutation_words(len(items) - n):\n"
+        "        word = w + w\n"
+        "        yield word_parity(word, parities, chi), word\n"
+        "        yield graded.word_parity(tuple(w), parities, chi), w\n"
+        "    for w in itertools.permutations(items):\n"
+        "        yield word_parity(w, parities, chi), w\n"
+    )
+    assert signs_off_the_enumeration(tree.body[0]) == [5, 6, 8]
+
+
+def test_staged_rearrangements_signs_only_enumerated_words():
+    """Each sign staged_rearrangements computes with word_parity is that of
+    a permutation it enumerates, S_n or S_m, never of a word it dealt: the
+    sign of a dealt word is chi itself, and the checks of Lemmas 4.1 and 5.1
+    would then compare chi with chi."""
+    func = _function("graded", "staged_rearrangements")
+    assert "word_parity" in called_names(func)
+    assert signs_off_the_enumeration(func) == []
 
 
 # the identity sides and homotopy relations only generate signed bracket

@@ -21,7 +21,12 @@ from bracekit.multimap import (
     antisymmetrize,
     is_antisymmetric,
 )
-from helpers import eta_without_parity_crossing, random_map, tensor_block_eval
+from helpers import (
+    eta_without_parity_crossing,
+    random_map,
+    sliced_staged_rearrangements,
+    tensor_block_eval,
+)
 
 
 MIXED = GradedSpace([("a", 0), ("b", 1)])
@@ -411,6 +416,26 @@ class TestPermutationTerms:
 
     def test_each_rearrangement_once_with_its_sign(self):
         assert staged_sign_failures(staged_rearrangements) == []
+
+    def test_words_and_signs_in_the_sliced_order(self):
+        # the whole list, so the order is pinned as well as the multiset
+        for k in range(6):
+            for parities in itertools.product((0, 1), repeat=k):
+                for n, chi in itertools.product(range(k + 1), (True, False)):
+                    args = (tuple(range(k)), parities, n, chi)
+                    got = list(staged_rearrangements(*args))
+                    assert got == list(sliced_staged_rearrangements(*args)), args
+
+    @pytest.mark.parametrize(
+        "items, degrees",
+        [("", ()), ("y", (1,)), ("yz", (1, 2)), ("abcd", (3, -2, 1, -1))],
+    )
+    def test_string_items_and_degrees_in_the_sliced_order(self, items, degrees):
+        # under two items the riffle deals with tuple, not an itemgetter
+        for n, chi in itertools.product(range(len(items) + 1), (True, False)):
+            args = (items, degrees, n, chi)
+            got = list(staged_rearrangements(*args))
+            assert got == list(sliced_staged_rearrangements(*args)), args
 
     def test_eta_mutant_fails_in_both_forms(self):
         failures = staged_sign_failures(eta_without_parity_crossing)
