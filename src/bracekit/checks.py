@@ -47,6 +47,7 @@ tracer does) reaches every check that uses it.
 
 from __future__ import annotations
 
+import argparse
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -143,6 +144,14 @@ def outcome_line(
 
 def _csv(text: str) -> list:
     return [part for part in (text or "").split(",") if part]
+
+
+def int_flag(text: str) -> int:
+    """The argparse type of an integer flag: ASCII digits only (parse_int)."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
 def _int_csv(text: str, flag: str) -> list:
@@ -447,7 +456,7 @@ def _family_check(name, flavor, draw, verify):
         )
         parser.add_argument(
             "--max-arity",
-            type=int,
+            type=int_flag,
             default=_DEFAULT_MAX_ARITY,
             help="largest output arity whose relation is checked",
         )
@@ -583,8 +592,9 @@ def fuzz_outcomes(seed: int, cases: int, names: Sequence[str], caps: FuzzCaps):
     order, as the run reaches each case, so each instance depends only on
     (seed, cases-index, check list) and never on how much entropy an earlier
     case consumed.  An InputError from a verifier yields a FAIL whose
-    counterexample is the instance context plus the error message.  A case
-    builds its context only when it fails.
+    counterexample is the instance context plus the error message; one from
+    a generator, a FAIL with no params whose counterexample is the message
+    alone.  A case builds its context only when it fails.
     """
     if cases < 0:
         raise InputError("cases must be nonnegative")
@@ -596,11 +606,13 @@ def fuzz_outcomes(seed: int, cases: int, names: Sequence[str], caps: FuzzCaps):
     for case in range(cases):
         for name in names:
             check = CHECKS[name]
-            instance = check.gen(SplitMix64(master.next_u64()), caps)
+            rng, instance = SplitMix64(master.next_u64()), CheckInstance((), {}, dict)
             try:
+                instance = check.gen(rng, caps)
                 outcome = check.run(instance)
             except InputError as exc:
-                # a verifier refusing a generated instance (corollary on a
-                # family failing ainfty) fails that case, not the whole run
+                # a generator failing to build an instance, or a verifier
+                # refusing one (corollary on a family failing ainfty), fails
+                # that case, not the whole run
                 outcome = _outcome(name, instance, {"error": str(exc)})
             yield case, name, outcome

@@ -24,7 +24,7 @@ import json
 import os
 import sys
 
-from .checks import CHECK_NAMES, CHECKS, fuzz_outcomes, outcome_line
+from .checks import CHECK_NAMES, CHECKS, fuzz_outcomes, int_flag, outcome_line
 from .errors import BracekitError, InputError
 from .fuzz import FuzzCaps
 from .multimap import antisymmetrize
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--max-n", "max_n", "most maps the first stage inserts; the second "
          "stage may insert one more, and lemma51 up to 4 maps in all"),
     ):
-        fuzz.add_argument(flag, type=int, default=getattr(caps, field), help=text)
+        fuzz.add_argument(flag, type=int_flag, default=getattr(caps, field), help=text)
     fuzz.add_argument(
         "--degree-range",
         type=_degree_range,
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--max-arity-out",
-        type=int,
+        type=int_flag,
         default=caps.max_out_arity,
         help="largest composed output arity; lemma41's map ignores it",
     )

@@ -5,8 +5,8 @@ objects ``x_{w[0]}, ..., x_{w[n-1]}`` in a row.  unshuffle_words is the one
 enumerator of unshuffles (S_n is itertools.permutations: permutation_words)
 and word_parity the one sign, read off the word: eps is (-1)^{|x||y|} for
 each pair x, y the word puts out of order, chi = sgn * eps, and only degree
-parities enter.  staged_rearrangements, shared by Lemmas 4.1 (chi) and
-5.1 (eps), is the one place the riffle sign is computed.
+parities enter.  riffles is the one table of riffles, and
+staged_rearrangements (Lemmas 4.1, chi, and 5.1, eps) the one riffle sign.
 
 At the API edge, a Permutation is a word in one-line notation with 1-based
 values: ``s`` sends position ``i`` to the value ``s(i)``, and applying ``s``
@@ -14,12 +14,13 @@ to ``(x_1, ..., x_n)`` yields ``(x_{s(1)}, ..., x_{s(n)})``; the checks of
 Lemmas 4.3 and 4.4 read each Permutation they take once, as its 0-based word.
 
 Enumerating all of S_n, or all unshuffles of n elements, grows like n!;
-both enumerators refuse n above the fixed ENUMERATION_CAP with
+both enumerators and riffles refuse n above the fixed ENUMERATION_CAP with
 ResourceLimitError, as do antisymmetrize and symbrace_eval above that arity.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -157,8 +158,16 @@ def _check_cap(n: int, what: str) -> None:
         )
 
 
+def _sizes(values: Sequence[int], what: str) -> tuple:
+    values = tuple(values)
+    # bool is an int subclass; reject it explicitly
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+        raise InputError(f"{what} sizes must be integers: {values}")
+    return values
+
+
 def _block_sizes(blocks: Sequence[int]) -> tuple:
-    blocks = tuple(int(b) for b in blocks)
+    blocks = _sizes(blocks, "block")
     if any(b < 0 for b in blocks):
         raise InputError(f"block sizes must be nonnegative: {blocks}")
     return blocks
@@ -225,6 +234,29 @@ def insertion_patterns(total: int, parts: int) -> Iterator[tuple]:
         yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
 
 
+@functools.cache
+def riffles(n: int, m: int) -> tuple:
+    """(deal, parity, below) per riffle of n heads among m tails, the heads'
+    places in combinations order: deal reads heads + tails in the riffled
+    order (tuple below two items), parity is that of the places' sum, and
+    below has bit i*m + j per tail j dealt before head i.  Refused above
+    ENUMERATION_CAP items, so the cache holds at most 511 riffles.
+
+    >>> [("".join(deal("abc")), parity, below) for deal, parity, below in riffles(1, 2)]
+    [('abc', 0, 0), ('bac', 1, 1), ('bca', 0, 3)]
+    """
+    for size in (n, m, n + m):
+        _check_cap(size, "riffle enumeration")
+    out = []
+    for places in itertools.combinations(range(n + m), n):
+        order, below = [*range(n, n + m)], 0
+        for i, p in enumerate(places):
+            order.insert(p, i)
+            below |= ((1 << p - i) - 1) << i * m
+        out.append((itemgetter(*order) if n + m > 1 else tuple, sum(places) & 1, below))
+    return tuple(out)
+
+
 def staged_rearrangements(
     items: Sequence, parities: Sequence[int], n: int, chi: bool
 ) -> Iterator[tuple]:
@@ -241,9 +273,9 @@ def staged_rearrangements(
         eta = sum_i |y_i| * (parities of the z's placed before y_i)
             + sum_i b_i        (this term only when chi is set)
 
-    Each rearrangement comes once, with its chi or eps sign.  Per call, each
-    riffle gets an itemgetter of ys + zs (tuple below two items) and bits
-    i*m + j, j < b_i: eta's first sum counts those set for odd y_i and z_j.
+    Each rearrangement comes once, with its chi or eps sign.  Each riffle of
+    riffles(n, m), read once per call, deals ys + zs; its parity + n(n-1)/2
+    is sum_i b_i mod 2; its below bits of odd y_i and z_j are eta's first sum.
 
     >>> terms = staged_rearrangements("abc", (0, 0, 0), 1, True)
     >>> sorted(("".join(w), s) for s, w in terms)
@@ -254,26 +286,19 @@ def staged_rearrangements(
         raise InputError(
             f"cannot split {len(items)} items ({len(parities)} parities) at {n}"
         )
+    dealt = [(d, p + n * (n - 1) // 2 if chi else 0, b) for d, p, b in riffles(n, m)]
     hpar, tails, tpar = parities[:n], items[n:], parities[n:]
     heads = [
         (word_parity(w, hpar, chi), tuple(map(items.__getitem__, w)),
          sum(1 << i * m for i, x in enumerate(w) if hpar[x] & 1))
         for w in permutation_words(n)
     ]
-    riffles = []
-    for places in itertools.combinations(range(n + m), n):
-        order, below = [*range(n, n + m)], 0
-        for i, p in enumerate(places):
-            order.insert(p, i)
-            below |= ((1 << p - i) - 1) << i * m
-        eta = sum(places) - n * (n - 1) // 2 if chi else 0
-        riffles.append((itemgetter(*order) if n + m > 1 else tuple, eta, below))
     for w in permutation_words(m):
         zneg, zs = word_parity(w, tpar, chi), tuple(map(tails.__getitem__, w))
         odd = sum(1 << j for j, x in enumerate(w) if tpar[x] & 1)
         for yneg, ys, spread in heads:
             word, pairs, neg = ys + zs, spread * odd, yneg + zneg
-            for deal, eta, below in riffles:
+            for deal, eta, below in dealt:
                 yield -1 if (neg + eta + (below & pairs).bit_count()) & 1 else 1, deal(word)
 
 
@@ -300,8 +325,7 @@ def interleave_block_permutation(
 
     ``degrees`` lists the degrees of the r objects in original order.
     """
-    blocks = tuple(int(b) for b in blocks)
-    slots = tuple(int(k) for k in slots)
+    blocks, slots = _sizes(blocks, "block"), _sizes(slots, "slot")
     n = len(blocks)
     if len(slots) != n + 1:
         raise InputError(f"expected {n + 1} slot counts, got {len(slots)}")

@@ -20,20 +20,18 @@ entry table, validated once, as a MultiMap.  A chi-antisymmetric map is
 fixed by its rows on sorted words: fold_onto_sorted sums the rows of
 antisymmetrize and of symbrace_eval onto them, and orbit_map validates
 only those and copies each to each distinct rearrangement of its word,
-which orbit_words deals by graded.unshuffle_words and signs by word_parity.
+which orbit_words deals by graded.riffles and signs by word_parity.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ResourceLimitError
-from .graded import ENUMERATION_CAP, unshuffle_words, word_parity
+from .graded import ENUMERATION_CAP, riffles, word_parity
 
 Scalar = int | Fraction
 
@@ -431,11 +429,11 @@ def orbit_words(word: tuple, parities) -> tuple:
 
     chi skips the out-of-order pairs of two odd letters, so the odd letters
     are arranged unsigned: the single ones in every order, then each
-    repeated one's copies dealt to every choice of slots among them.  An
-    even and an odd letter are out of order when one has crossed the other,
-    so chi is word_parity of the evens' order times -1 per unit their
-    slots' sum moves from word's.  Each order of the evens joins each odd
-    arrangement and is dealt to every choice of slots.
+    repeated one's copies riffled among them.  An even and an odd letter are
+    out of order when one has crossed the other, so chi is word_parity of
+    the evens' order times -1 per unit their slots' sum moves from word's.
+    Each order of the evens heads each odd arrangement and is riffled into
+    it.  Every riffle is dealt by graded.riffles, the parity of the slots too.
 
     >>> orbit_words((0, 0, 1), (1, 0))
     ([(1, 0, 0), (0, 0, 1)], [(0, 1, 0)])
@@ -445,8 +443,7 @@ def orbit_words(word: tuple, parities) -> tuple:
     for run in runs:
         if len(run) > 1:
             joined = list(map(run.__add__, odds))
-            slots = _placements(len(joined[0]), len(run))
-            odds = [w for get, _ in slots for w in map(get, joined)]
+            odds = [w for d, *_ in riffles(len(run), len(odds[0])) for w in map(d, joined)]
     evens = tuple(x for x in word if not parities[x])
     if not evens:
         return odds, []
@@ -455,25 +452,10 @@ def orbit_words(word: tuple, parities) -> tuple:
     for order in itertools.permutations(evens):
         signed[word_parity(order, parities, True) ^ base].extend(map(order.__add__, odds))
     out: tuple = [], []
-    for get, parity in _placements(len(word), len(evens)):
-        out[parity].extend(map(get, signed[0]))
-        out[parity ^ 1].extend(map(get, signed[1]))
+    for deal, parity, _ in riffles(len(evens), len(word) - len(evens)):
+        out[parity].extend(map(deal, signed[0]))
+        out[parity ^ 1].extend(map(deal, signed[1]))
     return out
-
-
-@functools.cache
-def _placements(total: int, width: int) -> tuple:
-    """(get, parity) for each unshuffle word u of blocks (width, total -
-    width): get puts the first `width` letters of a word on the slots
-    u[:width] and the rest on the others, each in order (it reads u's
-    inverse); parity is that of the slots' sum.  Up to the arity cap 8,
-    the cache holds 511 getters in all."""
-    out = []
-    for u in unshuffle_words((width, total - width)):
-        order = sorted(range(total), key=u.__getitem__)
-        # itemgetter of one index returns the letter, not a word
-        out.append((itemgetter(*order) if total > 1 else tuple, sum(u[:width]) & 1))
-    return tuple(out)
 
 
 def fold_onto_sorted(terms: Iterable[tuple], blocks: Sequence[int], parities) -> dict:

@@ -1,5 +1,6 @@
 """Check registry: generators, runners, report lines, fuzz driver."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -16,7 +17,7 @@ from bracekit.checks import (
     fuzz_outcomes,
     outcome_line,
 )
-from bracekit.cli import build_parser
+from bracekit.cli import build_parser, main
 from bracekit.errors import InputError
 from bracekit.fuzz import FuzzCaps, SplitMix64, random_map
 from bracekit.homotopy import StructureFamily
@@ -185,6 +186,32 @@ def test_refused_instance_fails_its_case_and_the_run_goes_on(monkeypatch):
         assert "does not satisfy the associativity relations" in cx["error"]
         assert set(cx) == {"workspace", "args", "error"}
         Workspace.from_obj(cx["workspace"])
+
+
+def test_generator_error_fails_its_case_and_the_run_goes_on(monkeypatch, capsys):
+    """An InputError from a generator fails that case alone, with no params
+    and the message as its counterexample: the subseeds, and so every other
+    case, are unchanged, and the CLI exits 1, not 2."""
+    names, calls = ("lemma44", "linfty", "lemma42"), itertools.count()
+    want = list(fuzz_outcomes(5, 3, names, CAPS))
+    gen = CHECKS["linfty"].gen
+
+    def failing(rng, caps):
+        if next(calls) == 1:
+            raise InputError("arity-2 component must be antisymmetric")
+        return gen(rng, caps)
+
+    monkeypatch.setitem(CHECKS, "linfty", dataclasses.replace(CHECKS["linfty"], gen=failing))
+    got = list(fuzz_outcomes(5, 3, names, CAPS))
+    failed = CheckOutcome(
+        "linfty", False, (), {"error": "arity-2 component must be antisymmetric"}
+    )
+    assert got == [(1, "linfty", failed) if w[:2] == (1, "linfty") else w for w in want]
+    calls = itertools.count()
+    assert main(["fuzz", "--seed", "5", "--cases", "3", "--checks", ",".join(names)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL linfty seed=5 case=1\n" in out
+    assert '"error": "arity-2 component must be antisymmetric"' in out
 
 
 def test_instances_respect_caps():

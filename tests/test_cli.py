@@ -329,8 +329,15 @@ class TestFuzzVerb:
                 "٠..١",
                 "expected integer bounds in 'lo..hi', got '٠..١'",
             ),
+            ("--max-dim", "٣", "expected an integer, got '٣'"),
+            ("--max-arity", "２", "expected an integer, got '２'"),
+            ("--max-n", "1_0", "expected an integer, got '1_0'"),
+            ("--max-arity-out", " 6", "expected an integer, got ' 6'"),
         ],
-        ids=["arabic-indic-seed", "underscore", "spaces", "arabic-indic-range"],
+        ids=[
+            "arabic-indic-seed", "underscore", "spaces", "arabic-indic-range",
+            "arabic-indic-dim", "fullwidth-arity", "underscore-n", "spaces-arity-out",
+        ],
     )
     def test_non_ascii_integers_are_refused(self, flag, value, message, capsys):
         # int() alone would read each of these as an integer
@@ -339,6 +346,14 @@ class TestFuzzVerb:
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert err.endswith(f"argument {flag}: {message}\n")
+
+    def test_family_max_arity_must_be_ascii(self, ws_path, capsys):
+        argv = ["check", "ainfty", "--workspace", str(ws_path), "--maps", "mu"]
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*argv, "--max-arity", "٤"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("argument --max-arity: expected an integer, got '٤'\n")
 
     def test_bad_degree_range_is_input_error(self, tmp_path):
         result = run_cli("fuzz", "--degree-range", "2", cwd=tmp_path)

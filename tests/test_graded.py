@@ -254,6 +254,36 @@ class TestEnumeration:
             list(insertion_patterns(-1, 2))
 
 
+# each entry point given a size that int() would read, or a bool
+NON_INT_SIZES = [
+    ("unshuffle_words", lambda: list(unshuffle_words((1.9, True)))),
+    ("enumerate_unshuffles", lambda: list(enumerate_unshuffles(("2", 1)))),
+    ("unshuffle_decomposition_check", lambda: unshuffle_decomposition_check((2.0,), (0, 0))),
+    (
+        "interleave_block_permutation blocks",
+        lambda: interleave_block_permutation(
+            Permutation((1,)), Permutation((1,)), (1.5,), (0, 0), (0,)
+        ),
+    ),
+    (
+        "interleave_block_permutation slots",
+        lambda: interleave_block_permutation(
+            Permutation((1, 2)), Permutation((1,)), (1,), (False, 1), (0, 0)
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call", [call for _, call in NON_INT_SIZES], ids=[name for name, _ in NON_INT_SIZES]
+)
+def test_sizes_must_be_ints(call):
+    """A block or slot size that is not an int, bool included, is refused,
+    not read through int()."""
+    with pytest.raises(InputError, match="sizes must be integers"):
+        call()
+
+
 def recursive_adjacent_swap_order(n: int) -> list:
     """The recursive walk adjacent_swap_order used to rebuild on every
     call, kept as the oracle of its iterative form."""

@@ -18,7 +18,8 @@ bracket's shape, only checks._outcome makes a CheckOutcome, both
 antisymmetric kernels fold their rows through multimap.fold_onto_sorted
 and return through multimap.orbit_map, which alone writes orbits, only
 brace reads graded.staged_rearrangements, which signs with word_parity
-only the permutations it enumerates, no module lists inverted pairs
+only the permutations it enumerates, only graded imports itemgetter, to
+build graded.riffles, the one riffle table, no module lists inverted pairs
 for graded.word_parity to sign, and no module keeps a sign table of bytes:
 multimap.orbit_words signs its orbits with word_parity too.
 """
@@ -209,6 +210,24 @@ def test_only_brace_reads_the_staged_rearrangements():
     name = "staged_rearrangements"
     readers = {stem for stem, tree in trees.items() if name in imports_or_reads(tree)}
     assert readers - {"graded"} == {"brace"}
+
+
+def test_finds_an_itemgetter():
+    for code in (
+        "from operator import itemgetter as get",
+        "import operator\ndeal = operator.itemgetter(1, 0)",
+    ):
+        assert "itemgetter" in imports_or_reads(ast.parse(code))
+    assert "itemgetter" not in imports_or_reads(ast.parse("from .graded import riffles"))
+
+
+def test_only_graded_imports_itemgetter():
+    """graded.riffles is the one riffle builder: staged_rearrangements and
+    multimap.orbit_words deal through its cached table, and no other module
+    builds an itemgetter of its own."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    readers = {stem for stem, tree in trees.items() if "itemgetter" in imports_or_reads(tree)}
+    assert readers == {"graded"}
 
 
 def _signed_word(node) -> str | None:

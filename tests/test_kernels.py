@@ -24,9 +24,15 @@ import pytest
 from bracekit import multimap
 from bracekit.brace import brace_eval
 from bracekit.checks import fuzz_outcomes
-from bracekit.errors import ResourceLimitError
+from bracekit.errors import InputError, ResourceLimitError
 from bracekit.fuzz import FuzzCaps, SplitMix64, random_map
-from bracekit.graded import enumerate_unshuffles, insertion_patterns, word_parity
+from bracekit.graded import (
+    enumerate_unshuffles,
+    insertion_patterns,
+    riffles,
+    staged_rearrangements,
+    word_parity,
+)
 from bracekit.multimap import (
     GradedSpace,
     MultiMap,
@@ -658,20 +664,39 @@ def test_stabilizer_matches_the_counter_oracle():
                 assert multimap._stabilizer(word, parities) == want, (word, parities)
 
 
-def test_placements_match_the_combinations_oracle():
-    """Each choice of `width` of `total` slots, in combinations order, puts
-    a word's first `width` letters there and the rest elsewhere, in order,
-    with the parity of the slots' sum."""
+def test_riffles_match_the_combinations_oracle():
+    """Each choice of n of n + m places, in combinations order, puts a
+    word's n heads there and its m tails elsewhere, in order, with the
+    parity of the places' sum and bit i*m + j for each tail j dealt before
+    head i: every n + m <= 8."""
     for total in range(9):
         letters = tuple("abcdefgh"[:total])
-        for width in range(total + 1):
-            want = []
-            for slots in itertools.combinations(range(total), width):
-                front, back = iter(letters[:width]), iter(letters[width:])
-                placed = [next(front) if p in slots else next(back) for p in range(total)]
-                want.append((tuple(placed), sum(slots) & 1))
-            got = multimap._placements(total, width)
-            assert [(get(letters), parity) for get, parity in got] == want, (total, width)
+        for n in range(total + 1):
+            m, want = total - n, []
+            for places in itertools.combinations(range(total), n):
+                front, back = iter(letters[:n]), iter(letters[n:])
+                placed = [next(front) if p in places else next(back) for p in range(total)]
+                below = sum(
+                    1 << i * m + j
+                    for i, p in enumerate(places)
+                    for j in range(m)
+                    if placed.index(letters[n + j]) < p
+                )
+                want.append((tuple(placed), sum(places) & 1, below))
+            got = riffles(n, m)
+            assert [(deal(letters), *rest) for deal, *rest in got] == want, (n, m)
+
+
+def test_riffles_refuse_more_than_the_cap_before_dealing():
+    """riffles refuses n + m above ENUMERATION_CAP, and staged_rearrangements
+    of 9 items raises before it yields a first rearrangement."""
+    with pytest.raises(ResourceLimitError):
+        riffles(4, 5)
+    staged = staged_rearrangements(tuple(range(9)), (0,) * 9, 4, True)
+    with pytest.raises(ResourceLimitError):
+        next(staged)
+    with pytest.raises(InputError):
+        riffles(-1, 2)
 
 
 def test_orbit_map_lists_each_rearrangement_once(monkeypatch):
