@@ -20,17 +20,17 @@ the nesting identity fails under each.
 As algebra elements, maps are graded by brace parity (p + k + 1 mod 2); the
 Koszul signs of the nesting identity and the symmetrization are taken over
 those parities.  symmetrize_brace is the one eps-signed sum of braces over
-orderings of the inserted maps; Lemma 5.1's two-stage symmetrization is
+orderings of the inserted maps.  Lemma 5.1's two-stage symmetrization is
 checked against it, and Lemma 4.1's against antisymmetrize
-(decomposition_first_defect); no other module reads their staged
-rearrangements.  One loop, _sum_braces, adds every brace summand straight
-into one table, validated once, as a MultiMap: brace_eval and
-symmetrize_brace are one-term sums, and bracket_sum sums the identities'
-signed bracket terms so, expanding a top-level symmetrized brace in place
-and evaluating each shared inner bracket once.  _signature alone checks a
-bracket's shape.  The nesting identity deals the y's to the x's by the weak
-compositions of insertion_patterns; a composition giving some map more
-inputs than its arity has no term and is skipped.
+(decomposition_first_defect) on the rearrangements of f's keys and as(f)'s
+keys only: a staged word rearranges its tuple, so elsewhere both sides are
+empty.  No other module reads staged rearrangements.  One loop, _sum_braces,
+adds every brace summand into one table, validated once: brace_eval and
+symmetrize_brace are one-term sums, and bracket_sum sums signed bracket
+terms, expanding a top-level symmetrized brace in place and evaluating each
+shared inner bracket once.  _signature alone checks a bracket's shape.  The
+nesting identity deals the y's to the x's by the weak compositions of
+insertion_patterns, skipping one that gives a map more inputs than its arity.
 """
 
 from __future__ import annotations
@@ -217,17 +217,16 @@ def braced_symmetrization_sides(
 
 def decomposition_first_defect(f: MultiMap):
     """First split and input tuple, as basis names, where the chi-signed
-    staged rearrangements of the tuple (Lemma 4.1) disagree with direct
-    antisymmetrization, or None.  Each term is a row of f's table."""
-    k = f.arity
-    asf = antisymmetrize(f)
-    par, rows = f.space.parities, f.entries
-    for n in range(k + 1):
-        for t in f.space.tuples(k):
-            total: dict = {}
-            for sign, w in staged_rearrangements(t, [par[i] for i in t], n, True):
-                for j, c in rows[w].items() if w in rows else ():
-                    total[j] = total.get(j, 0) + sign * c
-            if {j: c for j, c in total.items() if c} != asf.entries.get(t, {}):
-                return {"split": [n, k - n], "inputs": [f.space.names[i] for i in t]}
+    staged rearrangements of a tuple (Lemma 4.1), rows of f, disagree with
+    as(f), or None.  Only rearrangements of keys of f or as(f) are visited,
+    ascending: staged words rearrange their tuple, so elsewhere both sides are empty."""
+    asf, par, rows = antisymmetrize(f), f.space.parities, f.entries
+    orbits = set().union(*map(itertools.permutations, {tuple(sorted(k)) for k in rows}))
+    for n, t in itertools.product(range(f.arity + 1), sorted(orbits | asf.entries.keys())):
+        total: dict = {}
+        for sign, w in staged_rearrangements(t, [par[i] for i in t], n, True):
+            for j, c in rows[w].items() if w in rows else ():
+                total[j] = total.get(j, 0) + sign * c
+        if {j: c for j, c in total.items() if c} != asf.entries.get(t, {}):
+            return {"split": [n, len(t) - n], "inputs": [f.space.names[i] for i in t]}
     return None

@@ -92,7 +92,8 @@ from .workspace import Workspace, map_to_obj, parse_int
 
 # dim**out_arity cap for plain brace evaluations
 _POINT_BUDGET = 800
-# k! * dim**k cap on antisymmetrizing arity k (lemma41: times its k + 1 splits)
+# k! * dim**k cap on antisymmetrizing arity k (lemma41: times its k + 1 splits
+# in the worst case, a map whose orbits cover every tuple)
 _ANTISYM_BUDGET = 250_000
 # dim**out_arity * unshuffle-count cap for symmetric brackets
 _UNSHUFFLE_BUDGET = 100_000

@@ -2,11 +2,12 @@
 validation loop of the MultiMap constructor, point-by-point reference
 evaluators built on the tensor-block oracle _tensor_core, among them a
 second bracket_sum, wrong brace, unshuffle-bracket, riffle and
-block-interleaving signs, the staged rearrangements dealt by slicing, the
-sign of a word summed over its inverted pairs, the adjacent-swap walk
-through S_n and the orbit writer built on it, the orbit stabilizer counted
-letter by letter, the flags that replay a check's record, and the
-environment and runner of a CLI subprocess."""
+block-interleaving signs, the staged rearrangements dealt by slicing, Lemma
+4.1's first defect over every input tuple, the sign of a word summed over
+its inverted pairs, the adjacent-swap walk through S_n and the orbit writer
+built on it, the orbit stabilizer counted letter by letter, the flags that
+replay a check's record, and the environment and runner of a CLI
+subprocess."""
 
 import itertools
 import math
@@ -18,6 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 import bracekit
+from bracekit import brace
 from bracekit.brace import beta_parity, brace_eval, symmetrize_brace
 from bracekit.errors import InputError
 from bracekit.graded import (
@@ -280,6 +282,25 @@ def eta_without_parity_crossing(items, parities, n, chi):
             else:
                 zprefix += parities[i]
         yield (-sign if crossing & 1 else sign), tuple(items[i] for i in seq)
+
+
+def dense_first_defect(f):
+    """The oracle of brace.decomposition_first_defect: the same first defect
+    found by visiting every one of the dim**k input tuples, ascending, for
+    each split.  It reads staged_rearrangements and antisymmetrize through
+    bracekit.brace at call time, so a mutant patched in there reaches it."""
+    k = f.arity
+    asf = brace.antisymmetrize(f)
+    par, rows = f.space.parities, f.entries
+    for n in range(k + 1):
+        for t in f.space.tuples(k):
+            total: dict = {}
+            for sign, w in brace.staged_rearrangements(t, [par[i] for i in t], n, True):
+                for j, c in rows[w].items() if w in rows else ():
+                    total[j] = total.get(j, 0) + sign * c
+            if {j: c for j, c in total.items() if c} != asf.entries.get(t, {}):
+                return {"split": [n, k - n], "inputs": [f.space.names[i] for i in t]}
+    return None
 
 
 def sliced_staged_rearrangements(items, parities, n, chi):

@@ -1,4 +1,6 @@
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,6 +12,7 @@ from bracekit.brace import (
     brace_eval,
     braced_symmetrization_sides,
     bracket_sum,
+    decomposition_first_defect,
     symmetrize_brace,
 )
 from bracekit.checks import fuzz_outcomes
@@ -22,6 +25,7 @@ from helpers import (
     beta_without_crossing_term,
     beta_without_degree_shift_term,
     beta_without_leading_slot_term,
+    dense_first_defect,
     eta_without_parity_crossing,
     random_map,
 )
@@ -286,3 +290,97 @@ class TestBracedSymmetrization:
         g = const_map(POINT, 1)
         with pytest.raises(InputError):
             braced_symmetrization_sides(f, [g], [g])
+
+
+def _defect_maps():
+    """200 seeded maps for comparing Lemma 4.1's first defect with the
+    dense loop: arity 1-4 on spaces of dim 1-3 with mixed degree parities;
+    one in ten is the zero map and three in ten have one key."""
+    rng = random.Random(41)
+    maps = []
+    for i in range(200):
+        dim, arity = rng.randint(1, 3), rng.randint(1, 4)
+        space = GradedSpace([(name, rng.randint(-1, 2)) for name in "abc"[:dim]])
+        if i % 10 == 0:
+            maps.append(MultiMap.zero(space, arity, rng.randint(-1, 1)))
+            continue
+        if i % 10 > 3:
+            maps.append(random_map(rng, space, arity, rng.choice((0.2, 0.6))))
+            continue
+        key, out = tuple(rng.randrange(dim) for _ in range(arity)), rng.randrange(dim)
+        degree = space.degrees[out] - sum(space.degrees[x] for x in key)
+        maps.append(MultiMap(space, arity, degree, {key: {out: rng.choice((-1, 2))}}))
+    return maps
+
+
+DEFECT_MAPS = _defect_maps()
+
+
+class TestDecomposition:
+    def test_small_mixed_space(self):
+        rng = random.Random(11)
+        space = GradedSpace([("a", 0), ("b", 1)])
+        for arity in (1, 2, 3):
+            for _ in range(4):
+                f = random_map(rng, space, arity)
+                assert decomposition_first_defect(f) is None
+
+    def test_arity_four(self):
+        rng = random.Random(13)
+        space = GradedSpace([("a", 1), ("b", 2)])
+        f = random_map(rng, space, 4)
+        assert decomposition_first_defect(f) is None
+
+    @pytest.mark.parametrize("mutant", [None, eta_without_parity_crossing])
+    def test_first_defect_matches_the_dense_loop(self, monkeypatch, mutant):
+        # visiting only the orbits of f's keys reports the same split and
+        # inputs as visiting every tuple, with or without the eta mutant
+        if mutant:
+            monkeypatch.setattr(brace, "staged_rearrangements", mutant)
+        found = [decomposition_first_defect(f) for f in DEFECT_MAPS]
+        assert found == [dense_first_defect(f) for f in DEFECT_MAPS]
+        defects = [d for d in found if d is not None]
+        assert len(defects) > 20 if mutant else not defects
+
+    def test_a_row_outside_the_orbits_is_reported(self, monkeypatch):
+        # an antisymmetrization that writes a row on a tuple rearranging no
+        # key of f fails there, at the first split, in both loops
+        rng, real, reported = random.Random(43), brace.antisymmetrize, 0
+        for f in DEFECT_MAPS:
+            sorts = {tuple(sorted(key)) for key in f.entries}
+            outside = [t for t in f.space.tuples(f.arity) if tuple(sorted(t)) not in sorts]
+            if not outside:
+                continue
+            t = rng.choice(outside)
+
+            def with_row(g, t=t):
+                return SimpleNamespace(entries={**real(g).entries, t: {0: 1}})
+
+            monkeypatch.setattr(brace, "antisymmetrize", with_row)
+            expected = {"split": [0, f.arity], "inputs": [f.space.names[i] for i in t]}
+            assert decomposition_first_defect(f) == dense_first_defect(f) == expected
+            reported += 1
+        assert reported > 150
+
+    def test_staged_calls_visit_only_the_orbits(self, monkeypatch):
+        # one key (a, b, c, c) has 4!/2! = 12 rearrangements, each staged at
+        # 5 splits, against the 3**4 tuples of the dense loop
+        calls = []
+        real = brace.staged_rearrangements
+
+        def spy(items, parities, n, chi):
+            calls.append(items)
+            return real(items, parities, n, chi)
+
+        monkeypatch.setattr(brace, "staged_rearrangements", spy)
+        space = GradedSpace([("a", 0), ("b", 1), ("c", 1)])
+        f = MultiMap(space, 4, -3, {(0, 1, 2, 2): {0: 1}})
+        assert decomposition_first_defect(f) is None
+        assert len(calls) == 60
+        assert set(calls) == set(itertools.permutations((0, 1, 2, 2)))
+        calls.clear()
+        assert dense_first_defect(f) is None
+        assert len(calls) == 405
+        calls.clear()
+        assert decomposition_first_defect(MultiMap.zero(space, 4, 0)) is None
+        assert calls == []

@@ -228,9 +228,10 @@ def test_instances_respect_caps():
 
 
 def test_lemma41_arity_fits_the_antisymmetrization_budget():
-    """lemma41 does (k + 1) * k! * dim**k work on an arity-k map; k is
-    redrawn over the budget, with k = 1 as the fallback.  Only the
-    instances are drawn, none is verified."""
+    """lemma41 does (k + 1) * k! * dim**k work on an arity-k map in the
+    worst case, a map whose orbits cover every tuple; k is redrawn over the
+    budget, with k = 1 as the fallback.  Only the instances are drawn, none
+    is verified."""
     budget = checks_module._ANTISYM_BUDGET
     caps = FuzzCaps(max_dim=12)
     drawn = set()

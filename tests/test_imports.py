@@ -21,7 +21,8 @@ brace reads graded.staged_rearrangements, which signs with word_parity
 only the permutations it enumerates, only graded imports itemgetter, to
 build graded.riffles, the one riffle table, no module lists inverted pairs
 for graded.word_parity to sign, and no module keeps a sign table of bytes:
-multimap.orbit_words signs its orbits with word_parity too.
+multimap.orbit_words signs its orbits with word_parity too.  Only
+fuzz.random_map walks every input tuple of a space.
 """
 
 import ast
@@ -393,6 +394,38 @@ def test_no_expanded_table_is_checked_again(path):
     exists outside it for MultiMap to check every rearrangement again."""
     found = _makers([path], _calls_orbit_words)
     assert found <= {"multimap.orbit_map"}, f"{path.name} writes orbits in {sorted(found)}"
+
+
+def _walks_every_tuple(node) -> bool:
+    """Whether the code calls a .tuples(...) method: a loop over all dim**k
+    input tuples of a space."""
+    return any(
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "tuples"
+        for call in ast.walk(node)
+    )
+
+
+def test_finds_a_walk_over_every_tuple():
+    modules = {
+        "a": ast.parse(
+            "def f(space, k):\n"
+            "    for t in space.tuples(k):\n"
+            "        pass\n"
+            "def g(tuples, f):\n"
+            "    return tuples(2), f.tuples\n"
+        ),
+        "b": ast.parse("class C:\n    def m(self, f):\n        return list(f.space.tuples(2))\n"),
+    }
+    assert makers_in(modules, _walks_every_tuple) == {"a.f", "b.C"}
+
+
+def test_only_the_random_map_walks_every_tuple():
+    """brace.decomposition_first_defect visits only the rearrangements of
+    its map's keys and of as(f)'s keys; drawing a random map is the one
+    place in the package that visits every input tuple."""
+    assert _makers(MODULES, _walks_every_tuple) == {"fuzz.random_map"}
 
 
 def test_only_outcome_makes_check_outcomes():

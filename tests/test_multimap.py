@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from bracekit.brace import decomposition_first_defect
 from bracekit.errors import InputError, ResourceLimitError
 from bracekit.graded import (
     antisym_koszul_sign,
@@ -448,19 +447,3 @@ class TestPermutationTerms:
             self.terms((0, 1), -1)
         with pytest.raises(InputError):
             list(staged_rearrangements((0, 1), (0,), 1, True))
-
-
-class TestDecomposition:
-    def test_small_mixed_space(self):
-        rng = random.Random(11)
-        space = GradedSpace([("a", 0), ("b", 1)])
-        for arity in (1, 2, 3):
-            for _ in range(4):
-                f = random_map(rng, space, arity)
-                assert decomposition_first_defect(f) is None
-
-    def test_arity_four(self):
-        rng = random.Random(13)
-        space = GradedSpace([("a", 1), ("b", 2)])
-        f = random_map(rng, space, 4)
-        assert decomposition_first_defect(f) is None
