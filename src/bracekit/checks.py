@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -88,7 +89,7 @@ from .symbrace import (
     antisymmetrized_brace_sides,
     symbrace_axiom_sides,
 )
-from .workspace import Workspace, map_to_obj, parse_int
+from .workspace import Workspace, map_to_obj
 
 # dim**out_arity cap for plain brace evaluations
 _POINT_BUDGET = 800
@@ -145,6 +146,13 @@ def outcome_line(
 
 def _csv(text: str) -> list:
     return [part for part in (text or "").split(",") if part]
+
+
+def parse_int(text: str) -> int:
+    """int() of ASCII [+-]digits only: not Unicode digits, '_' or spaces."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        return int(text)
+    raise ValueError(f"not an ASCII integer: {text!r}")
 
 
 def int_flag(text: str) -> int:

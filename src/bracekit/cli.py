@@ -24,11 +24,11 @@ import json
 import os
 import sys
 
-from .checks import CHECK_NAMES, CHECKS, fuzz_outcomes, int_flag, outcome_line
+from .checks import CHECK_NAMES, CHECKS, fuzz_outcomes, int_flag, outcome_line, parse_int
 from .errors import BracekitError, InputError
 from .fuzz import FuzzCaps
 from .multimap import antisymmetrize
-from .workspace import Workspace, parse_int
+from .workspace import Workspace
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -38,8 +38,8 @@ EXIT_CLOSED_PIPE = 141
 
 def _nonnegative(text: str) -> int:
     with contextlib.suppress(ValueError):
-        if parse_int(text) >= 0:
-            return int(text)
+        if (value := parse_int(text)) >= 0:
+            return value
     raise argparse.ArgumentTypeError("expected a nonnegative integer")
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
+from .graded import _ints
 from .homotopy import A_INFINITY, L_INFINITY, StructureFamily, antisymmetrize_structure
 from .multimap import GradedSpace, MultiMap, antisymmetrize
 
@@ -72,7 +73,7 @@ class FuzzCaps:
     inserts up to max_n + s maps, so the second stage of brace-axiom, ex33
     and thm1 takes up to max_n + 1; lemma51 ignores max_n and inserts up to
     min(4, N) maps in all.  max_out_arity bounds the output arity of every
-    map check but lemma41.
+    map check but lemma41.  Every field is an int, never a bool (_ints).
     """
 
     max_dim: int = 3
@@ -83,6 +84,7 @@ class FuzzCaps:
     max_out_arity: int = 6
 
     def __post_init__(self):
+        _ints(vars(self).values(), "FuzzCaps fields")
         if self.max_dim < 1:
             raise InputError("max_dim must be at least 1")
         if self.max_arity < 1:

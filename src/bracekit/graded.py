@@ -16,6 +16,7 @@ Lemmas 4.3 and 4.4 read each Permutation they take once, as its 0-based word.
 Enumerating all of S_n, or all unshuffles of n elements, grows like n!;
 both enumerators and riffles refuse n above the fixed ENUMERATION_CAP with
 ResourceLimitError, as do antisymmetrize and symbrace_eval above that arity.
+_ints is the one integer rule: an int, never a bool, else InputError.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(int(v) for v in images)
+        images = _ints(images, "permutation images")
         if sorted(images) != list(range(1, len(images) + 1)):
             raise InputError(f"not a permutation of 1..{len(images)}: {images}")
         object.__setattr__(self, "images", images)
@@ -158,16 +159,17 @@ def _check_cap(n: int, what: str) -> None:
         )
 
 
-def _sizes(values: Sequence[int], what: str) -> tuple:
+def _ints(values: Iterable, what: str) -> tuple:
+    """values as a tuple, each an int of exact type (so not a bool)."""
     values = tuple(values)
-    # bool is an int subclass; reject it explicitly
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
-        raise InputError(f"{what} sizes must be integers: {values}")
+    for v in values:
+        if type(v) is not int:
+            raise InputError(f"{what} must be integers: {values}")
     return values
 
 
 def _block_sizes(blocks: Sequence[int]) -> tuple:
-    blocks = _sizes(blocks, "block")
+    blocks = _ints(blocks, "block sizes")
     if any(b < 0 for b in blocks):
         raise InputError(f"block sizes must be nonnegative: {blocks}")
     return blocks
@@ -325,7 +327,7 @@ def interleave_block_permutation(
 
     ``degrees`` lists the degrees of the r objects in original order.
     """
-    blocks, slots = _sizes(blocks, "block"), _sizes(slots, "slot")
+    blocks, slots = _ints(blocks, "block sizes"), _ints(slots, "slot sizes")
     n = len(blocks)
     if len(slots) != n + 1:
         raise InputError(f"expected {n + 1} slot counts, got {len(slots)}")

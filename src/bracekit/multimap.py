@@ -1,8 +1,8 @@
 """Graded vector spaces and sparse multilinear maps, exact coefficients.
 
-A GradedSpace is a finite ordered basis, each element carrying an integer
-degree.  Vectors and maps store sparse dicts of int or Fraction
-coefficients; arithmetic never leaves exact rationals.
+A GradedSpace is a finite ordered basis with an int degree per element;
+every index, arity and letter is an int too, never a bool (graded._ints).
+Vectors and maps store sparse int or Fraction coefficients: exact rationals.
 
 A MultiMap is a multilinear map V^k -> V of fixed internal degree p,
 stored as a table on basis tuples.  Construction enforces homogeneity:
@@ -30,8 +30,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InputError, ResourceLimitError
-from .graded import ENUMERATION_CAP, riffles, word_parity
+from .errors import InputError
+from .graded import _check_cap, _ints, riffles, word_parity
 
 Scalar = int | Fraction
 
@@ -44,7 +44,7 @@ class GradedSpace:
     )
 
     def __init__(self, basis: Iterable[tuple]):
-        basis = tuple((str(name), int(deg)) for name, deg in basis)
+        basis = tuple((str(name), deg) for name, deg in basis)
         if not basis:
             raise InputError("a graded space needs at least one basis element")
         names = tuple(name for name, _ in basis)
@@ -54,7 +54,7 @@ class GradedSpace:
             raise InputError("basis names must be nonempty")
         self.basis = basis
         self.names = names
-        self.degrees = degs = tuple(deg for _, deg in basis)
+        self.degrees = degs = _ints((deg for _, deg in basis), "basis degrees")
         self.parities = tuple(deg & 1 for deg in degs)
         self._index = {name: i for i, name in enumerate(names)}
         # index -> degree, degree -> indices: what MultiMap checks tables on
@@ -103,12 +103,12 @@ class GradedVector:
     def __init__(self, space: GradedSpace, coeffs: Mapping[int, Scalar]):
         clean = {}
         for i, c in coeffs.items():
-            if not 0 <= i < space.dim:
+            if type(i) is not int or not 0 <= i < space.dim:
+                _ints(coeffs, "basis indices")  # raises if any index is not an int
                 raise InputError(f"basis index {i} out of range")
             if c:
                 clean[i] = c
-        self.space = space
-        self.coeffs = clean
+        self.space, self.coeffs = space, clean
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -169,8 +169,8 @@ class MultiMap:
     missing tuples are zero.  Construction copies the rows without zeros
     and checks homogeneity: an entry on inputs of total degree d may only
     output degree p + d.  A table of several keys is checked whole first
-    (_key_degrees); a one-key table, keys to convert to tuples of ints and
-    rows with a zero or a wrong output take the per-key loop instead.
+    (_key_degrees); a one-key table, keys that are not plain tuples of ints
+    and rows with a zero or a wrong output take the per-key loop instead.
     """
 
     __slots__ = ("space", "arity", "degree", "entries")
@@ -182,10 +182,9 @@ class MultiMap:
         degree: int,
         entries: Mapping[tuple, Mapping[int, Scalar]],
     ):
-        arity = int(arity)
+        arity, degree = _ints((arity, degree), "map arity and degree")
         if arity < 1:
             raise InputError(f"map arity must be at least 1, got {arity}")
-        degree = int(degree)
         degrees, dim = space.degrees, len(space.degrees)
         clean, items = {}, entries.items()
         # a one-key table is its own whole table: it takes the per-key loop
@@ -199,15 +198,15 @@ class MultiMap:
                     clean[key] = out.copy()
                     continue
             else:
-                key = tuple(map(int, key))
+                key = _ints(key, "input letters")
                 if len(key) != arity:
                     raise InputError(f"entry {key}: expected {arity} inputs")
                 if min(key) < 0 or max(key) >= dim:
                     i = next(i for i in key if not 0 <= i < dim)
                     raise InputError(f"entry {key}: basis index {i} out of range")
                 target = degree + sum(map(degrees.__getitem__, key))
-            if isinstance(out, GradedVector):
-                out = out.coeffs
+            out = out.coeffs if isinstance(out, GradedVector) else out
+            _ints(out, "output indices")
             pruned = {}
             for j, c in out.items():
                 if not c:
@@ -521,10 +520,7 @@ def antisymmetrize(f: MultiMap) -> MultiMap:
     [((0, 0, 1), {0: 2}), ((0, 1, 0), {0: -2}), ((1, 0, 0), {0: 2})]
     """
     k = f.arity
-    if k > ENUMERATION_CAP:
-        raise ResourceLimitError(
-            f"antisymmetrize over arity {k} exceeds cap {ENUMERATION_CAP}"
-        )
+    _check_cap(k, "antisymmetrization")
     par = f.space.parities
     reps = fold_onto_sorted(((w, 0, r) for w, r in f.entries.items()), (1,) * k, par)
     return orbit_map(f.space, k, f.degree, reps)

@@ -58,13 +58,6 @@ def parse_coeff(text) -> Scalar:
     return int(value) if value.denominator == 1 else value
 
 
-def parse_int(text: str) -> int:
-    """int() of ASCII [+-]digits only: not Unicode digits, '_' or spaces."""
-    if re.fullmatch(r"[+-]?[0-9]+", text):
-        return int(text)
-    raise ValueError(f"not an ASCII integer: {text!r}")
-
-
 def format_coeff(c: Scalar) -> str:
     """A coefficient as "p" or "p/q" in lowest terms; an int is its str().
 
@@ -78,8 +71,7 @@ def format_coeff(c: Scalar) -> str:
 
 
 def _expect_int(value, where: str) -> int:
-    # bool is an int subclass; reject it explicitly
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:  # graded._ints' rule: a bool is not an int
         raise WorkspaceError(f"{where}: expected an integer, got {value!r}")
     return value
 

@@ -23,6 +23,7 @@ from bracekit import brace
 from bracekit.brace import beta_parity, brace_eval, symmetrize_brace
 from bracekit.errors import InputError
 from bracekit.graded import (
+    _ints,
     antisym_koszul_sign,
     enumerate_permutations,
     enumerate_unshuffles,
@@ -65,17 +66,17 @@ def random_antisym_map(rng, space, arity, density=0.6):
 def per_key_entries(space, arity, degree, entries):
     """The entry table MultiMap(space, arity, degree, entries) stores, by
     the loop the constructor ran on every table before it checked whole
-    tables first: each key is normalized to a tuple of ints and checked for
-    length and range, each row is pruned of zeros and checked for range and
-    homogeneity, in table order; the first fault raises."""
-    arity = int(arity)
+    tables first: each key must be ints (graded._ints), stored as a plain
+    tuple, and is checked for length and range, each row's indices must be
+    ints, its zeros are pruned and it is checked for range and homogeneity,
+    in table order; the first fault raises."""
+    arity, degree = _ints((arity, degree), "map arity and degree")
     if arity < 1:
         raise InputError(f"map arity must be at least 1, got {arity}")
-    degree = int(degree)
     dim, degrees = space.dim, space.degrees
     clean = {}
     for key, out in entries.items():
-        key = tuple(map(int, key))
+        key = _ints(key, "input letters")
         if len(key) != arity:
             raise InputError(f"entry {key}: expected {arity} inputs")
         if min(key) < 0 or max(key) >= dim:
@@ -84,6 +85,7 @@ def per_key_entries(space, arity, degree, entries):
         target = degree + sum(map(degrees.__getitem__, key))
         if isinstance(out, GradedVector):
             out = out.coeffs
+        _ints(out, "output indices")
         pruned = {}
         for j, c in out.items():
             if not c:

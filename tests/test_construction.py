@@ -79,7 +79,9 @@ def assert_agree(space, arity, degree, entries):
 
 # ---------------------------------------------------------------- corpus
 
-KEY_FAULTS = ("bool", "float", "list", "subclass", "short", "long", "negative", "high")
+KEY_FAULTS = (
+    "bool", "float", "non-integral", "list", "subclass", "short", "long", "negative", "high"
+)
 ROW_FAULTS = (
     "zero",
     "empty",
@@ -107,7 +109,7 @@ def spoil_key(rng, space, key, kind):
     if kind == "long":
         return key + (0,)
     pos = rng.randrange(len(key))
-    bad = -1 if kind == "negative" else space.dim
+    bad = {"negative": -1, "non-integral": 1.5}.get(kind, space.dim)
     return key[:pos] + (bad,) + key[pos + 1 :]
 
 
@@ -195,12 +197,15 @@ class TestAgreesWithThePerKeyLoop:
             "entry ('y',) -> y violates homogeneity: output degree 0, expected 1"
         ))
 
-    def test_bool_and_float_letters_come_out_as_ints(self):
-        table = {(True, 0): {1: 1}, (0.0, 2): {0: 2}, (2, 1): {1: 5}}
-        assert_agree(MIXED, 2, 0, table)
-        m = MultiMap(MIXED, 2, 0, table)
-        assert list(m.entries) == [(1, 0), (0, 2), (2, 1)]
-        assert {type(i) for key in m.entries for i in key} == {int}
+    def test_bool_and_float_letters_are_refused(self):
+        """A letter is an int: True, 0.0 and 1.9 are refused, not converted,
+        in a one-key table and in a table the whole-table check refuses."""
+        for letter in (True, 0.0, 1.9):
+            table = {(letter, 0): {1: 1}}
+            text = f"input letters must be integers: ({letter!r}, 0)"
+            assert assert_agree(MIXED, 2, 0, table) == (InputError, text)
+            table = {(2, 1): {1: 5}, (letter, 0): {1: 1}}
+            assert assert_agree(MIXED, 2, 0, table) == (InputError, text)
 
     def test_list_and_tuple_subclass_keys(self):
         pairs = [([0, 1], {1: 1}), ([1, 0], {1: -1}), ((2, 2), {0: 1})]
@@ -240,12 +245,14 @@ class TestAgreesWithThePerKeyLoop:
         assert new == (InputError, "entry (7, 0): basis index 7 out of range")
 
     def test_output_index_faults(self):
-        for row in ({2: 1, 3: 1}, {0: 1, -1: 1}, {1.0: 1}, {"a": 1}):
-            assert_agree(MIXED, 1, 0, {(0,): {0: 1}, (2,): row})
+        for row in ({2: 1, 3: 1}, {0: 1, -1: 1}, {1.0: 1}, {"a": 1}, {True: 1}):
+            new = assert_agree(MIXED, 1, 0, {(0,): {0: 1}, (2,): row})
+            assert new[0] is InputError
 
     def test_arity_faults(self):
-        for arity in (0, -1, "x"):
-            assert_agree(MIXED, arity, 0, {(0,): {0: 1}, (2,): {0: 1}})
+        for arity in (0, -1, "x", 2.7, True):
+            new = assert_agree(MIXED, arity, 0, {(0,): {0: 1}, (2,): {0: 1}})
+            assert new[0] is InputError
 
 
 def test_rows_are_copied():

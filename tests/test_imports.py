@@ -22,7 +22,8 @@ only the permutations it enumerates, only graded imports itemgetter, to
 build graded.riffles, the one riffle table, no module lists inverted pairs
 for graded.word_parity to sign, and no module keeps a sign table of bytes:
 multimap.orbit_words signs its orbits with word_parity too.  Only
-fuzz.random_map walks every input tuple of a space.
+fuzz.random_map walks every input tuple of a space, and only the text
+parsers checks.parse_int and workspace.parse_coeff convert with int().
 """
 
 import ast
@@ -426,6 +427,42 @@ def test_only_the_random_map_walks_every_tuple():
     its map's keys and of as(f)'s keys; drawing a random map is the one
     place in the package that visits every input tuple."""
     assert _makers(MODULES, _walks_every_tuple) == {"fuzz.random_map"}
+
+
+def _converts_with_int(node) -> bool:
+    """Whether the code calls int(...) or map(int, ...)."""
+    return any(
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and (
+            call.func.id == "int"
+            or call.func.id == "map" and getattr(call.args[0], "id", None) == "int"
+        )
+        for call in ast.walk(node)
+    )
+
+
+def test_finds_an_int_conversion():
+    modules = {
+        "a": ast.parse(
+            "def f(x):\n"
+            "    return int(x)\n"
+            "def g(key):\n"
+            "    return tuple(map(int, key))\n"
+            "def h(x):\n"
+            "    return type(x) is int, {*map(type, x)} <= {int}, map(str, x)\n"
+        ),
+        "b": ast.parse("class C:\n    def m(self, v):\n        self.v = int(v)\n"),
+    }
+    assert makers_in(modules, _converts_with_int) == {"a.f", "a.g", "b.C"}
+
+
+def test_only_the_text_parsers_convert_with_int():
+    """graded._ints is the one integer rule: a constructor refuses what is
+    not an int instead of converting it.  int() reads only text that a
+    regex has checked, an integer flag's or a workspace coefficient's."""
+    converters = _makers(MODULES, _converts_with_int)
+    assert converters == {"checks.parse_int", "workspace.parse_coeff"}
 
 
 def test_only_outcome_makes_check_outcomes():

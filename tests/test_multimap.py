@@ -292,7 +292,7 @@ class TestAntisymmetrize:
 
     def test_cap(self):
         f = MultiMap(EVEN, 9, 0, {(0,) * 9: {0: 1}})
-        with pytest.raises(ResourceLimitError, match="arity 9 exceeds cap 8"):
+        with pytest.raises(ResourceLimitError, match="antisymmetrization over 9 elements exceeds cap 8"):
             antisymmetrize(f)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from bracekit import cli
 from bracekit.errors import InputError, WorkspaceError
+from bracekit.fuzz import FuzzCaps
 from bracekit.graded import Permutation, interleave_block_permutation, permutation_words
 from bracekit.homotopy import (
     A_INFINITY,
@@ -38,6 +39,47 @@ def _family_check(name, *flags):
 
 
 REFUSALS = {
+    # an integer input is an int: none is converted with int()
+    "permutation-float-image": (
+        lambda: Permutation((1.7, 2)),
+        InputError,
+        "permutation images must be integers: (1.7, 2)",
+    ),
+    "permutation-str-image": (
+        lambda: Permutation(("2", "1")),
+        InputError,
+        "permutation images must be integers: ('2', '1')",
+    ),
+    "space-float-degree": (
+        lambda: GradedSpace([("a", 0.6)]),
+        InputError,
+        "basis degrees must be integers: (0.6,)",
+    ),
+    "vector-float-index": (
+        lambda: GradedVector(V, {0.5: 1}),
+        InputError,
+        "basis indices must be integers: (0.5,)",
+    ),
+    "map-float-letter": (
+        lambda: MultiMap(V, 2, 0, {(1.9, 0): {0: 1}}),
+        InputError,
+        "input letters must be integers: (1.9, 0)",
+    ),
+    "map-float-arity": (
+        lambda: MultiMap(V, 2.7, 0, {}),
+        InputError,
+        "map arity and degree must be integers: (2.7, 0)",
+    ),
+    "map-float-output": (
+        lambda: MultiMap(V, 2, 0, {(0, 0): {1.0: 1}}),
+        InputError,
+        "output indices must be integers: (1.0,)",
+    ),
+    "caps-float-field": (
+        lambda: FuzzCaps(max_dim=2.5),
+        InputError,
+        "FuzzCaps fields must be integers: (2.5, 3, 2, -2, 2, 6)",
+    ),
     "space-empty-name": (
         lambda: GradedSpace([("", 0)]),
         InputError,
