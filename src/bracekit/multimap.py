@@ -5,9 +5,9 @@ every index, arity and letter is an int too, never a bool (graded._ints).
 Vectors and maps store sparse int or Fraction coefficients: exact rationals.
 
 A MultiMap is a multilinear map V^k -> V of fixed internal degree p,
-stored as a table on basis tuples.  Construction enforces homogeneity:
-every tabulated output lives in degree p + sum of the input degrees; it
-checks whole tables first, and key by key only where that fails.
+stored as a table on basis tuples.  Construction checks each row's output
+indices as GradedVector does, zeros included, drops its zeros and enforces
+homogeneity on the rest, on whole tables first, key by key where that fails.
 
 The sign convention for evaluating a tensor product of maps on a tensor
 product of arguments is fixed here once: a map of degree q picks up
@@ -96,7 +96,8 @@ class GradedSpace:
 
 
 class GradedVector:
-    """A sparse vector; zero coefficients are never stored."""
+    """A sparse vector.  Every index must be an int in range(dim), whatever
+    its coefficient; zero coefficients are then dropped, never stored."""
 
     __slots__ = ("space", "coeffs")
 
@@ -166,11 +167,11 @@ class MultiMap:
     """A degree-p multilinear map V^k -> V as a sparse basis table.
 
     entries maps input index tuples to sparse output coefficient dicts;
-    missing tuples are zero.  Construction copies the rows without zeros
-    and checks homogeneity: an entry on inputs of total degree d may only
-    output degree p + d.  A table of several keys is checked whole first
-    (_key_degrees); a one-key table, keys that are not plain tuples of ints
-    and rows with a zero or a wrong output take the per-key loop instead.
+    missing tuples are zero.  A row is checked as a GradedVector (every
+    output index in range, whatever its coefficient) and loses its zeros;
+    an entry on inputs of total degree d may then only output degree p + d.
+    A table of several keys is checked whole first (_key_degrees); others,
+    and rows with an output off their degree, take the per-key loop.
     """
 
     __slots__ = ("space", "arity", "degree", "entries")
@@ -194,8 +195,11 @@ class MultiMap:
         for key, out in items:
             if key_degrees:
                 target = degree + next(sums)
-                if out and all(out.values()) and out.keys() <= outputs(target, empty):
-                    clean[key] = out.copy()
+                if out.keys() <= outputs(target, empty):
+                    if out and all(out.values()):
+                        clean[key] = out.copy()
+                    elif out := {j: c for j, c in out.items() if c}:
+                        clean[key] = out
                     continue
             else:
                 key = _ints(key, "input letters")
@@ -205,27 +209,24 @@ class MultiMap:
                     i = next(i for i in key if not 0 <= i < dim)
                     raise InputError(f"entry {key}: basis index {i} out of range")
                 target = degree + sum(map(degrees.__getitem__, key))
-            out = out.coeffs if isinstance(out, GradedVector) else out
-            _ints(out, "output indices")
-            pruned = {}
-            for j, c in out.items():
-                if not c:
-                    continue
-                if not 0 <= j < dim:
-                    raise InputError(f"entry {key}: output index {j} out of range")
+            if isinstance(out, GradedVector):
+                if out.space is not space and out.space != space:
+                    raise InputError(f"entry {key}: rows must be vectors in the map's space")
+                out = out.coeffs
+            try:  # a row is a GradedVector's coefficients: checked, then pruned
+                out = GradedVector(space, out).coeffs
+            except InputError as exc:
+                raise InputError(f"entry {key}: output {exc}") from None
+            for j in out:
                 if degrees[j] != target:
                     names = tuple(space.names[i] for i in key)
                     raise InputError(
                         f"entry {names} -> {space.names[j]} violates homogeneity: "
                         f"output degree {space.degrees[j]}, expected {target}"
                     )
-                pruned[j] = c
-            if pruned:
-                clean[key] = pruned
-        self.space = space
-        self.arity = arity
-        self.degree = degree
-        self.entries = clean
+            if out:
+                clean[key] = out
+        self.space, self.arity, self.degree, self.entries = space, arity, degree, clean
 
     @classmethod
     def zero(cls, space: GradedSpace, arity: int, degree: int) -> "MultiMap":
@@ -465,12 +466,12 @@ def fold_onto_sorted(terms: Iterable[tuple], blocks: Sequence[int], parities) ->
     onto s = sorted(word) with the chi sign of the sort, times the number of
     unshuffles dealing s into the blocks as word: prod over letters x of
     m_x! / (m_x1! ... m_xn!), x occurring m_x times in s and m_xi times in
-    block i (the stabilizer of s for singleton blocks).  An s is dropped if
-    its row cancels or it repeats an even letter (its unshuffles cancel).
+    block i (the stabilizer of s for singleton blocks).  Sums are returned
+    unpruned, {} for an s repeating an even letter: the constructor prunes.
 
     >>> terms = [((0, 0, 0), 0, {0: 1}), ((0, 1, 0), 0, {0: 1}), ((1, 1, 0), 0, {0: 1})]
     >>> fold_onto_sorted(terms, (2, 1), (1, 0))
-    {(0, 0, 0): {0: 3}, (0, 0, 1): {0: -2}}
+    {(0, 0, 0): {0: 3}, (0, 0, 1): {0: -2}, (0, 1, 1): {}}
     """
     cuts = list(itertools.accumulate((0, *blocks)))
     spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1]
@@ -494,8 +495,7 @@ def fold_onto_sorted(terms: Iterable[tuple], blocks: Sequence[int], parities) ->
                 acc[j] = acc[j] - c if neg else acc[j] + c
             else:
                 acc[j] = -c if neg else c
-    rows = {s: {j: c for j, c in r.items() if c} for s, (_, r) in folded.items()}
-    return {s: r for s, r in rows.items() if r}
+    return {s: r for s, (_, r) in folded.items()}
 
 
 def _stabilizer(word: tuple, parities) -> int:

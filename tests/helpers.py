@@ -65,11 +65,12 @@ def random_antisym_map(rng, space, arity, density=0.6):
 
 def per_key_entries(space, arity, degree, entries):
     """The entry table MultiMap(space, arity, degree, entries) stores, by
-    the loop the constructor ran on every table before it checked whole
-    tables first: each key must be ints (graded._ints), stored as a plain
-    tuple, and is checked for length and range, each row's indices must be
-    ints, its zeros are pruned and it is checked for range and homogeneity,
-    in table order; the first fault raises."""
+    one loop over the keys in table order, the first fault raising: each key
+    must be ints (graded._ints), stored as a plain tuple, and is checked for
+    length and range; a vector row must be of the map's space; each row's
+    output indices must be ints and in range, whatever their coefficients,
+    as for a GradedVector; then its zeros are pruned and the outputs that
+    remain are checked for homogeneity."""
     arity, degree = _ints((arity, degree), "map arity and degree")
     if arity < 1:
         raise InputError(f"map arity must be at least 1, got {arity}")
@@ -84,21 +85,23 @@ def per_key_entries(space, arity, degree, entries):
             raise InputError(f"entry {key}: basis index {i} out of range")
         target = degree + sum(map(degrees.__getitem__, key))
         if isinstance(out, GradedVector):
+            if out.space != space:
+                raise InputError(f"entry {key}: rows must be vectors in the map's space")
             out = out.coeffs
-        _ints(out, "output indices")
-        pruned = {}
-        for j, c in out.items():
-            if not c:
-                continue
+        if any(type(j) is not int for j in out):
+            text = f"output basis indices must be integers: {tuple(out)}"
+            raise InputError(f"entry {key}: {text}")
+        for j in out:
             if not 0 <= j < dim:
-                raise InputError(f"entry {key}: output index {j} out of range")
+                raise InputError(f"entry {key}: output basis index {j} out of range")
+        pruned = {j: c for j, c in out.items() if c}
+        for j in pruned:
             if degrees[j] != target:
                 names = tuple(space.names[i] for i in key)
                 raise InputError(
                     f"entry {names} -> {space.names[j]} violates homogeneity: "
                     f"output degree {space.degrees[j]}, expected {target}"
                 )
-            pruned[j] = c
         if pruned:
             clean[key] = pruned
     return clean

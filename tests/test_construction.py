@@ -1,13 +1,13 @@
-"""MultiMap construction against the per-key loop it used to run on every
-table.
+"""MultiMap construction against one per-key loop over every table.
 
 The constructor checks the keys, letters and output indices of a table in
 a few passes over the whole table, then each row against the space's
-degree index; the per-key loop runs only on a table that fails a whole-table
-check, and on a row with a zero coefficient or an output outside its degree.
-helpers.per_key_entries is that loop.  On every table here both must store
-the same entries in the same key order, with the same key and index types,
-or raise the same exception with the same text.
+degree index, zero coefficients included, and prunes its zeros; the
+per-key loop runs only on a table that fails a whole-table check, and on a
+row with an output outside its degree.  helpers.per_key_entries checks every
+table by one loop over its keys, each row by GradedVector's rule.  On every
+table here both must store the same entries in the same key order, with the
+same key and index types, or raise the same exception with the same text.
 """
 
 import random
@@ -84,6 +84,7 @@ KEY_FAULTS = (
 )
 ROW_FAULTS = (
     "zero",
+    "zero out",
     "empty",
     "degree",
     "out high",
@@ -117,6 +118,8 @@ def spoil_row(rng, space, target, row, kind):
     """A row with the fault kind, or None when the space cannot show it."""
     if kind == "zero":
         return {**row, rng.randrange(space.dim): 0}
+    if kind == "zero out":
+        return {**row, rng.choice((-1, space.dim)): 0}
     if kind == "empty":
         return {}
     if kind == "degree":
@@ -245,9 +248,30 @@ class TestAgreesWithThePerKeyLoop:
         assert new == (InputError, "entry (7, 0): basis index 7 out of range")
 
     def test_output_index_faults(self):
-        for row in ({2: 1, 3: 1}, {0: 1, -1: 1}, {1.0: 1}, {"a": 1}, {True: 1}):
-            new = assert_agree(MIXED, 1, 0, {(0,): {0: 1}, (2,): row})
-            assert new[0] is InputError
+        """An output index is checked as a GradedVector's, also where its
+        coefficient is 0, and the text names the entry."""
+        faults = [
+            ({2: 1, 3: 1}, "output basis index 3 out of range"),
+            ({0: 1, -1: 1}, "output basis index -1 out of range"),
+            ({2: 1, 3: 0}, "output basis index 3 out of range"),
+            ({-1: 0, 2: 1}, "output basis index -1 out of range"),
+            ({1.0: 1}, "output basis indices must be integers: (1.0,)"),
+            ({3: 0, "a": 1}, "output basis indices must be integers: (3, 'a')"),
+            ({True: 1}, "output basis indices must be integers: (True,)"),
+        ]
+        for row, text in faults:
+            for table in ({(0,): {0: 1}, (2,): row}, {(2,): row}):
+                new = assert_agree(MIXED, 1, 0, table)
+                assert new == (InputError, f"entry (2,): {text}")
+
+    def test_vector_rows_of_another_space(self):
+        other = GradedSpace([("a", 0), ("b", 1), ("c", 1)])
+        for row in (other.basis_vector(2), other.zero_vector()):
+            for table in ({(0,): {0: 1}, (2,): row}, {(2,): row}):
+                text = "entry (2,): rows must be vectors in the map's space"
+                assert assert_agree(MIXED, 1, 0, table) == (InputError, text)
+        same = GradedSpace(MIXED.basis)  # equal, not identical: accepted
+        assert assert_agree(MIXED, 1, 0, {(2,): same.basis_vector(0)}) == "[((2,), {0: 1})]"
 
     def test_arity_faults(self):
         for arity in (0, -1, "x", 2.7, True):

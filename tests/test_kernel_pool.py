@@ -21,7 +21,7 @@ import bracekit
 from bracekit import multimap, symbrace
 from bracekit.checks import CHECK_NAMES, fuzz_outcomes
 from bracekit.fuzz import FuzzCaps
-from bracekit.multimap import MultiMap, _key_degrees
+from bracekit.multimap import GradedVector, MultiMap, _key_degrees
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -49,24 +49,39 @@ def test_every_variant_matches_its_recorded_digest(spec):
 
 def test_kernels_and_fuzzing_build_only_plain_tables(monkeypatch):
     """No table handed to MultiMap needs its keys or output indices
-    normalized: each passes the whole-table checks."""
-    tables, refused = [], []
-    init = MultiMap.__init__
+    normalized: each passes the whole-table checks.  No row of a table of
+    several keys reaches the per-key loop's GradedVector, not even one
+    holding a cancelled zero coefficient, which the whole-table pass prunes."""
+    tables, refused, zeros, per_key, building = [], [], [], [], []
+    init, vector_init = MultiMap.__init__, GradedVector.__init__
 
     def spy(self, space, arity, degree, entries):
         tables.append(len(entries))
         if _key_degrees(entries, arity, space) is None:
             refused.append((arity, list(entries)[:3]))
-        init(self, space, arity, degree, entries)
+        elif len(entries) > 1 and not all(map(all, map(dict.values, entries.values()))):
+            zeros.append(len(entries))
+        building.append(len(entries))
+        try:
+            init(self, space, arity, degree, entries)
+        finally:
+            building.pop()
+
+    def vector_spy(self, space, coeffs):
+        if building and building[-1] > 1:
+            per_key.append(dict(coeffs))
+        vector_init(self, space, coeffs)
 
     monkeypatch.setattr(MultiMap, "__init__", spy)
+    monkeypatch.setattr(GradedVector, "__init__", vector_spy)
     for spec in kernel.SPECS:
         for variant, record in enumerate(POOL[spec.name]):
             op, _ = kernel.build(bracekit, spec, variant, record["attempt"])
             op()
     list(fuzz_outcomes(7, 20, CHECK_NAMES, FuzzCaps()))
-    assert not refused
+    assert not refused and not per_key
     assert len(tables) > 2000 and sum(n > 1 for n in tables) > 1000
+    assert len(zeros) > 100
     # the spy sees a table whose keys need normalizing, and the
     # constructor stores its tuple subclass key as a plain tuple
     space = bracekit.GradedSpace([("e1", 0), ("e2", 0)])

@@ -73,7 +73,29 @@ REFUSALS = {
     "map-float-output": (
         lambda: MultiMap(V, 2, 0, {(0, 0): {1.0: 1}}),
         InputError,
-        "output indices must be integers: (1.0,)",
+        "entry (0, 0): output basis indices must be integers: (1.0,)",
+    ),
+    # a row is checked as a GradedVector: an index is in range whatever its
+    # coefficient, and a vector row is of the map's space
+    "vector-zero-index": (
+        lambda: GradedVector(V, {7: 0}),
+        InputError,
+        "basis index 7 out of range",
+    ),
+    "map-zero-index": (
+        lambda: MultiMap(V, 1, 0, {(0,): {7: 0}}),
+        InputError,
+        "entry (0,): output basis index 7 out of range",
+    ),
+    "map-zero-index-whole-table": (
+        lambda: MultiMap(V, 1, 0, {(0,): {7: 0}, (1,): {0: 1}}),
+        InputError,
+        "entry (0,): output basis index 7 out of range",
+    ),
+    "map-vector-row-space": (
+        lambda: MultiMap(V, 1, 0, {(0,): W.basis_vector(0)}),
+        InputError,
+        "entry (0,): rows must be vectors in the map's space",
     ),
     "caps-float-field": (
         lambda: FuzzCaps(max_dim=2.5),
