@@ -61,7 +61,6 @@ from .fuzz import (
     FuzzCaps,
     SplitMix64,
     random_a_infinity_family,
-    random_antisym_map,
     random_l_infinity_family,
     random_map,
     random_permutation_images,
@@ -83,6 +82,7 @@ from .homotopy import (
     antisymmetrize_structure,
     l_infinity_defects,
 )
+from .multimap import antisymmetrize
 from .symbrace import (
     FLAVOR_SYMMETRIZED,
     FLAVOR_UNSHUFFLE,
@@ -506,7 +506,7 @@ CHECKS: dict = {
             _SYMBRACE_ROLES,
             _staged(2, _unshuffle_cost),
             lambda **kw: _unequal(*symbrace_axiom_sides(flavor=FLAVOR_UNSHUFFLE, **kw)),
-            make=lambda *a: random_antisym_map(*a),
+            make=lambda *a: antisymmetrize(random_map(*a)),
         ),
         _map_check(
             "thm1",

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import InputError
 from .graded import _ints
 from .homotopy import A_INFINITY, L_INFINITY, StructureFamily, antisymmetrize_structure
-from .multimap import GradedSpace, MultiMap, antisymmetrize
+from .multimap import GradedSpace, MultiMap
 
 _MASK = (1 << 64) - 1
 
@@ -132,13 +132,6 @@ def random_map(
             entries[key] = out
     entries.setdefault(anchor_key, {})[anchor_out] = rng.choice(COEFFS)
     return MultiMap(space, arity, degree, entries)
-
-
-def random_antisym_map(
-    rng: SplitMix64, space: GradedSpace, arity: int, density: int = 60
-) -> MultiMap:
-    """Antisymmetrization of a random map (may be zero by cancellation)."""
-    return antisymmetrize(random_map(rng, space, arity, density))
 
 
 def random_permutation_images(rng: SplitMix64, n: int) -> tuple:

@@ -46,6 +46,8 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
+        if isinstance(images, (set, frozenset)):
+            raise InputError(f"permutation images are read in order: got a {type(images).__name__}")
         images = _ints(images, "permutation images")
         if sorted(images) != list(range(1, len(images) + 1)):
             raise InputError(f"not a permutation of 1..{len(images)}: {images}")

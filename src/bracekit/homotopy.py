@@ -42,6 +42,8 @@ class StructureFamily:
         components = tuple(components)
         by_arity = {}
         for m in components:
+            if not isinstance(m, MultiMap):
+                raise InputError(f"components must be MultiMaps, got {type(m).__name__}")
             if m.space != space:
                 raise InputError("all components must live on the family's space")
             if m.arity in by_arity:

@@ -1,8 +1,9 @@
 """Graded vector spaces and sparse multilinear maps, exact coefficients.
 
-A GradedSpace is a finite ordered basis with an int degree per element;
-every index, arity and letter is an int too, never a bool (graded._ints).
-Vectors and maps store sparse int or Fraction coefficients: exact rationals.
+A GradedSpace is a finite basis of (str, int) tuples, read in order (never
+from a set); every index, arity and letter is an int, never a bool
+(graded._ints), a key a tuple, a table or a row a mapping: nothing is
+converted.  Vectors and maps store sparse int or Fraction coefficients.
 
 A MultiMap is a multilinear map V^k -> V of fixed internal degree p,
 stored as a table on basis tuples.  Construction checks each row's output
@@ -27,8 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 from .graded import _check_cap, _ints, riffles, word_parity
@@ -37,14 +38,19 @@ Scalar = int | Fraction
 
 
 class GradedSpace:
-    """Finite ordered basis with integer degrees."""
+    """Finite basis of (str name, int degree) tuples, read in order: no set."""
 
     __slots__ = (
         "basis", "names", "degrees", "parities", "_index", "_degree_of", "_by_degree"
     )
 
     def __init__(self, basis: Iterable[tuple]):
-        basis = tuple((str(name), deg) for name, deg in basis)
+        if isinstance(basis, (set, frozenset)):
+            raise InputError(f"a basis is read in order: got a {type(basis).__name__}")
+        basis = tuple(basis)
+        for i, el in enumerate(basis):
+            if not isinstance(el, tuple) or len(el) != 2 or not isinstance(el[0], str):
+                raise InputError(f"basis element {i}: expected a (str name, degree) pair, got {el!r}")
         if not basis:
             raise InputError("a graded space needs at least one basis element")
         names = tuple(name for name, _ in basis)
@@ -96,12 +102,14 @@ class GradedSpace:
 
 
 class GradedVector:
-    """A sparse vector.  Every index must be an int in range(dim), whatever
-    its coefficient; zero coefficients are then dropped, never stored."""
+    """A sparse vector from a mapping: every index must be an int in range(dim),
+    whatever its coefficient; zero coefficients are then dropped, never stored."""
 
     __slots__ = ("space", "coeffs")
 
     def __init__(self, space: GradedSpace, coeffs: Mapping[int, Scalar]):
+        if type(coeffs) is not dict and not isinstance(coeffs, Mapping):
+            raise InputError(f"basis coefficients must be a mapping, got {type(coeffs).__name__}")
         clean = {}
         for i, c in coeffs.items():
             if type(i) is not int or not 0 <= i < space.dim:
@@ -166,12 +174,12 @@ class GradedVector:
 class MultiMap:
     """A degree-p multilinear map V^k -> V as a sparse basis table.
 
-    entries maps input index tuples to sparse output coefficient dicts;
-    missing tuples are zero.  A row is checked as a GradedVector (every
-    output index in range, whatever its coefficient) and loses its zeros;
-    an entry on inputs of total degree d may then only output degree p + d.
-    A table of several keys is checked whole first (_key_degrees); others,
-    and rows with an output off their degree, take the per-key loop.
+    entries, a mapping, takes tuples of input indices to rows, mappings or
+    GradedVectors of output coefficients, none converted; missing tuples
+    are zero.  A row is checked as a GradedVector (every index in range,
+    whatever its coefficient) and loses its zeros; an entry on inputs of
+    total degree d may then only output degree p + d.  Several keys are
+    checked whole first (_key_degrees); others, and off-degree rows, key by key.
     """
 
     __slots__ = ("space", "arity", "degree", "entries")
@@ -187,6 +195,8 @@ class MultiMap:
         if arity < 1:
             raise InputError(f"map arity must be at least 1, got {arity}")
         degrees, dim = space.degrees, len(space.degrees)
+        if type(entries) is not dict and not isinstance(entries, Mapping):
+            raise InputError(f"map entries must be a mapping, got {type(entries).__name__}")
         clean, items = {}, entries.items()
         # a one-key table is its own whole table: it takes the per-key loop
         key_degrees = len(entries) > 1 and _key_degrees(entries, arity, space)
@@ -202,6 +212,8 @@ class MultiMap:
                         clean[key] = out
                     continue
             else:
+                if not isinstance(key, tuple):
+                    raise InputError(f"entry {key}: expected a tuple of {arity} inputs")
                 key = _ints(key, "input letters")
                 if len(key) != arity:
                     raise InputError(f"entry {key}: expected {arity} inputs")
@@ -241,6 +253,8 @@ class MultiMap:
         return not self.entries
 
     def __call__(self, args: Sequence[GradedVector]) -> GradedVector:
+        if type(args) is not list and not isinstance(args, Sequence):
+            raise InputError(f"expected a sequence of vectors, got {type(args).__name__}")
         if len(args) != self.arity:
             raise InputError(f"expected {self.arity} arguments, got {len(args)}")
         space = self.space

@@ -112,7 +112,10 @@ class Workspace:
     def __init__(self, space: GradedSpace, maps: Iterable[tuple] = ()):
         self.space = space
         named = {}
-        for name, m in dict(maps).items() if isinstance(maps, Mapping) else maps:
+        for pair in dict(maps).items() if isinstance(maps, Mapping) else maps:
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise WorkspaceError(f"bad map entry {pair!r}: expected a (name, map) pair")
+            name, m = pair
             if not isinstance(name, str) or not name:
                 raise WorkspaceError(f"bad map name {name!r}")
             if name in named:

@@ -1,8 +1,8 @@
 """Shared test helpers: small homogeneous random tables, the per-key
 validation loop of the MultiMap constructor, point-by-point reference
 evaluators built on the tensor-block oracle _tensor_core, among them a
-second bracket_sum, wrong brace, unshuffle-bracket, riffle and
-block-interleaving signs, the staged rearrangements dealt by slicing, Lemma
+second bracket_sum, wrong brace, unshuffle-bracket, riffle,
+block-interleaving and composition signs, the staged rearrangements dealt by slicing, Lemma
 4.1's first defect over every input tuple, the sign of a word summed over
 its inverted pairs, the adjacent-swap walk through S_n and the orbit writer
 built on it, the orbit stabilizer counted letter by letter, the flags that
@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Sequence
 
@@ -65,18 +66,23 @@ def random_antisym_map(rng, space, arity, density=0.6):
 
 def per_key_entries(space, arity, degree, entries):
     """The entry table MultiMap(space, arity, degree, entries) stores, by
-    one loop over the keys in table order, the first fault raising: each key
-    must be ints (graded._ints), stored as a plain tuple, and is checked for
-    length and range; a vector row must be of the map's space; each row's
+    one loop over the keys in table order, the first fault raising: entries
+    must be a mapping; each key must be a tuple of ints (graded._ints),
+    stored as a plain tuple, and is checked for length and range; a vector
+    row must be of the map's space, any other row a mapping; each row's
     output indices must be ints and in range, whatever their coefficients,
     as for a GradedVector; then its zeros are pruned and the outputs that
     remain are checked for homogeneity."""
     arity, degree = _ints((arity, degree), "map arity and degree")
     if arity < 1:
         raise InputError(f"map arity must be at least 1, got {arity}")
+    if not isinstance(entries, Mapping):
+        raise InputError(f"map entries must be a mapping, got {type(entries).__name__}")
     dim, degrees = space.dim, space.degrees
     clean = {}
     for key, out in entries.items():
+        if not isinstance(key, tuple):
+            raise InputError(f"entry {key}: expected a tuple of {arity} inputs")
         key = _ints(key, "input letters")
         if len(key) != arity:
             raise InputError(f"entry {key}: expected {arity} inputs")
@@ -88,6 +94,9 @@ def per_key_entries(space, arity, degree, entries):
             if out.space != space:
                 raise InputError(f"entry {key}: rows must be vectors in the map's space")
             out = out.coeffs
+        if not isinstance(out, Mapping):
+            text = f"basis coefficients must be a mapping, got {type(out).__name__}"
+            raise InputError(f"entry {key}: output {text}")
         if any(type(j) is not int for j in out):
             text = f"output basis indices must be integers: {tuple(out)}"
             raise InputError(f"entry {key}: {text}")
@@ -266,6 +275,49 @@ def delta_without_arity_shift_term(N, a, q):
     """delta without sum_i (n - i) a_i."""
     dropped = sum((len(a) - i) * ai for i, ai in enumerate(a, 1))
     return delta_parity(N, a, q) ^ (dropped & 1)
+
+
+# Sign mutant of the sparse composition behind every brace, for monkeypatching
+# over the compose_into bound in bracekit.brace and in bracekit.multimap: a
+# copy of multimap.compose_into that drops the Koszul sign of each g_i
+# crossing the letters before its slot.
+
+
+def compose_without_koszul_term(acc, sign, f, gs, slots):
+    """compose_into without (-1)^{|g_i| * (degree of what g_i crosses)}."""
+    par = f.space.parities
+    by_out = []
+    for g in gs:
+        index: dict = {}
+        for block, out in g.entries.items():
+            for j, c in out.items():
+                index.setdefault(j, []).append((block, c))
+        by_out.append((index, g.degree & 1))
+    pos = [sum(slots[: i + 1]) + i for i in range(len(gs))]
+    starts = [0] + [p + 1 for p in pos]
+    for key, fout in f.entries.items():
+        hits = [index.get(key[p]) for (index, _), p in zip(by_out, pos)]
+        if None in hits:
+            continue
+        neg, prefix = sign < 0, 0
+        for start, p, (_, q) in zip(starts, pos, by_out):
+            for x in key[start:p]:
+                prefix ^= par[x]
+            prefix ^= par[key[p]] ^ q
+        parts = [
+            [(key[start:p] + block, cg) for block, cg in hit]
+            for start, p, hit in zip(starts, pos, hits)
+        ]
+        tail = key[starts[-1] :]
+        outs = [(j, -cf) for j, cf in fout.items()] if neg else fout.items()
+        for combo in itertools.product(*parts):
+            composed, c = combo[0]
+            for part, cg in combo[1:]:
+                composed += part
+                c *= cg
+            row = acc.setdefault(composed + tail, {})
+            for j, cf in outs:
+                row[j] = row[j] + c * cf if j in row else c * cf
 
 
 # Sign mutant of the staged rearrangements behind Lemmas 4.1 and 5.1, for

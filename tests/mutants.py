@@ -6,7 +6,9 @@ A mutant is (name, patch sites, replacement): the replacement is patched
 over the attribute at every site, since each module that binds a name
 keeps its own reference.  The riffle sign eta has one site, brace, whose
 checks of Lemmas 4.1 and 5.1 are the only readers of
-staged_rearrangements outside graded.  ``tests/golden/mutants.txt`` pins
+staged_rearrangements outside graded; the Koszul sign of compose_into
+has two, multimap and brace, the one reader of compose_into outside
+multimap.  ``tests/golden/mutants.txt`` pins
 the matrix over ``fuzz_outcomes(MATRIX_SEED, MATRIX_CASES, CHECK_NAMES,
 FuzzCaps())``; ``tests/test_golden.py`` recomputes it and regenerates it
 with the other goldens.  A mutant that no check fails in at least
@@ -25,7 +27,7 @@ import contextlib
 import dataclasses
 from unittest import mock
 
-from bracekit import brace, checks, graded, symbrace
+from bracekit import brace, checks, graded, multimap, symbrace
 from bracekit.checks import CHECK_NAMES, fuzz_outcomes
 from bracekit.errors import InputError
 from bracekit.fuzz import FuzzCaps
@@ -35,6 +37,7 @@ from helpers import (
     beta_without_crossing_term,
     beta_without_degree_shift_term,
     beta_without_leading_slot_term,
+    compose_without_koszul_term,
     delta_without_arity_pair_term,
     delta_without_arity_shift_term,
     delta_without_crossing_term,
@@ -50,6 +53,7 @@ _BETA = ((brace, "beta_parity"),)
 _DELTA = ((symbrace, "delta_parity"),)
 _ETA = ((brace, "staged_rearrangements"),)
 _ALPHA = ((graded, "interleave_block_permutation"),)
+_COMPOSE = ((brace, "compose_into"), (multimap, "compose_into"))
 
 MUTANTS = tuple(
     (fn.__name__, sites, fn)
@@ -64,6 +68,7 @@ MUTANTS = tuple(
         (_ETA, eta_without_parity_crossing),
         (_ALPHA, alpha1_without_crossing_term),
         (_ALPHA, alpha2_without_slot_term),
+        (_COMPOSE, compose_without_koszul_term),
     )
 )
 

@@ -327,7 +327,7 @@ def test_every_record_replays_through_its_own_flags(name, tmp_path):
         ("thm1", "run", "symbrace_axiom_sides"),
         ("ainfty", "run", "a_infinity_defects"),
         ("brace-axiom", "gen", "random_map"),
-        ("symbrace-axiom-ex33", "gen", "random_antisym_map"),
+        ("symbrace-axiom-ex33", "gen", "antisymmetrize"),
         ("linfty", "gen", "random_l_infinity_family"),
     ],
 )

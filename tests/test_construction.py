@@ -80,7 +80,16 @@ def assert_agree(space, arity, degree, entries):
 # ---------------------------------------------------------------- corpus
 
 KEY_FAULTS = (
-    "bool", "float", "non-integral", "list", "subclass", "short", "long", "negative", "high"
+    "bool",
+    "float",
+    "non-integral",
+    "list",
+    "frozenset",
+    "subclass",
+    "short",
+    "long",
+    "negative",
+    "high",
 )
 ROW_FAULTS = (
     "zero",
@@ -93,6 +102,7 @@ ROW_FAULTS = (
     "bool out",
     "vector",
     "mapping row",
+    "list row",
 )
 
 
@@ -103,6 +113,8 @@ def spoil_key(rng, space, key, kind):
         return tuple(float(i) for i in key)
     if kind == "list":
         return list(key)
+    if kind == "frozenset":
+        return frozenset(key)
     if kind == "subclass":
         return Key(key)
     if kind == "short":
@@ -139,6 +151,8 @@ def spoil_row(rng, space, target, row, kind):
         return {(float(j) if kind == "float out" else bool(j)): row[j], **rest}
     if kind == "vector":
         return GradedVector(space, row)
+    if kind == "list row":
+        return list(row.values())
     return MappingProxyType(row)
 
 

@@ -51,6 +51,12 @@ class TestGradedSpace:
         with pytest.raises(InputError):
             GradedSpace([])
 
+    def test_any_ordered_iterable_of_pairs_is_a_basis(self):
+        """A dict's items and a generator are read in order, as a list is;
+        a set, which has no order, is refused (tests/test_refusals.py)."""
+        assert GradedSpace({"a": 0, "b": 1}.items()) == MIXED
+        assert GradedSpace(pair for pair in MIXED.basis) == MIXED
+
 
 class TestGradedVector:
     def test_zero_pruning(self):
@@ -147,6 +153,10 @@ class TestCall:
         assert twin is not MIXED and twin == MIXED
         args = [GradedVector(twin, {0: 2, 1: 1}), twin.basis_vector(1)]
         assert self.F(args) == self.F([MIXED.vector(a.coeffs) for a in args])
+
+    def test_any_sequence_of_vectors_is_accepted(self):
+        args = [GradedVector(MIXED, {0: 2, 1: 1}), MIXED.basis_vector(1)]
+        assert self.F(tuple(args)) == self.F(args)
 
     def test_other_space_is_refused(self):
         other = GradedSpace([("a", 0), ("c", 1)])

@@ -97,6 +97,100 @@ REFUSALS = {
         InputError,
         "entry (0,): rows must be vectors in the map's space",
     ),
+    # each input has one rule, checked as given: a key is a tuple, a row,
+    # a table or a vector's coefficients a mapping, a basis or a
+    # permutation an ordered iterable (never a set) of pairs or images, a
+    # basis name a string; nothing is converted with tuple() or str()
+    "map-int-key": (
+        lambda: MultiMap(V, 1, 0, {0: {0: 1}}),
+        InputError,
+        "entry 0: expected a tuple of 1 inputs",
+    ),
+    "map-frozenset-key": (
+        lambda: MultiMap(V, 2, 0, {frozenset({0, 1}): {0: 1}}),
+        InputError,
+        "entry frozenset({0, 1}): expected a tuple of 2 inputs",
+    ),
+    "map-range-key": (
+        lambda: MultiMap(V, 2, 0, {range(2): {0: 1}}),
+        InputError,
+        "entry range(0, 2): expected a tuple of 2 inputs",
+    ),
+    "map-list-row": (
+        lambda: MultiMap(V, 1, 0, {(0,): [1]}),
+        InputError,
+        "entry (0,): output basis coefficients must be a mapping, got list",
+    ),
+    "map-none-row": (
+        lambda: MultiMap(V, 1, 0, {(0,): None}),
+        InputError,
+        "entry (0,): output basis coefficients must be a mapping, got NoneType",
+    ),
+    "map-list-row-whole-table": (
+        lambda: MultiMap(V, 1, 0, {(0,): {0: 1}, (1,): [1]}),
+        InputError,
+        "entry (1,): output basis coefficients must be a mapping, got list",
+    ),
+    "map-none-row-whole-table": (
+        lambda: MultiMap(V, 1, 0, {(0,): {0: 1}, (1,): None}),
+        InputError,
+        "entry (1,): output basis coefficients must be a mapping, got NoneType",
+    ),
+    "map-list-entries": (
+        lambda: MultiMap(V, 1, 0, [((0,), {0: 1})]),
+        InputError,
+        "map entries must be a mapping, got list",
+    ),
+    "vector-list-coeffs": (
+        lambda: GradedVector(V, [1, 0]),
+        InputError,
+        "basis coefficients must be a mapping, got list",
+    ),
+    "vector-none-coeffs": (
+        lambda: GradedVector(V, None),
+        InputError,
+        "basis coefficients must be a mapping, got NoneType",
+    ),
+    "space-int-name": (
+        lambda: GradedSpace([(5, 0), ("5", 1)]),
+        InputError,
+        "basis element 0: expected a (str name, degree) pair, got (5, 0)",
+    ),
+    "space-tuple-name": (
+        lambda: GradedSpace([("a", 0), (("a",), 1)]),
+        InputError,
+        "basis element 1: expected a (str name, degree) pair, got (('a',), 1)",
+    ),
+    "space-not-pair": (
+        lambda: GradedSpace(["a"]),
+        InputError,
+        "basis element 0: expected a (str name, degree) pair, got 'a'",
+    ),
+    "space-set-basis": (
+        lambda: GradedSpace({("a", 0), ("b", 1), ("c", 0)}),
+        InputError,
+        "a basis is read in order: got a set",
+    ),
+    "permutation-set-images": (
+        lambda: Permutation({3, 1, 2}),
+        InputError,
+        "permutation images are read in order: got a set",
+    ),
+    "family-not-map": (
+        lambda: StructureFamily(V, [5], A_INFINITY),
+        InputError,
+        "components must be MultiMaps, got int",
+    ),
+    "workspace-not-pair": (
+        lambda: Workspace(V, [("f",)]),
+        WorkspaceError,
+        "bad map entry ('f',): expected a (name, map) pair",
+    ),
+    "map-call-not-sequence": (
+        lambda: MU(5),
+        InputError,
+        "expected a sequence of vectors, got int",
+    ),
     "caps-float-field": (
         lambda: FuzzCaps(max_dim=2.5),
         InputError,
