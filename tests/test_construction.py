@@ -80,16 +80,8 @@ def assert_agree(space, arity, degree, entries):
 # ---------------------------------------------------------------- corpus
 
 KEY_FAULTS = (
-    "bool",
-    "float",
-    "non-integral",
-    "list",
-    "frozenset",
-    "subclass",
-    "short",
-    "long",
-    "negative",
-    "high",
+    "bool", "float", "non-integral", "list", "frozenset", "subclass", "short", "long",
+    "negative", "high",
 )
 ROW_FAULTS = (
     "zero",
