@@ -25,12 +25,13 @@ checked against it, and Lemma 4.1's against antisymmetrize
 (decomposition_first_defect) on the rearrangements of f's keys and as(f)'s
 keys only: a staged word rearranges its tuple, so elsewhere both sides are
 empty.  No other module reads staged rearrangements.  One loop, _sum_braces,
-adds every brace summand into one table, validated once: brace_eval and
-symmetrize_brace are one-term sums, and bracket_sum sums signed bracket
-terms, expanding a top-level symmetrized brace in place and evaluating each
-shared inner bracket once.  _signature alone checks a bracket's shape.  The
-nesting identity deals the y's to the x's by the weak compositions of
-insertion_patterns, skipping one that gives a map more inputs than its arity.
+adds every brace summand into one table, built unchecked (multimap._derived)
+from checked maps: brace_eval and symmetrize_brace are one-term sums, and
+bracket_sum sums signed bracket terms, expanding a top-level symmetrized
+brace in place and evaluating each shared inner bracket once.  _signature
+alone checks a bracket's shape.  The nesting identity deals the y's to the
+x's by the weak compositions of insertion_patterns, skipping one that gives a
+map more inputs than its arity.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ from .graded import (
     staged_rearrangements,
     word_parity,
 )
-from .multimap import GradedSpace, MultiMap, add_into, antisymmetrize, compose_into
+from .multimap import (
+    GradedSpace, MultiMap, _derived, add_into, antisymmetrize, compose_into
+)
 
 
 # brace_eval must directly follow `return total & 1`: bench/test_bench.py edits it
@@ -124,7 +127,7 @@ def _sum_braces(space: GradedSpace, signature: tuple, terms) -> MultiMap:
             for slots in insertion_patterns(N - n, n + 1):
                 parity = beta_parity(N, arities, degrees, slots)
                 compose_into(acc, -signed if parity else signed, f, seq, slots)
-    return MultiMap(space, *signature, acc)
+    return _derived(space, *signature, acc)
 
 
 def bracket_sum(space: GradedSpace, signature: tuple, terms) -> MultiMap:

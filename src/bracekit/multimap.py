@@ -6,9 +6,9 @@ from a set); every index, arity and letter is an int, never a bool
 converted.  Vectors and maps store sparse int or Fraction coefficients.
 
 A MultiMap is a multilinear map V^k -> V of fixed internal degree p,
-stored as a table on basis tuples.  Construction checks each row's output
-indices as GradedVector does, zeros included, drops its zeros and enforces
-homogeneity on the rest, on whole tables first, key by key where that fails.
+stored as a table on basis tuples.  Construction checks it key by key, each
+row as GradedVector does, zeros included, then drops its zeros and enforces
+homogeneity.  _derived builds a kernel's output, which is not checked again.
 
 The sign convention for evaluating a tensor product of maps on a tensor
 product of arguments is fixed here once: a map of degree q picks up
@@ -17,11 +17,11 @@ own inputs.  compose_into, the sparse composition the braces are built
 from, applies it to whole tables, symbrace.symbrace_eval to the blocks it
 deals to the inserted maps; the tests check both against the oracle
 _tensor_core.  Signed sums (add_into, compose_into) accumulate into one
-entry table, validated once, as a MultiMap.  A chi-antisymmetric map is
-fixed by its rows on sorted words: fold_onto_sorted sums the rows of
-antisymmetrize and of symbrace_eval onto them, and orbit_map validates
-only those and copies each to each distinct rearrangement of its word,
-which orbit_words deals by graded.riffles and signs by word_parity.
+entry table, built by _derived.  A chi-antisymmetric map is fixed by its
+rows on sorted words: fold_onto_sorted sums the rows of antisymmetrize and
+of symbrace_eval onto them, and orbit_map copies each to each distinct
+rearrangement of its word, which orbit_words deals by graded.riffles and
+signs by word_parity.
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ Scalar = int | Fraction
 class GradedSpace:
     """Finite basis of (str name, int degree) tuples, read in order: no set."""
 
-    __slots__ = (
-        "basis", "names", "degrees", "parities", "_index", "_degree_of", "_by_degree"
-    )
+    __slots__ = ("basis", "names", "degrees", "parities", "_index")
 
     def __init__(self, basis: Iterable[tuple]):
         if isinstance(basis, (set, frozenset)):
@@ -63,10 +61,6 @@ class GradedSpace:
         self.degrees = degs = _ints((deg for _, deg in basis), "basis degrees")
         self.parities = tuple(deg & 1 for deg in degs)
         self._index = {name: i for i, name in enumerate(names)}
-        # index -> degree, degree -> indices: what MultiMap checks tables on
-        self._degree_of, self._by_degree = dict(enumerate(degs)), {}
-        for i, d in enumerate(degs):
-            self._by_degree.setdefault(d, set()).add(i)
 
     @property
     def dim(self) -> int:
@@ -75,7 +69,7 @@ class GradedSpace:
     def index(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise InputError(f"unknown basis element {name!r}") from None
 
     def basis_vector(self, i: int, coeff: Scalar = 1) -> "GradedVector":
@@ -176,10 +170,9 @@ class MultiMap:
 
     entries, a mapping, takes tuples of input indices to rows, mappings or
     GradedVectors of output coefficients, none converted; missing tuples
-    are zero.  A row is checked as a GradedVector (every index in range,
-    whatever its coefficient) and loses its zeros; an entry on inputs of
-    total degree d may then only output degree p + d.  Several keys are
-    checked whole first (_key_degrees); others, and off-degree rows, key by key.
+    are zero.  One loop over the keys checks a row as a GradedVector (every
+    index in range, whatever its coefficient), which drops its zeros; an
+    entry on inputs of total degree d may then only output degree p + d.
     """
 
     __slots__ = ("space", "arity", "degree", "entries")
@@ -197,30 +190,10 @@ class MultiMap:
         degrees, dim = space.degrees, len(space.degrees)
         if type(entries) is not dict and not isinstance(entries, Mapping):
             raise InputError(f"map entries must be a mapping, got {type(entries).__name__}")
-        clean, items = {}, entries.items()
-        # a one-key table is its own whole table: it takes the per-key loop
-        key_degrees = len(entries) > 1 and _key_degrees(entries, arity, space)
-        if key_degrees:
-            sums, outputs, empty = iter(key_degrees), space._by_degree.get, frozenset()
-        for key, out in items:
-            if key_degrees:
-                target = degree + next(sums)
-                if out.keys() <= outputs(target, empty):
-                    if out and all(out.values()):
-                        clean[key] = out.copy()
-                    elif out := {j: c for j, c in out.items() if c}:
-                        clean[key] = out
-                    continue
-            else:
-                if not isinstance(key, tuple):
-                    raise InputError(f"entry {key}: expected a tuple of {arity} inputs")
-                key = _ints(key, "input letters")
-                if len(key) != arity:
-                    raise InputError(f"entry {key}: expected {arity} inputs")
-                if min(key) < 0 or max(key) >= dim:
-                    i = next(i for i in key if not 0 <= i < dim)
-                    raise InputError(f"entry {key}: basis index {i} out of range")
-                target = degree + sum(map(degrees.__getitem__, key))
+        clean = {}
+        for key, out in entries.items():
+            key = _key(key, arity, dim)
+            target = degree + sum(map(degrees.__getitem__, key))
             if isinstance(out, GradedVector):
                 if out.space is not space and out.space != space:
                     raise InputError(f"entry {key}: rows must be vectors in the map's space")
@@ -280,13 +253,12 @@ class MultiMap:
                 out[j] = out[j] + c * cj if j in out else c * cj
         return GradedVector(space, out)
 
-    def value(self, key: Sequence[int]) -> GradedVector:
-        """Table lookup on a basis index tuple."""
-        return GradedVector(self.space, self.entries.get(tuple(key), {}))
+    def value(self, key: tuple) -> GradedVector:
+        """Table lookup on key, checked as the constructor checks a key."""
+        key = _key(key, self.arity, self.space.dim)
+        return GradedVector(self.space, self.entries.get(key, {}))
 
     def scale(self, c: Scalar) -> "MultiMap":
-        if not c:
-            return MultiMap.zero(self.space, self.arity, self.degree)
         return MultiMap(
             self.space,
             self.arity,
@@ -336,22 +308,30 @@ class MultiMap:
         )
 
 
-def _key_degrees(entries: Mapping, arity: int, space: GradedSpace) -> list | None:
-    """The degree of each key if all keys are tuples of `arity` ints in
-    range(dim) and all rows dicts on ints, of exact types, else None."""
-    keys, rows, flat = entries.keys(), entries.values(), itertools.chain.from_iterable
-    plain = (
-        {*map(type, keys)} <= {tuple}
-        and {*map(len, keys)} <= {arity}
-        and {*map(type, flat(keys))} <= {int}
-        and {*map(type, rows)} <= {dict}
-        and {*map(type, flat(rows))} <= {int}
-    )
-    degree_of = itertools.repeat(space._degree_of.__getitem__)
-    try:  # a letter outside range(dim) has no degree
-        return list(map(sum, map(map, degree_of, keys))) if plain else None
-    except KeyError:
-        return None
+def _key(key, arity: int, dim: int) -> tuple:
+    """key, a tuple of arity ints in range(dim), as a plain tuple."""
+    if not isinstance(key, tuple):
+        raise InputError(f"entry {key}: expected a tuple of {arity} inputs")
+    key = _ints(key, "input letters")
+    if len(key) != arity:
+        raise InputError(f"entry {key}: expected {arity} inputs")
+    if min(key) < 0 or max(key) >= dim:
+        i = next(i for i in key if not 0 <= i < dim)
+        raise InputError(f"entry {key}: basis index {i} out of range")
+    return key
+
+
+def _derived(space: GradedSpace, arity: int, degree: int, entries: dict) -> MultiMap:
+    """A kernel's output on a table derived from checked maps: zeros and empty
+    rows dropped, rows taken over, nothing checked (tests/test_kernel_pool.py)."""
+    m = object.__new__(MultiMap)
+    m.space, m.arity, m.degree, m.entries = space, arity, degree, {}
+    for key, row in entries.items():
+        if not all(row.values()):
+            row = {j: c for j, c in row.items() if c}
+        if row:
+            m.entries[key] = row
+    return m
 
 
 def compose_into(
@@ -414,21 +394,18 @@ def add_into(acc: dict, sign: int, m: MultiMap) -> None:
 
 
 def orbit_map(space: GradedSpace, arity: int, degree: int, reps: Mapping) -> MultiMap:
-    """The chi-antisymmetric map with rows reps on sorted words.  Only reps
-    is checked, by the constructor: a rearrangement of a word has its
-    letters, degree sum and row, so each kept row goes unchecked to each
-    word orbit_words lists, negated where chi is -1.  The sorted word keeps
-    the constructor's row, and every other key gets its own copy.
+    """The chi-antisymmetric map with rows reps on sorted words, a kernel
+    step that checks nothing: each row _derived keeps goes to each word
+    orbit_words lists, as its own copy, negated where chi is -1.
 
     >>> V = GradedSpace([("u", 1), ("e", 0)])
     >>> sorted(orbit_map(V, 3, -1, {(0, 0, 1): {0: 2}}).entries.items())
     [((0, 0, 1), {0: 2}), ((0, 1, 0), {0: -2}), ((1, 0, 0), {0: 2})]
     """
-    m, entries = MultiMap(space, arity, degree, reps), {}
+    m, entries = _derived(space, arity, degree, reps), {}
     for rep, row in m.entries.items():
         plus, minus = orbit_words(rep, space.parities)
         entries.update(zip(plus, map(dict.copy, itertools.repeat(row))))
-        entries[rep] = row
         if minus:
             neg = {j: -c for j, c in row.items()}
             entries.update(zip(minus, map(dict.copy, itertools.repeat(neg))))
@@ -481,7 +458,7 @@ def fold_onto_sorted(terms: Iterable[tuple], blocks: Sequence[int], parities) ->
     unshuffles dealing s into the blocks as word: prod over letters x of
     m_x! / (m_x1! ... m_xn!), x occurring m_x times in s and m_xi times in
     block i (the stabilizer of s for singleton blocks).  Sums are returned
-    unpruned, {} for an s repeating an even letter: the constructor prunes.
+    unpruned, {} for an s repeating an even letter: orbit_map prunes.
 
     >>> terms = [((0, 0, 0), 0, {0: 1}), ((0, 1, 0), 0, {0: 1}), ((1, 1, 0), 0, {0: 1})]
     >>> fold_onto_sorted(terms, (2, 1), (1, 0))
@@ -525,7 +502,7 @@ def antisymmetrize(f: MultiMap) -> MultiMap:
     No averaging factor: an already antisymmetric f comes back as k! * f.
     as(f) is chi-antisymmetric, fixed by its rows on sorted words, which
     fold_onto_sorted sums from f's rows over k singleton blocks and
-    orbit_map checks and writes to their orbits: a sort and an O(k) sign per
+    orbit_map writes to their orbits: a sort and an O(k) sign per
     row of f, plus one key per distinct rearrangement of each nonzero sorted
     word, k! / prod m_x!.
 

@@ -13,7 +13,7 @@ Two brackets satisfy the symmetric-brace axiom here:
     Its output is antisymmetric: multimap.fold_onto_sorted sums it on
     sorted words from one evaluation of f per choice of the g_i's sorted
     rows and a sorted tail of f's keys that reaches a key of f and repeats
-    no even letter; multimap.orbit_map checks them and copies each to its orbit.
+    no even letter; multimap.orbit_map copies each to its orbit.
 
   * symmetrize_brace (defined in brace, re-exported here): the eps-signed
     sum of plain braces f{g_sigma} over all orderings of the inserted maps,

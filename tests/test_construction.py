@@ -1,13 +1,13 @@
-"""MultiMap construction against one per-key loop over every table.
+"""MultiMap construction against helpers.per_key_entries on every table.
 
-The constructor checks the keys, letters and output indices of a table in
-a few passes over the whole table, then each row against the space's
-degree index, zero coefficients included, and prunes its zeros; the
-per-key loop runs only on a table that fails a whole-table check, and on a
-row with an output outside its degree.  helpers.per_key_entries checks every
-table by one loop over its keys, each row by GradedVector's rule.  On every
-table here both must store the same entries in the same key order, with the
-same key and index types, or raise the same exception with the same text.
+The constructor checks a table by one loop over its keys: each key as a
+tuple of ints in range, each row as a GradedVector, zero coefficients
+included, before its zeros are pruned and the rest checked for
+homogeneity.  helpers.per_key_entries is that loop written out once more,
+as the reference: on every table here both must store the same entries in
+the same key order, with the same key and index types, or raise the same
+exception with the same text.  Kernel outputs do not take this loop
+(multimap._derived); tests/test_kernel_pool.py compares them with it.
 """
 
 import random
@@ -15,16 +15,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
-import pytest
-
 from bracekit.errors import InputError
-from bracekit.multimap import (
-    GradedSpace,
-    GradedVector,
-    MultiMap,
-    _key_degrees,
-    orbit_map,
-)
+from bracekit.multimap import GradedSpace, GradedVector, MultiMap, orbit_map
 from helpers import per_key_entries, walk_expand_orbits
 
 COEFFS = (-2, -1, 1, 2, Fraction(1, 2))
@@ -184,12 +176,9 @@ def test_constructor_agrees_with_the_per_key_loop_on_a_seeded_corpus():
     for _ in range(3000):
         space, arity, degree, entries = random_table(rng, seen)
         result = assert_agree(space, arity, degree, entries)
-        plain = len(entries) > 1 and _key_degrees(entries, arity, space) is not None
-        kinds.add(("raises" if isinstance(result, tuple) else "stores", plain))
+        kinds.add("raises" if isinstance(result, tuple) else "stores")
     assert seen - {None} == set(KEY_FAULTS + ROW_FAULTS + ("mapping",))
-    # both outcomes on both paths: the whole-table path also meets rows
-    # that raise, and the per-key path tables that are fine
-    assert kinds == {(o, p) for o in ("raises", "stores") for p in (True, False)}
+    assert kinds == {"raises", "stores"}
 
 
 # ---------------------------------------------------------------- cases
@@ -208,7 +197,7 @@ class TestAgreesWithThePerKeyLoop:
 
     def test_bool_and_float_letters_are_refused(self):
         """A letter is an int: True, 0.0 and 1.9 are refused, not converted,
-        in a one-key table and in a table the whole-table check refuses."""
+        in a one-key table and after a valid key."""
         for letter in (True, 0.0, 1.9):
             table = {(letter, 0): {1: 1}}
             text = f"input letters must be integers: ({letter!r}, 0)"
@@ -301,29 +290,8 @@ def test_rows_are_copied():
 
 
 def test_orbit_map_checks_its_rows_on_sorted_words():
-    """orbit_map hands its rows on sorted words to the constructor, which
-    refuses, prunes and copies them, and writes only what it kept."""
-    wrong = {(0, 1, 1): {1: 1}, (0, 1, 2): {1: 1}}  # b is off degree 0
-    refused = outcome(lambda: orbit_map(MIXED, 3, -1, wrong).entries)
-    assert refused == outcome(lambda: MultiMap(MIXED, 3, -1, wrong).entries)
-    assert refused[0] is InputError
+    """orbit_map, a kernel step, checks nothing: it prunes its rows on
+    sorted words and writes only what it kept."""
     kept = orbit_map(MIXED, 3, -1, {(0, 1, 1): {1: 3, 0: 0}, (0, 1, 2): {1: 0}})
     assert kept.entries == walk_expand_orbits({(0, 1, 1): {1: 3}}, 3, MIXED.parities)
     assert orbit_map(MIXED, 3, -1, {}) == MultiMap.zero(MIXED, 3, -1)
-
-
-@pytest.mark.parametrize(
-    "entries",
-    [
-        {(0, 1): {1: 1}, (True, 0): {1: 1}},
-        {(0, 1): {1: 1}, (1, 0): {1.0: 1}},
-        {(0, 1): {1: 1}, Key((1, 0)): {1: 1}},
-        {(0, 1): {1: 1}, (1, 0, 0): {1: 1}},
-        {(0, 1): {1: 1}, (1, 3): {1: 1}},
-        {(0, 1): {1: 1}, (1, -1): {1: 1}},
-        {(0, 1): {1: 1}, (1, 0): GradedVector(MIXED, {1: 1})},
-    ],
-)
-def test_whole_table_checks_refuse_what_needs_the_per_key_loop(entries):
-    assert _key_degrees(entries, 2, MIXED) is None
-    assert _key_degrees({(0, 1): {1: 1}, (1, 0): {1: 1}}, 2, MIXED) == [1, 1]

@@ -17,6 +17,8 @@ brace._sum_braces builds a table in brace, only brace._signature refuses a
 bracket's shape, only checks._outcome makes a CheckOutcome, both
 antisymmetric kernels fold their rows through multimap.fold_onto_sorted
 and return through multimap.orbit_map, which alone writes orbits, only
+brace._sum_braces and multimap.orbit_map build a map unchecked
+(multimap._derived), so no module that reads input names it, only
 brace reads graded.staged_rearrangements, which signs with word_parity
 only the permutations it enumerates, only graded imports itemgetter, to
 build graded.riffles, the one riffle table, no module lists inverted pairs
@@ -292,7 +294,7 @@ GENERATORS = {
     "symbrace": ("symbrace_axiom_sides",),
     "homotopy": ("_relation_defects",),
 }
-ACCUMULATORS = {"add_into", "_sum_braces", "compose_into", "MultiMap"}
+ACCUMULATORS = {"add_into", "_sum_braces", "compose_into", "MultiMap", "_derived"}
 
 
 def called_names(tree: ast.AST) -> set:
@@ -346,12 +348,12 @@ def test_only_the_evaluator_accumulates(stem, name):
 def test_antisymmetric_kernels_fold_onto_sorted_words_in_one_place(stem, name):
     """Both chi-signed sums over unshuffles sum their rows onto sorted words
     through multimap.fold_onto_sorted and return through orbit_map, which
-    checks the rows with MultiMap and lists each orbit with orbit_words;
+    builds its map with _derived and lists each orbit with orbit_words;
     the unshuffle bracket lists no unshuffles."""
     calls = called_names(_function(stem, name))
     assert {"fold_onto_sorted", "orbit_map"} <= calls
     assert "unshuffle_words" not in calls
-    assert {"MultiMap", "orbit_words"} <= called_names(_function("multimap", "orbit_map"))
+    assert {"_derived", "orbit_words"} <= called_names(_function("multimap", "orbit_map"))
 
 
 def makers_in(modules: dict, test) -> set:
@@ -395,6 +397,35 @@ def test_no_expanded_table_is_checked_again(path):
     exists outside it for MultiMap to check every rearrangement again."""
     found = _makers([path], _calls_orbit_words)
     assert found <= {"multimap.orbit_map"}, f"{path.name} writes orbits in {sorted(found)}"
+
+
+# the builder of kernel outputs, which checks nothing
+BUILDER = "_derived"
+
+
+def test_finds_the_builder_called_and_named():
+    modules = {
+        "a": ast.parse(
+            "def f(t):\n    return multimap._derived(V, 1, 0, t)\n"
+            "def g(t):\n    return MultiMap(V, 1, 0, t)\n"
+        ),
+        "b": ast.parse("from .multimap import _derived as build\n"),
+    }
+    assert makers_in(modules, lambda node: BUILDER in called_names(node)) == {"a.f"}
+    assert BUILDER in imports_or_reads(modules["b"])
+    assert BUILDER not in imports_or_reads(modules["a"].body[1])
+
+
+def test_only_the_kernels_build_maps_unchecked():
+    """Only brace._sum_braces and multimap.orbit_map call the builder, and
+    no module but theirs names it: fuzz, workspace, homotopy, checks and
+    cli, which read input from outside the kernels, always meet the
+    constructor's checks."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    named = {stem for stem, tree in trees.items() if BUILDER in imports_or_reads(tree)}
+    assert named == {"brace", "multimap"}
+    callers = makers_in(trees, lambda node: BUILDER in called_names(node))
+    assert callers == {"brace._sum_braces", "multimap.orbit_map"}
 
 
 def _walks_every_tuple(node) -> bool:
@@ -475,7 +506,7 @@ def test_only_outcome_makes_check_outcomes():
 def test_only_the_sum_loop_builds_tables_in_brace():
     """brace_eval, symmetrize_brace and bracket_sum sum their braces
     through brace._sum_braces, the one function that fills a table."""
-    builders = {"add_into", "compose_into", "MultiMap"}
+    builders = {"add_into", "compose_into", "MultiMap", "_derived"}
     makers = _makers([PACKAGE / "brace.py"], lambda node: called_names(node) & builders)
     assert makers == {"brace._sum_braces"}
 

@@ -4,11 +4,14 @@ bench/kernel_pool.json records, for each of the 25 kernel specs and each
 of its 8 variants, the accepted random draw and the digest of the result.
 The benchmark's own tests replay only its first round; this replays all
 200 instances through bench/kernel.py, which it imports without changing,
-and checks each digest and the identity each call states.  It also checks
-that every table the kernels and the fuzzer build passes MultiMap's
-whole-table checks, so none of them needs the per-key loop, and that each
-antisymmetric map orbit_map builds from checked rows on sorted words is the
-map the constructor builds from its whole table.
+and checks each digest and the identity each call states.
+
+A kernel builds its output with multimap._derived, which checks nothing:
+the table is derived from checked maps.  The trust the constructor would
+give it is pinned here instead: over the pool and a fuzz session, every
+table the kernels build is the constructor's map on the same table, in
+entries and key order, and each antisymmetric map orbit_map writes from
+rows on sorted words is the map the constructor builds from its whole table.
 """
 
 import sys
@@ -20,8 +23,9 @@ import pytest
 import bracekit
 from bracekit import multimap, symbrace
 from bracekit.checks import CHECK_NAMES, fuzz_outcomes
+from bracekit.errors import InputError
 from bracekit.fuzz import FuzzCaps
-from bracekit.multimap import GradedVector, MultiMap, _key_degrees
+from bracekit.multimap import GradedSpace, MultiMap
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -29,10 +33,6 @@ sys.path.insert(0, str(BENCH))
 import kernel  # noqa: E402
 
 POOL = kernel.load_pool()
-
-
-class Key(tuple):
-    """A tuple subclass key, which the whole-table check refuses."""
 
 
 @pytest.mark.parametrize("spec", kernel.SPECS, ids=lambda spec: spec.name)
@@ -47,47 +47,52 @@ def test_every_variant_matches_its_recorded_digest(spec):
         assert kernel.nnz(kernel.result_maps(result)) == record["out_nnz"], variant
 
 
-def test_kernels_and_fuzzing_build_only_plain_tables(monkeypatch):
-    """No table handed to MultiMap needs its keys or output indices
-    normalized: each passes the whole-table checks.  No row of a table of
-    several keys reaches the per-key loop's GradedVector, not even one
-    holding a cancelled zero coefficient, which the whole-table pass prunes."""
-    tables, refused, zeros, per_key, building = [], [], [], [], []
-    init, vector_init = MultiMap.__init__, GradedVector.__init__
+def checked_like_the_constructor(derived, sizes: list):
+    """derived, wrapped: each map it builds must equal the constructor's
+    map on the same table, in entries and key order, and the constructor's
+    refusal of the table fails the call; sizes collects each table's size."""
 
-    def spy(self, space, arity, degree, entries):
-        tables.append(len(entries))
-        if _key_degrees(entries, arity, space) is None:
-            refused.append((arity, list(entries)[:3]))
-        elif len(entries) > 1 and not all(map(all, map(dict.values, entries.values()))):
-            zeros.append(len(entries))
-        building.append(len(entries))
-        try:
-            init(self, space, arity, degree, entries)
-        finally:
-            building.pop()
+    def wrapper(space, arity, degree, entries):
+        checked = MultiMap(space, arity, degree, entries)
+        m = derived(space, arity, degree, entries)
+        assert m == checked and list(m.entries) == list(checked.entries)
+        sizes.append(len(entries))
+        return m
 
-    def vector_spy(self, space, coeffs):
-        if building and building[-1] > 1:
-            per_key.append(dict(coeffs))
-        vector_init(self, space, coeffs)
+    return wrapper
 
-    monkeypatch.setattr(MultiMap, "__init__", spy)
-    monkeypatch.setattr(GradedVector, "__init__", vector_spy)
+
+def run_pool_and_fuzz():
+    """The 200 pool ops, then the first 20 cases of every check, seed 7."""
     for spec in kernel.SPECS:
         for variant, record in enumerate(POOL[spec.name]):
             op, _ = kernel.build(bracekit, spec, variant, record["attempt"])
             op()
     list(fuzz_outcomes(7, 20, CHECK_NAMES, FuzzCaps()))
-    assert not refused and not per_key
-    assert len(tables) > 2000 and sum(n > 1 for n in tables) > 1000
-    assert len(zeros) > 100
-    # the spy sees a table whose keys need normalizing, and the
-    # constructor stores its tuple subclass key as a plain tuple
-    space = bracekit.GradedSpace([("e1", 0), ("e2", 0)])
-    m = MultiMap(space, 1, 0, {Key((1,)): {1: 1}, (0,): {0: 1}})
-    assert refused == [(1, [(1,), (0,)])]
-    assert {*map(type, m.entries)} == {tuple}
+
+
+def test_kernel_tables_equal_the_constructors_maps(monkeypatch):
+    """Every table a kernel builds unchecked, in every module that binds
+    the builder, passes the constructor's checks and gives its map."""
+    sizes, derived = [], multimap._derived
+    binders = [
+        module for name, module in sorted(sys.modules.items())
+        if name.startswith("bracekit.") and "_derived" in vars(module)
+    ]
+    assert {m.__name__ for m in binders} == {"bracekit.brace", "bracekit.multimap"}
+    for module in binders:
+        monkeypatch.setattr(module, "_derived", checked_like_the_constructor(derived, sizes))
+    run_pool_and_fuzz()
+    assert len(sizes) > 1000 and sum(n > 1 for n in sizes) > 500
+
+
+def test_the_trust_wrapper_fails_on_a_row_of_the_wrong_degree():
+    space = GradedSpace([("a", 0), ("b", 1)])
+    wrapped = checked_like_the_constructor(multimap._derived, [])
+    with pytest.raises(InputError) as raised:
+        wrapped(space, 1, 0, {(0,): {0: 1}, (1,): {0: 2}})
+    text = "entry ('b',) -> a violates homogeneity: output degree 0, expected 1"
+    assert str(raised.value) == text
 
 
 def test_orbit_maps_equal_the_maps_checked_whole(monkeypatch):

@@ -136,6 +136,53 @@ REFUSALS = {
         InputError,
         "entry (1,): output basis coefficients must be a mapping, got NoneType",
     ),
+    # a lookup key takes the constructor's key rule, and a basis name is
+    # looked up as given
+    "map-value-list-key": (
+        lambda: MU.value([0, 1]),
+        InputError,
+        "entry [0, 1]: expected a tuple of 2 inputs",
+    ),
+    "map-value-set-key": (
+        lambda: MU.value({0, 1}),
+        InputError,
+        "entry {0, 1}: expected a tuple of 2 inputs",
+    ),
+    "map-value-str-key": (
+        lambda: MU.value("ab"),
+        InputError,
+        "entry ab: expected a tuple of 2 inputs",
+    ),
+    "map-value-int-key": (
+        lambda: MU.value(3),
+        InputError,
+        "entry 3: expected a tuple of 2 inputs",
+    ),
+    "map-value-bool-key": (
+        lambda: MU.value((True, False)),
+        InputError,
+        "input letters must be integers: (True, False)",
+    ),
+    "map-value-short-key": (
+        lambda: MU.value((0,)),
+        InputError,
+        "entry (0,): expected 2 inputs",
+    ),
+    "map-value-long-key": (
+        lambda: MU.value((0, 1, 1)),
+        InputError,
+        "entry (0, 1, 1): expected 2 inputs",
+    ),
+    "map-value-index-range": (
+        lambda: MU.value((5, 5)),
+        InputError,
+        "entry (5, 5): basis index 5 out of range",
+    ),
+    "space-index-list-name": (
+        lambda: V.index(["a"]),
+        InputError,
+        "unknown basis element ['a']",
+    ),
     "map-list-entries": (
         lambda: MultiMap(V, 1, 0, [((0,), {0: 1})]),
         InputError,
